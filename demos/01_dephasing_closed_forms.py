@@ -3,8 +3,8 @@
 N probes couple to a single bus qubit through Z.Z interactions, which
 dephase the bus without exchanging energy.  Every quantity of interest has
 a closed form, so this model is the package's ground truth.  The script
-evolves states numerically, differentiates them with the two-step central
-difference protocol, and prints both routes side by side.
+evolves states numerically, differentiates them exactly through the
+eigendecomposition, and prints both routes side by side.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ spec = ModelSpec(ModelKind.ZZZZ)  # delta = eps = omega0 = omega1 = x = t = 1
 
 print("Global QFI for the coupling x, most favorable product state")
 print("(probes along +z, bus on the equator): I_x = N^2 eps^2 t^2\n")
-print(f"{'N':>4s} {'closed':>12s} {'finite-diff':>14s} {'rel.dev':>10s}")
+print(f"{'N':>4s} {'closed':>12s} {'numeric':>14s} {'rel.dev':>10s}")
 for n in (1, 4, 16, 64):
     closed = global_qfi_closed(spec, n, FAVORABLE_ANGLES, Param.X)
     numeric = global_qfi_fd(spec, n, FAVORABLE_ANGLES, Param.X).value
@@ -37,7 +37,7 @@ for n in (1, 4, 16, 64):
 print("\nSame coupling, worst product state (everything on the +x equator):")
 print("the global QFI drops to SQL, I_x = N eps^2 t^2, and the bus alone")
 print("loses the signal exponentially.\n")
-print(f"{'N':>4s} {'global':>10s} {'bus-only (closed)':>18s} {'bus-only (FD)':>14s}")
+print(f"{'N':>4s} {'global':>10s} {'bus-only (closed)':>18s} {'bus-only (num)':>14s}")
 for n in (1, 4, 16, 64):
     glob = global_qfi_closed(spec, n, UNFAVORABLE_ANGLES, Param.X)
     loc_closed = local_qfi_x_closed(spec, n, UNFAVORABLE_ANGLES)

@@ -30,7 +30,7 @@ spec = ModelSpec(ModelKind.ZZXX, epsilon=1e-3)
 print(f"{'N':>4s} {'expansion':>12s} {'exact':>12s} {'rel.dev':>9s}  (eps*N)")
 for n in (1, 10, 50, 100):
     pt = pt1_qfi_x(spec, n, DEFAULT_ANGLES)
-    exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X).value_check
+    exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X).value
     print(f"{n:4d} {pt.value:12.5e} {exact:12.5e} "
           f"{abs(pt.value - exact) / exact:9.1e}  ({pt.eps_times_n:.2f})")
 print("  -> accurate while eps*N stays small; the N^2 term signals the")
@@ -53,7 +53,7 @@ for label, sel, field, fn in (("eps", Param.X, "epsilon", pt1_qfi_x),
     residuals = []
     for v in grid:
         s = ModelSpec(ModelKind.ZZXX, **{field: float(v)})
-        exact = global_qfi_fd(s, 4, DEFAULT_ANGLES, sel).value_check
+        exact = global_qfi_fd(s, 4, DEFAULT_ANGLES, sel).value
         residuals.append(abs(exact - fn(s, 4, DEFAULT_ANGLES).value))
     slope = np.polyfit(np.log(grid), np.log(residuals), 1)[0]
     print(f"  {label:5s} direction: log-log slope {slope:.2f} (cubic residual)")

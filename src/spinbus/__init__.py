@@ -6,13 +6,23 @@ uncertainties, weak/strong-coupling perturbation theory, closed forms for
 the exactly solvable dephasing model, and N-scaling sweep drivers.
 """
 
-from .dynamics import HamiltonianMatrix, ModelKind, ModelSpec, assemble, eigensystem, evolve, propagate
+from .dynamics import (
+    HamiltonianMatrix,
+    ModelKind,
+    ModelSpec,
+    assemble,
+    eigensystem,
+    evolve,
+    evolve_derivative,
+    propagate,
+)
 from .fisher import (
     BusDensity,
     FirstMomentResult,
     Param,
     QfiResult,
     bures_distance,
+    evolve_with_derivative,
     first_moment_uncertainty,
     global_qfi_fd,
     local_qfi_fd,

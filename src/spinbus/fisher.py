@@ -1,14 +1,16 @@
 """Quantum Fisher information and first-moment measurement uncertainties.
 
-Global QFI for the pure evolved state via finite differences of the state,
-local QFI of the reduced bus qubit via its Bloch vector, the Bures distance,
-the Cramer-Rao bound, and the uncertainty of estimating a parameter from the
-sample mean of a fixed bus observable.
+Global QFI of the pure evolved state, local QFI of the reduced bus qubit via
+its Bloch vector, the Bures distance, the Cramer-Rao bound, and the
+uncertainty of estimating a parameter from the sample mean of a fixed bus
+observable.
 
-Every parameter derivative uses central differences at two step sizes
-(1e-8 and 1e-6, scaled by max(1, |theta|)); the relative discrepancy between
-the two results is recorded so that ill-conditioned configurations are
-flagged instead of silently reported.
+All three quantities read the exact state derivative d|psi>/d theta from
+`evolve_with_derivative`, which takes it from the same eigendecomposition
+as the evolved state.  Each result also records a central finite
+difference at the step 1e-6 * max(1, |theta|) and its relative discrepancy
+from the exact value, so that ill-conditioned configurations are flagged
+instead of silently reported.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import ModelSpec, propagate
-from .states import StateAngles, SymmetricState
+from .dynamics import ModelSpec, assemble, evolve_derivative, propagate
+from .states import StateAngles, SymmetricState, build_product_state
 
-FD_STEP_PRIMARY = 1e-8
 FD_STEP_CHECK = 1e-6
 FD_DISCREPANCY_TOL = 1e-3
 NEGATIVE_CLAMP = 1e-10
@@ -63,19 +64,24 @@ class BusDensity:
 
     def bloch(self) -> np.ndarray:
         """(r_x, r_y, r_z) with rho = (I + r . sigma)/2."""
-        r = self.rho
-        return np.array([2.0 * r[0, 1].real, -2.0 * r[0, 1].imag,
-                         (r[0, 0] - r[1, 1]).real])
+        return _bloch_vector(self.rho)
+
+
+def _bloch_vector(a: np.ndarray) -> np.ndarray:
+    """(tr(a X), tr(a Y), tr(a Z)) of a 2x2 Hermitian matrix a."""
+    return np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
 
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value plus the two-step derivative-stability record.
+    """QFI value plus the finite-difference cross-check.
 
-    `value` comes from the 1e-8 step; `value_check` from the 1e-6 step.  The
-    check value is better conditioned when the QFI itself is tiny (round-off
-    in the state difference scales like 1/step), so residual scans against
-    perturbation theory should prefer it.
+    `value` uses the exact state derivative, so `fd_step_primary` is 0.
+    `value_check` uses the central difference at `fd_step_check`, and
+    `relative_discrepancy` compares the two; above 1e-3 the result is
+    flagged `ill_conditioned`.  That happens when the QFI itself is tiny
+    (round-off in the state difference scales like 1/step) or the check step
+    no longer resolves the dynamics.
     """
 
     value: float
@@ -99,14 +105,26 @@ class FirstMomentResult:
     insensitive: bool = False
 
 
-def _fd_steps(theta: float):
-    scale = max(1.0, abs(theta))
-    return FD_STEP_PRIMARY * scale, FD_STEP_CHECK * scale
-
-
 def _discrepancy(a: float, b: float) -> float:
     ref = max(abs(a), abs(b))
     return 0.0 if ref == 0.0 else abs(a - b) / ref
+
+
+def evolve_with_derivative(spec: ModelSpec, n: int, angles: StateAngles,
+                           sel: Param):
+    """The evolved state and its exact derivative d|psi>/d theta (an array
+    in the |m, s> layout), both from one eigendecomposition of H."""
+    return evolve_derivative(assemble(spec, n), assemble(spec, n, wrt=sel.field),
+                             spec.t, build_product_state(n, angles))
+
+
+def _check_states(spec: ModelSpec, n: int, angles: StateAngles, sel: Param):
+    """States at theta +- the check step, and the step."""
+    theta = getattr(spec, sel.field)
+    h = FD_STEP_CHECK * max(1.0, abs(theta))
+    plus = propagate(spec.replaced(**{sel.field: theta + h}), n, angles)
+    minus = propagate(spec.replaced(**{sel.field: theta - h}), n, angles)
+    return plus, minus, h
 
 
 def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -117,28 +135,23 @@ def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
 def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
                   sel: Param) -> QfiResult:
     """QFI of the evolved pure state, I = 4(<d psi|d psi> - |<psi|d psi>|^2),
-    with |d psi> from central finite differences in the selected parameter."""
-    theta = getattr(spec, sel.field)
-    h1, h2 = _fd_steps(theta)
-    psi = propagate(spec, n, angles).amplitudes
+    with the exact |d psi>; the check value uses central differences."""
+    psi, dpsi = evolve_with_derivative(spec, n, angles, sel)
+    plus, minus, h = _check_states(spec, n, angles, sel)
+    value = _pure_qfi(psi.amplitudes, dpsi)
+    value_check = _pure_qfi(psi.amplitudes,
+                            (plus.amplitudes - minus.amplitudes) / (2.0 * h))
 
-    values = []
-    for h in (h1, h2):
-        plus = propagate(spec.replaced(**{sel.field: theta + h}), n, angles)
-        minus = propagate(spec.replaced(**{sel.field: theta - h}), n, angles)
-        dpsi = (plus.amplitudes - minus.amplitudes) / (2.0 * h)
-        values.append(_pure_qfi(psi, dpsi))
-
-    disc = _discrepancy(values[0], values[1])
-    value, value_check, clamped = values[0], values[1], False
+    disc = _discrepancy(value, value_check)
+    clamped = False
     if value < 0.0 or value_check < 0.0:
         if min(value, value_check) < -NEGATIVE_CLAMP:
             raise ArithmeticError(
-                f"finite-difference QFI came out negative beyond round-off: {values}")
+                f"QFI came out negative beyond round-off: {value}, {value_check}")
         value, value_check = max(value, 0.0), max(value_check, 0.0)
         clamped = True
     return QfiResult(value=value, value_check=value_check,
-                     fd_step_primary=h1, fd_step_check=h2,
+                     fd_step_primary=0.0, fd_step_check=h,
                      relative_discrepancy=disc,
                      ill_conditioned=disc > FD_DISCREPANCY_TOL, clamped=clamped)
 
@@ -157,11 +170,21 @@ def bures_distance(state_a: SymmetricState, state_b: SymmetricState) -> float:
 
 def reduce_to_bus(state: SymmetricState) -> BusDensity:
     """Trace out the probes: rho_{s s'} = sum_m c_{m,s} conj(c_{m,s'})."""
-    block = state.amplitudes.reshape(-1, 2)
-    rho = np.einsum("ms,mt->st", block, block.conj())
+    rho = _bus_block(state.amplitudes, state.amplitudes)
     # symmetrize away the last bit of rounding so BusDensity validation holds
     rho = 0.5 * (rho + rho.conj().T)
     return BusDensity(rho / np.trace(rho).real)
+
+
+def _bus_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr_probes |a><b|: sum_m a_{m,s} conj(b_{m,s'})."""
+    return np.einsum("ms,mt->st", a.reshape(-1, 2), b.reshape(-1, 2).conj())
+
+
+def _bus_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """d rho_bus = Tr_probes(|d psi><psi| + |psi><d psi|)."""
+    half = _bus_block(dpsi, psi)
+    return half + half.conj().T
 
 
 def qubit_qfi(rho0: BusDensity, rho_plus: BusDensity, rho_minus: BusDensity,
@@ -175,8 +198,11 @@ def qubit_qfi(rho0: BusDensity, rho_plus: BusDensity, rho_minus: BusDensity,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    r = rho0.bloch()
-    dr = (rho_plus.bloch() - rho_minus.bloch()) / (2.0 * step)
+    return _bloch_qfi(rho0.bloch(), (rho_plus.bloch() - rho_minus.bloch()) / (2.0 * step))
+
+
+def _bloch_qfi(r: np.ndarray, dr: np.ndarray) -> float:
+    """|dr|^2 + (r.dr)^2/(1 - |r|^2), with qubit_qfi's pure-boundary rules."""
     r_sq = float(r @ r)
     if r_sq > 1.0 + PURE_BOUNDARY_TOL:
         raise ValueError(f"|r| = {math.sqrt(r_sq)} exceeds 1: invalid density")
@@ -195,21 +221,18 @@ def qubit_qfi(rho0: BusDensity, rho_plus: BusDensity, rho_minus: BusDensity,
 
 def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
                  sel: Param) -> QfiResult:
-    """QFI of the reduced bus state, via finite differences of the Bloch
-    vector with the same two-step protocol as the global QFI."""
-    theta = getattr(spec, sel.field)
-    h1, h2 = _fd_steps(theta)
-    rho0 = reduce_to_bus(propagate(spec, n, angles))
+    """QFI of the reduced bus state from its Bloch vector and the exact
+    derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|); the check
+    value uses central differences of the Bloch vector."""
+    psi, dpsi = evolve_with_derivative(spec, n, angles, sel)
+    plus, minus, h = _check_states(spec, n, angles, sel)
+    rho0 = reduce_to_bus(psi)
+    value = _bloch_qfi(rho0.bloch(), _bloch_vector(_bus_derivative(psi.amplitudes, dpsi)))
+    value_check = qubit_qfi(rho0, reduce_to_bus(plus), reduce_to_bus(minus), h)
 
-    values = []
-    for h in (h1, h2):
-        plus = reduce_to_bus(propagate(spec.replaced(**{sel.field: theta + h}), n, angles))
-        minus = reduce_to_bus(propagate(spec.replaced(**{sel.field: theta - h}), n, angles))
-        values.append(qubit_qfi(rho0, plus, minus, h))
-
-    disc = _discrepancy(values[0], values[1])
-    return QfiResult(value=values[0], value_check=values[1],
-                     fd_step_primary=h1, fd_step_check=h2,
+    disc = _discrepancy(value, value_check)
+    return QfiResult(value=value, value_check=value_check,
+                     fd_step_primary=0.0, fd_step_check=h,
                      relative_discrepancy=disc,
                      ill_conditioned=disc > FD_DISCREPANCY_TOL)
 
@@ -240,36 +263,32 @@ def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
 
         delta = sqrt(Var(A)) / (sqrt(M) |d<A>/d theta|)
 
-    with <A> and Var(A) evaluated on the reduced bus state and the
-    derivative from central differences at the two protocol steps.
+    with <A> and Var(A) evaluated on the reduced bus state and the exact
+    derivative d<A>/d theta = Tr(d rho A); the discrepancy is against the
+    central difference at the check step.
     """
     a = _check_hermitian_2x2(observable)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
-    theta = getattr(spec, sel.field)
-    h1, h2 = _fd_steps(theta)
+    psi, dpsi = evolve_with_derivative(spec, n, angles, sel)
+    plus, minus, h = _check_states(spec, n, angles, sel)
 
-    def mean_at(spec_at: ModelSpec) -> float:
-        rho = reduce_to_bus(propagate(spec_at, n, angles)).rho
+    def mean_of(rho: np.ndarray) -> float:
         return float(np.trace(rho @ a).real)
 
-    rho0 = reduce_to_bus(propagate(spec, n, angles)).rho
-    mean = float(np.trace(rho0 @ a).real)
+    rho0 = reduce_to_bus(psi).rho
+    mean = mean_of(rho0)
     variance = max(0.0, float(np.trace(rho0 @ a @ a).real) - mean ** 2)
-
-    derivs = []
-    for h in (h1, h2):
-        plus = mean_at(spec.replaced(**{sel.field: theta + h}))
-        minus = mean_at(spec.replaced(**{sel.field: theta - h}))
-        derivs.append((plus - minus) / (2.0 * h))
-    disc = _discrepancy(derivs[0], derivs[1])
-    deriv = derivs[0]
+    deriv = mean_of(_bus_derivative(psi.amplitudes, dpsi))
+    deriv_check = (mean_of(reduce_to_bus(plus).rho)
+                   - mean_of(reduce_to_bus(minus).rho)) / (2.0 * h)
+    disc = _discrepancy(deriv, deriv_check)
 
     # a check-step derivative below the round-off floor of the difference
     # quotient cannot be distinguished from an exactly vanishing one
-    noise_floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(a, 2)) / (2.0 * h2)
+    noise_floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(a, 2)) / (2.0 * h)
     if (abs(deriv) <= INSENSITIVE_TOL * math.sqrt(variance)
-            or abs(derivs[1]) <= noise_floor):
+            or abs(deriv_check) <= noise_floor):
         return FirstMomentResult(delta=math.inf, inv_squared=0.0,
                                  variance=variance, mean_derivative=deriv,
                                  relative_discrepancy=disc, insensitive=True)

@@ -29,9 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import paulis
-from .dynamics import ModelKind, ModelSpec
+from .dynamics import ModelKind, ModelSpec, assemble
 from .fisher import INSENSITIVE_TOL, Param, _check_hermitian_2x2
-from .states import StateAngles, collective_jx, m_values
+from .states import StateAngles, build_product_state
 
 # (probe operator P with S = x/2 P, bus operator R) per model; kept as a
 # list of channels so a multi-channel interaction is a data change only.
@@ -260,25 +260,14 @@ def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
                    sel: Param) -> PtResult:
     """Zeroth-order QFI when the estimated parameter sits in the dominant
     Hamiltonian: I = 4 t^2 Var_psi0(d_theta H_dominant), evaluated from the
-    collective matrices rather than any specialized formula."""
-    from .states import build_product_state  # local import avoids cycle at init
-
+    tridiagonal generator `assemble` gives rather than any specialized
+    formula."""
     if sel is Param.OMEGA0:
         raise ValueError("no zeroth-order expansion is provided for omega0")
-    if sel is Param.X:
-        # d/dx of eps*x*(K (x) B)
-        if spec.kind is ModelKind.ZZZZ:
-            generator = spec.epsilon * np.diag(
-                np.repeat(m_values(n), 2) * np.tile([1.0, -1.0], n + 1))
-        elif spec.kind is ModelKind.ZZZX:
-            generator = spec.epsilon * np.kron(np.diag(m_values(n)), paulis.X.real)
-        else:
-            generator = spec.epsilon * np.kron(collective_jx(n), paulis.X.real)
-    else:  # OMEGA1: d/d omega1 of delta*omega1*J_z (x) I
-        generator = spec.delta * np.diag(np.repeat(m_values(n), 2))
-
-    psi = build_product_state(n, angles).amplitudes
-    g_psi = generator @ psi
+    # d/dx of eps*x*(K (x) B), or d/d omega1 of delta*omega1*J_z (x) I
+    generator = assemble(spec, n, wrt=sel.field)
+    psi = generator.to_blocks(build_product_state(n, angles).amplitudes)
+    g_psi = generator.block_mul(psi)
     mean = np.vdot(psi, g_psi).real
     variance = np.vdot(g_psi, g_psi).real - mean ** 2
     return PtResult(value=4.0 * spec.t ** 2 * float(variance),

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 NORM_TOL = 1e-12
 
@@ -121,7 +120,10 @@ def m_values(n: int) -> np.ndarray:
 
 
 def _log_binomial(n: int, k: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    """log C(n, k) for integer k in 0..n (k may be stored as floats)."""
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    k = np.asarray(k).astype(int)
+    return log_factorial[n] - log_factorial[k] - log_factorial[n - k]
 
 
 def _powered_amplitude(base: float, phase: float, exponents: np.ndarray) -> np.ndarray:
@@ -179,10 +181,15 @@ def collective_jx(n: int) -> np.ndarray:
     <m +- 1|J_x|m> = sqrt(j(j+1) - m(m +- 1))/2, j = N/2."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    off = _jx_ladder(n)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def _jx_ladder(n: int) -> np.ndarray:
+    """The N off-diagonal elements <m - 1|J_x|m>, m = N/2 .. -N/2 + 1."""
     j = n / 2
     m = m_values(n)[:-1]            # upper m of each neighbouring pair
-    off = 0.5 * np.sqrt(j * (j + 1) - m * (m - 1))
-    return np.diag(off, 1) + np.diag(off, -1)
+    return 0.5 * np.sqrt(j * (j + 1) - m * (m - 1))
 
 
 def thermal_equivalent_alpha(spec: ThermalProbeSpec) -> float:

@@ -415,7 +415,7 @@ def _suite_cubic_residual() -> list:
         residuals = []
         for v in grid:
             spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
-            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value_check
+            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
             residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
         slope = _fit_loglog(grid, np.array(residuals))
         checks.append(CheckResult("a", f"cubic-residual-{label}",
@@ -424,7 +424,7 @@ def _suite_cubic_residual() -> list:
 
 
 def _suite_fd_two_step() -> list:
-    """Two-step derivative agreement across the sweep regimes.
+    """Exact against finite-difference derivative across the sweep regimes.
 
     Configurations whose QFI has effectively vanished (below 1e-6) cannot be
     finite-differenced to three digits in double precision; those must carry
@@ -483,7 +483,7 @@ def _suite_full_hilbert() -> list:
                 params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0,
                               x=1.0, t=1.0)
                 for sel in (Param.X, Param.OMEGA1):
-                    mine = global_qfi_fd(spec, n, angles, sel).value_check
+                    mine = global_qfi_fd(spec, n, angles, sel).value
                     ref = fullspace.global_qfi_full(str(kind), n, params,
                                                     sel.field, angles.alpha,
                                                     angles.phi, angles.beta,
@@ -532,7 +532,7 @@ def validate(suites: str = "all", seed: int = 20260808) -> ValidationReport:
     """Run the requested validation suites:
 
     a: cubic scaling of the perturbation-theory residual,
-    b: two-step finite-difference agreement scan,
+    b: exact vs finite-difference derivative agreement scan,
     c: full-Hilbert oracle comparison (N <= 8),
     d: ZZZZ closed forms vs the numerical pipeline.
     """

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dynamics import ModelKind, ModelSpec
 from .fisher import BusDensity, Param
-from .states import StateAngles, ThermalProbeSpec, m_values, thermal_equivalent_alpha
+from .states import (StateAngles, ThermalProbeSpec, _log_binomial, m_values,
+                     thermal_equivalent_alpha)
 
 WORST_STATE_ANGLES = (math.pi / 4, 0.0, math.pi / 4, 0.0)
 PURE_DOME_TOL = 1e-12
@@ -148,8 +148,7 @@ def _binomial_weights(n: int, p: float) -> np.ndarray:
         out = np.zeros(n + 1)
         out[-1] = 1.0
         return out
-    log_w = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-             + k * math.log(p) + (n - k) * math.log1p(-p))
+    log_w = (_log_binomial(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
     return np.exp(log_w)
 
 

@@ -89,8 +89,8 @@ def test_full_propagation_stays_symmetric_and_matches(kind, n):
 
 def test_eigensystem_diagonal_input():
     h = assemble(ModelSpec(ModelKind.ZZZZ, omega0=0.3, omega1=0.9, x=1.7), 2)
-    w, v = eigensystem(h)
-    np.testing.assert_allclose(w, np.sort(np.diag(h.matrix)))
+    w, v = eigensystem(h)  # one 1x1 block per basis state
+    np.testing.assert_allclose(np.sort(w.ravel()), np.sort(np.diag(h.matrix)))
     np.testing.assert_allclose(np.abs(v), np.abs(np.round(v)), atol=1e-12)
 
 
@@ -101,9 +101,10 @@ def test_eigensystem_pauli_x_spectrum():
 
 def test_eigensystem_orthonormal_d50():
     rng = np.random.default_rng(50)
-    mat = rng.standard_normal((50, 50))
-    h = HamiltonianMatrix(24, (mat + mat.T) / 2)  # 2(N+1) = 50
-    w, v = eigensystem(h)
+    # one symmetric tridiagonal block of dimension 2(N+1) = 50
+    h = HamiltonianMatrix(24, np.arange(50), rng.standard_normal((1, 50)),
+                          rng.standard_normal((1, 49)))
+    (w,), (v,) = eigensystem(h)
     np.testing.assert_allclose(v.T @ v, np.eye(50), atol=1e-10)
     residual = h.matrix @ v - v * w
     assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinbus import fullspace, paulis
-from spinbus.dynamics import ModelKind, ModelSpec, propagate
+from spinbus.dynamics import ModelKind, ModelSpec, assemble, propagate
 from spinbus.fisher import (
     BusDensity,
     Param,
     bures_distance,
+    evolve_with_derivative,
     first_moment_uncertainty,
     global_qfi_fd,
     local_qfi_fd,
@@ -22,6 +24,8 @@ from spinbus.states import (
     UNFAVORABLE_ANGLES,
     StateAngles,
     build_product_state,
+    collective_jx,
+    collective_jz,
 )
 from spinbus.zzzz_exact import global_qfi_closed
 
@@ -181,7 +185,7 @@ def test_time_squared_scaling_dephasing_model():
 
 def test_two_step_protocol_recorded():
     res = global_qfi_fd(ZZZZ, 8, DEFAULT_ANGLES, Param.X)
-    assert res.fd_step_primary == pytest.approx(1e-8)
+    assert res.fd_step_primary == 0.0  # the value takes the exact derivative
     assert res.fd_step_check == pytest.approx(1e-6)
     assert res.relative_discrepancy < 1e-3
 
@@ -197,3 +201,83 @@ def test_closed_form_agreement_spot_check():
             closed = global_qfi_closed(spec, n, angles, sel)
             numeric = global_qfi_fd(spec, n, angles, sel).value
             assert numeric == pytest.approx(closed, rel=1e-6, abs=1e-9)
+
+
+def _expm_derivative(spec, n, angles, sel):
+    """d psi / d theta from the augmented exponential
+    exp(-i t [[H, G], [0, H]]) = [[U, dU/d theta], [0, U]]."""
+    h = assemble(spec, n).matrix
+    g = assemble(spec, n, wrt=sel.field).matrix
+    dim = h.shape[0]
+    aug = np.block([[h, g], [np.zeros_like(h), h]])
+    prop = scipy.linalg.expm(-1j * spec.t * aug)
+    return prop[:dim, dim:] @ build_product_state(n, angles).amplitudes
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_exact_derivative_matches_augmented_expm(kind, n):
+    rng = np.random.default_rng(n)
+    spec = ModelSpec(kind, *(rng.uniform(0.3, 1.5, 6)))
+    for sel in Param:
+        _, dpsi = evolve_with_derivative(spec, n, DEFAULT_ANGLES, sel)
+        np.testing.assert_allclose(dpsi, _expm_derivative(spec, n, DEFAULT_ANGLES, sel),
+                                   rtol=0, atol=1e-12)
+
+
+def test_exact_derivative_vanishes_at_t0():
+    for kind in ModelKind:
+        for sel in Param:
+            psi, dpsi = evolve_with_derivative(ModelSpec(kind, t=0.0), 4,
+                                               DEFAULT_ANGLES, sel)
+            np.testing.assert_array_equal(dpsi, 0.0)
+            np.testing.assert_array_equal(psi.amplitudes,
+                                          build_product_state(4, DEFAULT_ANGLES).amplitudes)
+
+
+def test_exact_derivative_closed_form_n64():
+    # 4 t^2 eps^2 Var(J_z Z) = 4 (<J_z^2> - <J_z>^2 <Z>^2) = 4 (268 - 64)
+    value = global_qfi_fd(ZZZZ, 64, DEFAULT_ANGLES, Param.X).value
+    assert value == pytest.approx(816.0, rel=1e-12)
+    assert value == pytest.approx(global_qfi_closed(ZZZZ, 64, DEFAULT_ANGLES, Param.X),
+                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_exact_derivative_degenerate_spectrum(kind):
+    # delta = 0 leaves only eps*x*(K (x) B), whose spectrum is degenerate
+    # (+-m pairs), so F takes its sinc limit -i t e^{-i w t} on every pair
+    spec = ModelSpec(kind, delta=0.0, t=1.3)
+    for sel in (Param.X, Param.OMEGA0, Param.OMEGA1):
+        _, dpsi = evolve_with_derivative(spec, 6, DEFAULT_ANGLES, sel)
+        np.testing.assert_allclose(dpsi, _expm_derivative(spec, 6, DEFAULT_ANGLES, sel),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_tridiagonal_pieces_permute_back_to_dense(kind):
+    n = 5
+    spec = ModelSpec(kind, delta=1.3, epsilon=0.7, omega0=0.4, omega1=1.1, x=0.9)
+    bus_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    bus_z = np.diag([1.0, -1.0])
+    jz, jx = collective_jz(n), collective_jx(n)
+    coupling = {ModelKind.ZZZZ: np.kron(jz, bus_z), ModelKind.ZZXX: np.kron(jx, bus_x),
+                ModelKind.ZZZX: np.kron(jz, bus_x)}[kind]
+    dense = {None: spec.delta * (spec.omega1 * np.kron(jz, np.eye(2))
+                                 + spec.omega0 / 2 * np.kron(np.eye(n + 1), bus_z))
+                   + spec.epsilon * spec.x * coupling,
+             "x": spec.epsilon * coupling,
+             "omega1": spec.delta * np.kron(jz, np.eye(2)),
+             "omega0": spec.delta / 2 * np.kron(np.eye(n + 1), bus_z)}
+    for wrt, expected in dense.items():
+        h = assemble(spec, n, wrt=wrt)
+        tri = np.zeros((h.dim, h.dim))
+        start = 0
+        for diag, off in zip(h.block_diag, h.block_off):
+            block = slice(start, start + len(diag))
+            tri[block, block] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            start += len(diag)
+        back = np.empty_like(tri)
+        back[np.ix_(h.perm, h.perm)] = tri
+        np.testing.assert_allclose(back, expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(h.matrix, back)
