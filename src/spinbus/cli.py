@@ -38,8 +38,6 @@ def _apply_overrides(config, args):
         updates["out"] = args.out
     if getattr(args, "workers", None):
         updates["workers"] = args.workers
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
     if getattr(args, "nmax", None):
         trimmed = tuple(n for n in config.n_list if n <= args.nmax)
         updates["n_list"] = trimmed
@@ -165,7 +163,6 @@ def main(argv=None) -> int:
 def _add_common(subparser):
     subparser.add_argument("--out", default=None, help="output CSV path")
     subparser.add_argument("--workers", type=int, default=None)
-    subparser.add_argument("--seed", type=int, default=None)
     subparser.add_argument("--nmax", type=int, default=None,
                            help="truncate the N grid at this value")
 

@@ -111,6 +111,15 @@ class HamiltonianMatrix:
     def diagonal(self) -> bool:
         return not np.any(self.block_off)
 
+    @property
+    def norm_bound(self) -> float:
+        """Gershgorin bound on the spectral norm: the largest row sum
+        |diag| + |off| on both sides over all blocks."""
+        rows = np.abs(self.block_diag).copy()
+        rows[:, :-1] += np.abs(self.block_off)
+        rows[:, 1:] += np.abs(self.block_off)
+        return float(rows.max())
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense view in the |m, s> basis, built on first access; nothing on

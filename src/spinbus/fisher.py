@@ -8,9 +8,9 @@ observable.
 All three quantities read the exact state derivative d|psi>/d theta from
 `evolve_with_derivative`, which takes it from the same eigendecomposition
 as the evolved state.  Each result also records a central finite
-difference at the step 1e-6 * max(1, |theta|) and its relative discrepancy
-from the exact value, so that ill-conditioned configurations are flagged
-instead of silently reported.
+difference at the step 1e-6 * max(1, |theta|) / sqrt(max(1, |t| ||dH/d theta||))
+and its relative discrepancy from the exact value, so that ill-conditioned
+configurations are flagged instead of silently reported.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import ModelSpec, assemble, evolve_derivative, propagate
+from .paulis import check_hermitian_2x2
 from .states import StateAngles, SymmetricState, build_product_state
 
 FD_STEP_CHECK = 1e-6
@@ -118,13 +119,23 @@ def evolve_with_derivative(spec: ModelSpec, n: int, angles: StateAngles,
                              spec.t, build_product_state(n, angles))
 
 
-def _check_states(spec: ModelSpec, n: int, angles: StateAngles, sel: Param):
-    """States at theta +- the check step, and the step."""
+def _exact_and_check(spec: ModelSpec, n: int, angles: StateAngles, sel: Param):
+    """(psi, exact d psi, psi at theta + h, psi at theta - h, h).
+
+    The check step is h = 1e-6 * max(1, |theta|) / sqrt(max(1, |t| ||G||)),
+    with ||G|| the Gershgorin bound of G = dH/d theta: the truncation error
+    of the central difference grows like (h t ||G||)^2, so a fixed step
+    falls short once the generator imprints a large phase.
+    """
+    g = assemble(spec, n, wrt=sel.field)
+    psi, dpsi = evolve_derivative(assemble(spec, n), g, spec.t,
+                                  build_product_state(n, angles))
     theta = getattr(spec, sel.field)
-    h = FD_STEP_CHECK * max(1.0, abs(theta))
+    h = (FD_STEP_CHECK * max(1.0, abs(theta))
+         / math.sqrt(max(1.0, abs(spec.t) * g.norm_bound)))
     plus = propagate(spec.replaced(**{sel.field: theta + h}), n, angles)
     minus = propagate(spec.replaced(**{sel.field: theta - h}), n, angles)
-    return plus, minus, h
+    return psi, dpsi, plus, minus, h
 
 
 def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -136,8 +147,7 @@ def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
                   sel: Param) -> QfiResult:
     """QFI of the evolved pure state, I = 4(<d psi|d psi> - |<psi|d psi>|^2),
     with the exact |d psi>; the check value uses central differences."""
-    psi, dpsi = evolve_with_derivative(spec, n, angles, sel)
-    plus, minus, h = _check_states(spec, n, angles, sel)
+    psi, dpsi, plus, minus, h = _exact_and_check(spec, n, angles, sel)
     value = _pure_qfi(psi.amplitudes, dpsi)
     value_check = _pure_qfi(psi.amplitudes,
                             (plus.amplitudes - minus.amplitudes) / (2.0 * h))
@@ -224,8 +234,7 @@ def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
     """QFI of the reduced bus state from its Bloch vector and the exact
     derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|); the check
     value uses central differences of the Bloch vector."""
-    psi, dpsi = evolve_with_derivative(spec, n, angles, sel)
-    plus, minus, h = _check_states(spec, n, angles, sel)
+    psi, dpsi, plus, minus, h = _exact_and_check(spec, n, angles, sel)
     rho0 = reduce_to_bus(psi)
     value = _bloch_qfi(rho0.bloch(), _bloch_vector(_bus_derivative(psi.amplitudes, dpsi)))
     value_check = qubit_qfi(rho0, reduce_to_bus(plus), reduce_to_bus(minus), h)
@@ -249,13 +258,6 @@ def qcr_bound(i_theta: float, m_measurements: int) -> float:
     return 1.0 / (m_measurements * i_theta)
 
 
-def _check_hermitian_2x2(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2) or np.max(np.abs(a - a.conj().T)) > 1e-12:
-        raise ValueError("observable must be a 2x2 Hermitian matrix")
-    return a
-
-
 def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
                              sel: Param, observable: np.ndarray,
                              m_measurements: int = 1) -> FirstMomentResult:
@@ -267,11 +269,10 @@ def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     derivative d<A>/d theta = Tr(d rho A); the discrepancy is against the
     central difference at the check step.
     """
-    a = _check_hermitian_2x2(observable)
+    a = check_hermitian_2x2(observable)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
-    psi, dpsi = evolve_with_derivative(spec, n, angles, sel)
-    plus, minus, h = _check_states(spec, n, angles, sel)
+    psi, dpsi, plus, minus, h = _exact_and_check(spec, n, angles, sel)
 
     def mean_of(rho: np.ndarray) -> float:
         return float(np.trace(rho @ a).real)

@@ -1,8 +1,10 @@
 """Reference computations in the full 2^(N+1)-dimensional Hilbert space.
 
-Everything here is built directly from tensor products of single-qubit
-operators, with no reliance on the symmetric-sector machinery, so these
-routines serve as an independent cross-check of the reduced pipeline.
+Everything here is built directly on the computational basis, with no
+reliance on the symmetric-sector machinery, so these routines serve as an
+independent cross-check of the reduced pipeline.  Every Hamiltonian term is
+a real Pauli string, placed in a dense real symmetric matrix by index
+arithmetic on the basis bits, and every propagation is one dense `eigh`.
 They scale exponentially and are only meant for N up to ~10.
 
 Qubit ordering: probes 1..N first (probe 1 most significant), bus last,
@@ -15,23 +17,32 @@ import math
 
 import numpy as np
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
+# (probe operator, bus operator) of the interaction term, per model
 _INTERACTIONS = {
-    "ZZZZ": (_Z, _Z),
-    "ZZXX": (_X, _X),
-    "ZZZX": (_Z, _X),
+    "ZZZZ": ("Z", "Z"),
+    "ZZXX": ("X", "X"),
+    "ZZZX": ("Z", "X"),
 }
 
 
-def _embedded_operator(ops: dict, n_sites: int) -> np.ndarray:
-    """Tensor product with `ops[site]` at each listed site, identity elsewhere."""
-    out = np.array([[1.0 + 0j]])
-    for k in range(n_sites):
-        out = np.kron(out, ops.get(k, _I2))
-    return out
+def _pauli_string(ops: dict, n_sites: int):
+    """(rows, cols, values) of the nonzeros of the tensor product with
+    `ops[site]` ("X" or "Z") at each listed site and identity elsewhere.
+
+    Site k is bit n_sites - 1 - k of the basis index.  Column j has one
+    nonzero, at row j ^ xmask (X flips its bit), with value the product of
+    (-1)^bit over the Z sites of j.
+    """
+    cols = np.arange(2 ** n_sites)
+    xmask = 0
+    values = np.ones(cols.size)
+    for site, op in ops.items():
+        bit = n_sites - 1 - site
+        if op == "X":
+            xmask |= 1 << bit
+        else:
+            values *= 1 - 2 * ((cols >> bit) & 1)
+    return cols ^ xmask, cols, values
 
 
 def qubit_state(theta: float, phase: float) -> np.ndarray:
@@ -49,22 +60,30 @@ def product_state_full(n, alpha, phi, beta, varphi) -> np.ndarray:
 
 
 def hamiltonian_full(kind, n, delta, epsilon, omega0, omega1, x) -> np.ndarray:
-    """delta*(sum_i w1/2 Z_i + w0/2 Z_bus) + eps*x/2 * sum_i P_i B_bus."""
+    """delta*(sum_i w1/2 Z_i + w0/2 Z_bus) + eps*x/2 * sum_i P_i B_bus, as a
+    dense real symmetric matrix."""
     probe_op, bus_op = _INTERACTIONS[str(kind)]
     dim = 2 ** (n + 1)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     bus = n  # bus is the last site
+    terms = [(delta * omega0 / 2.0, {bus: "Z"})]
     for i in range(n):
-        h += delta * (omega1 / 2.0) * _embedded_operator({i: _Z}, n + 1)
-        h += (epsilon * x / 2.0) * _embedded_operator({i: probe_op, bus: bus_op},
-                                                      n + 1)
-    h += delta * (omega0 / 2.0) * _embedded_operator({bus: _Z}, n + 1)
+        terms.append((delta * omega1 / 2.0, {i: "Z"}))
+        terms.append((epsilon * x / 2.0, {i: probe_op, bus: bus_op}))
+    for coef, ops in terms:
+        rows, cols, values = _pauli_string(ops, n + 1)
+        h[rows, cols] += coef * values
     return h
+
+
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a real matrix m and a complex z, without a complex copy of m."""
+    return m @ z.real + 1j * (m @ z.imag)
 
 
 def propagate_full(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+    return _real_matmul(v, np.exp(-1j * w * t) * _real_matmul(v.T, psi0))
 
 
 def bus_density(psi: np.ndarray) -> np.ndarray:
@@ -126,7 +145,7 @@ def global_qfi_full(kind, n, params: dict, which: str, alpha, phi, beta, varphi,
 def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
                             override: dict | None = None) -> np.ndarray:
     """rho(t) for thermal probes: convex combination over the 2^N probe
-    configurations, each propagated as a pure state."""
+    configurations, each propagated as a pure state, all in one product."""
     p = dict(params)
     if override:
         p.update(override)
@@ -134,23 +153,19 @@ def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi
     pop = np.array([math.exp(-u), math.exp(u)])
     pop /= pop.sum()
 
+    weights = np.ones(1)
+    for _ in range(n):  # weight of each probe configuration
+        weights = np.kron(weights, pop)
+
     h = hamiltonian_full(kind, n, p["delta"], p["epsilon"], p["omega0"],
                          p["omega1"], p["x"])
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * p["t"])
-
     bus = qubit_state(bus_beta, bus_varphi)
-    dim = 2 ** (n + 1)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for config in range(2 ** n):
-        weight = 1.0
-        for bit in range(n):
-            weight *= pop[(config >> bit) & 1]
-        psi0 = np.zeros(dim, dtype=complex)
-        psi0[2 * config: 2 * config + 2] = bus
-        psi_t = v @ (phases * (v.conj().T @ psi0))
-        rho += weight * np.outer(psi_t, psi_t.conj())
-    return rho
+    # column c is the eigenbasis amplitude of |config c> (x) |bus>, so
+    # psi_t[:, c] is that configuration evolved to time t
+    coeffs = (bus[0] * v[0::2] + bus[1] * v[1::2]).T
+    psi_t = _real_matmul(v, np.exp(-1j * w * p["t"])[:, None] * coeffs)
+    return (psi_t * weights) @ psi_t.conj().T
 
 
 def mixed_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float = 1e-14) -> float:

@@ -17,3 +17,11 @@ NAMED_OBSERVABLES = {
     "i": IDENTITY,
     "xz": XZ_HALF,
 }
+
+
+def check_hermitian_2x2(a) -> np.ndarray:
+    """`a` as a complex 2x2 array; raises ValueError unless it is Hermitian."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2, 2) or np.max(np.abs(a - a.conj().T)) > 1e-12:
+        raise ValueError("observable must be a 2x2 Hermitian matrix")
+    return a

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import paulis
 from .dynamics import ModelKind, ModelSpec, assemble
-from .fisher import INSENSITIVE_TOL, Param, _check_hermitian_2x2
+from .fisher import INSENSITIVE_TOL, Param
 from .states import StateAngles, build_product_state
 
 # (probe operator P with S = x/2 P, bus operator R) per model; kept as a
@@ -297,7 +297,7 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     kernel = _kernel_for(spec, sel, kernel)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
-    a_op = _check_hermitian_2x2(observable)
+    a_op = paulis.check_hermitian_2x2(observable)
     bus = _qubit_state(angles.beta, angles.varphi)
 
     a_tilde = _free_conjugate(a_op, spec.delta * spec.omega0,

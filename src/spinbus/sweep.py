@@ -68,7 +68,6 @@ class SweepConfig:
     m_measurements: int = 1
     out: str | None = None
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_list)
@@ -232,16 +231,21 @@ def fit_scaling(rows, quantity: str, regime: str, window) -> tuple:
     if len(pts) < 3:
         raise FitDomainError(
             f"need >= 3 usable points in window for {quantity}/{regime}, got {len(pts)}")
-    log_n = np.log([p[0] for p in pts])
-    log_v = np.log([p[1] for p in pts])
-    design = np.vstack([log_n, np.ones_like(log_n)]).T
-    coef, *_ = np.linalg.lstsq(design, log_v, rcond=None)
+    return _fit_loglog([p[0] for p in pts], [p[1] for p in pts])
+
+
+def _fit_loglog(xs, ys) -> tuple:
+    """Least-squares slope of log(ys) vs log(xs) and its standard error
+    (inf with fewer than three points)."""
+    log_x, log_y = np.log(xs), np.log(ys)
+    design = np.vstack([log_x, np.ones_like(log_x)]).T
+    coef, *_ = np.linalg.lstsq(design, log_y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
-    residuals = log_v - (slope * log_n + intercept)
-    dof = len(pts) - 2
+    residuals = log_y - (slope * log_x + intercept)
+    dof = len(log_x) - 2
     if dof > 0:
         s_sq = float(residuals @ residuals) / dof
-        denom = float(np.sum((log_n - log_n.mean()) ** 2))
+        denom = float(np.sum((log_x - log_x.mean()) ** 2))
         stderr = math.sqrt(s_sq / denom) if denom > 0 else math.inf
     else:
         stderr = math.inf
@@ -323,8 +327,8 @@ def parse_config(text: str) -> SweepConfig:
     Recognized keys: model, param, regime (repeatable), alphas
     (``linspace lo hi count``, expands into one regime per probe angle),
     nlist (explicit integers or ``log lo hi count``), alpha/phi/beta/varphi,
-    omega0/omega1/x/t, quantities, observable, measurements, out, workers,
-    seed.
+    omega0/omega1/x/t, quantities, observable, measurements, out, workers.
+    Unknown keys are ignored.
     """
     values: dict = {"regimes": []}
     for raw in text.splitlines():
@@ -373,7 +377,6 @@ def parse_config(text: str) -> SweepConfig:
         m_measurements=int(values.get("measurements", "1")),
         out=values.get("out"),
         workers=int(values.get("workers", "1")),
-        seed=int(values.get("seed", "0")),
     )
 
 
@@ -398,13 +401,6 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _fit_loglog(xs, ys) -> float:
-    lx, ly = np.log(xs), np.log(ys)
-    design = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    return float(coef[0])
-
-
 def _suite_cubic_residual() -> list:
     """Residual |I_exact - I_pt| must scale as the cube of the small parameter."""
     checks = []
@@ -417,7 +413,7 @@ def _suite_cubic_residual() -> list:
             spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
             exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
             residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
-        slope = _fit_loglog(grid, np.array(residuals))
+        slope, _ = _fit_loglog(grid, residuals)
         checks.append(CheckResult("a", f"cubic-residual-{label}",
                                   abs(slope - 3.0) <= 0.2, f"slope={slope:.3f}"))
     return checks

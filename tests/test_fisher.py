@@ -186,8 +186,20 @@ def test_time_squared_scaling_dephasing_model():
 def test_two_step_protocol_recorded():
     res = global_qfi_fd(ZZZZ, 8, DEFAULT_ANGLES, Param.X)
     assert res.fd_step_primary == 0.0  # the value takes the exact derivative
-    assert res.fd_step_check == pytest.approx(1e-6)
+    # 1e-6 * max(1, |x|) / sqrt(max(1, |t| ||G||)) with G = dH/dx = eps K (x) Z,
+    # whose Gershgorin bound at N = 8 is eps * N/2 = 4
+    assert assemble(ZZZZ, 8, wrt="x").norm_bound == 4.0
+    assert res.fd_step_check == 1e-6 / math.sqrt(4.0)
     assert res.relative_discrepancy < 1e-3
+
+
+def test_check_step_scales_with_the_generator():
+    """A large generator (|t| ||dH/d omega1|| ~ 2.5e4 at N = 500) still gets a
+    check value that agrees with the exact one to far better than 1e-3."""
+    res = global_qfi_fd(ModelSpec(ModelKind.ZZXX, delta=100.0), 500,
+                        DEFAULT_ANGLES, Param.OMEGA1)
+    assert res.relative_discrepancy < 1e-6
+    assert not res.ill_conditioned
 
 
 def test_closed_form_agreement_spot_check():

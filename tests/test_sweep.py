@@ -80,7 +80,6 @@ def test_parse_config_round_trip():
     assert [r.name for r in cfg.regimes] == ["weak", "strong"]
     assert cfg.n_list == (1, 2, 4, 8)
     assert cfg.angles.alpha == pytest.approx(math.pi / 4)
-    assert cfg.seed == 77
 
 
 def test_config_rejects_bad_input():
