@@ -22,7 +22,7 @@ from .fisher import (
     Param,
     QfiResult,
     bures_distance,
-    evolve_with_derivative,
+    evolve_point,
     first_moment_uncertainty,
     global_qfi_fd,
     local_qfi_fd,

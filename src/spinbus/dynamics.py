@@ -108,10 +108,6 @@ class HamiltonianMatrix:
         return 2 * (self.n_probes + 1)
 
     @property
-    def diagonal(self) -> bool:
-        return not np.any(self.block_off)
-
-    @property
     def norm_bound(self) -> float:
         """Gershgorin bound on the spectral norm: the largest row sum
         |diag| + |off| on both sides over all blocks."""

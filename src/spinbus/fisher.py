@@ -1,16 +1,14 @@
 """Quantum Fisher information and first-moment measurement uncertainties.
 
-Global QFI of the pure evolved state, local QFI of the reduced bus qubit via
-its Bloch vector, the Bures distance, the Cramer-Rao bound, and the
+`evolve_point` solves a point once: the evolved state, its exact derivative
+d|psi>/d theta from the same eigendecomposition, and the states at theta +- h
+for a central finite-difference check.  From that record `read_global_qfi`
+gives the QFI of the pure evolved state, `read_local_qfi` the QFI of the
+reduced bus qubit via its Bloch vector, and `read_first_moment` the
 uncertainty of estimating a parameter from the sample mean of a fixed bus
-observable.
-
-All three quantities read the exact state derivative d|psi>/d theta from
-`evolve_with_derivative`, which takes it from the same eigendecomposition
-as the evolved state.  Each result also records a central finite
-difference at the step 1e-6 * max(1, |theta|) / sqrt(max(1, |t| ||dH/d theta||))
-and its relative discrepancy from the exact value, so that ill-conditioned
-configurations are flagged instead of silently reported.
+observable.  Each result carries the relative discrepancy of its check value,
+so that ill-conditioned configurations are flagged instead of silently
+reported.  Also the Bures distance and the Cramer-Rao bound.
 """
 
 from __future__ import annotations
@@ -77,17 +75,15 @@ def _bloch_vector(a: np.ndarray) -> np.ndarray:
 class QfiResult:
     """QFI value plus the finite-difference cross-check.
 
-    `value` uses the exact state derivative, so `fd_step_primary` is 0.
-    `value_check` uses the central difference at `fd_step_check`, and
-    `relative_discrepancy` compares the two; above 1e-3 the result is
-    flagged `ill_conditioned`.  That happens when the QFI itself is tiny
-    (round-off in the state difference scales like 1/step) or the check step
-    no longer resolves the dynamics.
+    `value` uses the exact state derivative, `value_check` the central
+    difference at `fd_step_check`, and `relative_discrepancy` compares the
+    two; above 1e-3 the result is flagged `ill_conditioned`.  That happens
+    when the QFI itself is tiny (round-off in the state difference scales
+    like 1/step) or the check step no longer resolves the dynamics.
     """
 
     value: float
     value_check: float
-    fd_step_primary: float
     fd_step_check: float
     relative_discrepancy: float
     ill_conditioned: bool = False
@@ -111,16 +107,22 @@ def _discrepancy(a: float, b: float) -> float:
     return 0.0 if ref == 0.0 else abs(a - b) / ref
 
 
-def evolve_with_derivative(spec: ModelSpec, n: int, angles: StateAngles,
-                           sel: Param):
-    """The evolved state and its exact derivative d|psi>/d theta (an array
-    in the |m, s> layout), both from one eigendecomposition of H."""
-    return evolve_derivative(assemble(spec, n), assemble(spec, n, wrt=sel.field),
-                             spec.t, build_product_state(n, angles))
+@dataclass(frozen=True)
+class EvolvedPoint:
+    """One solved point: the evolved state `psi`, its exact derivative `dpsi`
+    (d|psi>/d theta in the |m, s> layout), and the states `plus` and `minus`
+    at theta +- `check_step` for the finite-difference check."""
+
+    psi: SymmetricState
+    dpsi: np.ndarray
+    plus: SymmetricState
+    minus: SymmetricState
+    check_step: float
 
 
-def _exact_and_check(spec: ModelSpec, n: int, angles: StateAngles, sel: Param):
-    """(psi, exact d psi, psi at theta + h, psi at theta - h, h).
+def evolve_point(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> EvolvedPoint:
+    """Evolve the product state under `spec` and differentiate it exactly in
+    `sel` from one eigendecomposition of H, then propagate the check states.
 
     The check step is h = 1e-6 * max(1, |theta|) / sqrt(max(1, |t| ||G||)),
     with ||G|| the Gershgorin bound of G = dH/d theta: the truncation error
@@ -135,7 +137,7 @@ def _exact_and_check(spec: ModelSpec, n: int, angles: StateAngles, sel: Param):
          / math.sqrt(max(1.0, abs(spec.t) * g.norm_bound)))
     plus = propagate(spec.replaced(**{sel.field: theta + h}), n, angles)
     minus = propagate(spec.replaced(**{sel.field: theta - h}), n, angles)
-    return psi, dpsi, plus, minus, h
+    return EvolvedPoint(psi, dpsi, plus, minus, h)
 
 
 def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -143,14 +145,12 @@ def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
 
 
-def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
-                  sel: Param) -> QfiResult:
+def read_global_qfi(point: EvolvedPoint) -> QfiResult:
     """QFI of the evolved pure state, I = 4(<d psi|d psi> - |<psi|d psi>|^2),
     with the exact |d psi>; the check value uses central differences."""
-    psi, dpsi, plus, minus, h = _exact_and_check(spec, n, angles, sel)
-    value = _pure_qfi(psi.amplitudes, dpsi)
-    value_check = _pure_qfi(psi.amplitudes,
-                            (plus.amplitudes - minus.amplitudes) / (2.0 * h))
+    psi, h = point.psi.amplitudes, point.check_step
+    value = _pure_qfi(psi, point.dpsi)
+    value_check = _pure_qfi(psi, (point.plus.amplitudes - point.minus.amplitudes) / (2.0 * h))
 
     disc = _discrepancy(value, value_check)
     clamped = False
@@ -160,10 +160,14 @@ def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
                 f"QFI came out negative beyond round-off: {value}, {value_check}")
         value, value_check = max(value, 0.0), max(value_check, 0.0)
         clamped = True
-    return QfiResult(value=value, value_check=value_check,
-                     fd_step_primary=0.0, fd_step_check=h,
+    return QfiResult(value=value, value_check=value_check, fd_step_check=h,
                      relative_discrepancy=disc,
                      ill_conditioned=disc > FD_DISCREPANCY_TOL, clamped=clamped)
+
+
+def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
+    """`read_global_qfi` of `evolve_point(spec, n, angles, sel)`."""
+    return read_global_qfi(evolve_point(spec, n, angles, sel))
 
 
 def bures_distance(state_a: SymmetricState, state_b: SymmetricState) -> float:
@@ -229,21 +233,24 @@ def _bloch_qfi(r: np.ndarray, dr: np.ndarray) -> float:
         f"(|r.dr| = {abs(radial)}): QFI is singular here")
 
 
-def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles,
-                 sel: Param) -> QfiResult:
+def read_local_qfi(point: EvolvedPoint) -> QfiResult:
     """QFI of the reduced bus state from its Bloch vector and the exact
     derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|); the check
     value uses central differences of the Bloch vector."""
-    psi, dpsi, plus, minus, h = _exact_and_check(spec, n, angles, sel)
+    psi, h = point.psi, point.check_step
     rho0 = reduce_to_bus(psi)
-    value = _bloch_qfi(rho0.bloch(), _bloch_vector(_bus_derivative(psi.amplitudes, dpsi)))
-    value_check = qubit_qfi(rho0, reduce_to_bus(plus), reduce_to_bus(minus), h)
+    value = _bloch_qfi(rho0.bloch(), _bloch_vector(_bus_derivative(psi.amplitudes, point.dpsi)))
+    value_check = qubit_qfi(rho0, reduce_to_bus(point.plus), reduce_to_bus(point.minus), h)
 
     disc = _discrepancy(value, value_check)
-    return QfiResult(value=value, value_check=value_check,
-                     fd_step_primary=0.0, fd_step_check=h,
+    return QfiResult(value=value, value_check=value_check, fd_step_check=h,
                      relative_discrepancy=disc,
                      ill_conditioned=disc > FD_DISCREPANCY_TOL)
+
+
+def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
+    """`read_local_qfi` of `evolve_point(spec, n, angles, sel)`."""
+    return read_local_qfi(evolve_point(spec, n, angles, sel))
 
 
 def qcr_bound(i_theta: float, m_measurements: int) -> float:
@@ -258,9 +265,8 @@ def qcr_bound(i_theta: float, m_measurements: int) -> float:
     return 1.0 / (m_measurements * i_theta)
 
 
-def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
-                             sel: Param, observable: np.ndarray,
-                             m_measurements: int = 1) -> FirstMomentResult:
+def read_first_moment(point: EvolvedPoint, observable: np.ndarray,
+                      m_measurements: int = 1) -> FirstMomentResult:
     """Uncertainty of theta from the sample mean of I^(x)N (x) A:
 
         delta = sqrt(Var(A)) / (sqrt(M) |d<A>/d theta|)
@@ -272,24 +278,23 @@ def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     a = check_hermitian_2x2(observable)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
-    psi, dpsi, plus, minus, h = _exact_and_check(spec, n, angles, sel)
 
     def mean_of(rho: np.ndarray) -> float:
         return float(np.trace(rho @ a).real)
 
-    rho0 = reduce_to_bus(psi).rho
+    rho0 = reduce_to_bus(point.psi).rho
     mean = mean_of(rho0)
     variance = max(0.0, float(np.trace(rho0 @ a @ a).real) - mean ** 2)
-    deriv = mean_of(_bus_derivative(psi.amplitudes, dpsi))
-    deriv_check = (mean_of(reduce_to_bus(plus).rho)
-                   - mean_of(reduce_to_bus(minus).rho)) / (2.0 * h)
+    deriv = mean_of(_bus_derivative(point.psi.amplitudes, point.dpsi))
+    deriv_check = (mean_of(reduce_to_bus(point.plus).rho)
+                   - mean_of(reduce_to_bus(point.minus).rho)) / (2.0 * point.check_step)
     disc = _discrepancy(deriv, deriv_check)
 
-    # a check-step derivative below the round-off floor of the difference
-    # quotient cannot be distinguished from an exactly vanishing one
-    noise_floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(a, 2)) / (2.0 * h)
-    if (abs(deriv) <= INSENSITIVE_TOL * math.sqrt(variance)
-            or abs(deriv_check) <= noise_floor):
+    # an exact derivative below the round-off floor of Tr(d rho A) cannot be
+    # distinguished from an exactly vanishing one
+    noise_floor = (64.0 * np.finfo(float).eps * float(np.linalg.norm(a, 2))
+                   * float(np.linalg.norm(point.dpsi)))
+    if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(variance), noise_floor):
         return FirstMomentResult(delta=math.inf, inv_squared=0.0,
                                  variance=variance, mean_derivative=deriv,
                                  relative_discrepancy=disc, insensitive=True)
@@ -302,3 +307,9 @@ def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     return FirstMomentResult(delta=1.0 / math.sqrt(inv_sq), inv_squared=inv_sq,
                              variance=variance, mean_derivative=deriv,
                              relative_discrepancy=disc)
+
+
+def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles, sel: Param,
+                             observable: np.ndarray, m_measurements: int = 1) -> FirstMomentResult:
+    """`read_first_moment` of `evolve_point(spec, n, angles, sel)`."""
+    return read_first_moment(evolve_point(spec, n, angles, sel), observable, m_measurements)

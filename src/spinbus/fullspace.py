@@ -108,11 +108,6 @@ def project_symmetric(psi_full: np.ndarray, n: int) -> np.ndarray:
     return (dicke_matrix(n) @ block).reshape(-1)
 
 
-def embed_symmetric(amps: np.ndarray, n: int) -> np.ndarray:
-    block = np.asarray(amps, dtype=complex).reshape(n + 1, 2)
-    return (dicke_matrix(n).T @ block).reshape(-1)
-
-
 def pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     overlap = np.vdot(psi, dpsi)
     return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)

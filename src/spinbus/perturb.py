@@ -33,12 +33,11 @@ from .dynamics import ModelKind, ModelSpec, assemble
 from .fisher import INSENSITIVE_TOL, Param
 from .states import StateAngles, build_product_state
 
-# (probe operator P with S = x/2 P, bus operator R) per model; kept as a
-# list of channels so a multi-channel interaction is a data change only.
-_CHANNELS = {
-    ModelKind.ZZZZ: [(paulis.Z, paulis.Z)],
-    ModelKind.ZZXX: [(paulis.X, paulis.X)],
-    ModelKind.ZZZX: [(paulis.Z, paulis.X)],
+# (probe operator P with S = x/2 P, bus operator R) per model
+_COUPLING = {
+    ModelKind.ZZZZ: (paulis.Z, paulis.Z),
+    ModelKind.ZZXX: (paulis.X, paulis.X),
+    ModelKind.ZZZX: (paulis.Z, paulis.X),
 }
 
 DEFAULT_ORDER = 64
@@ -142,23 +141,20 @@ def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles, order: int):
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
     taus, weights = _nodes_on(0.0, spec.t, order)
+    probe_op, bus_op = _COUPLING[spec.kind]
+    s_prime = _free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
+    r_op = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
 
-    linear = 0.0 + 0.0j
-    quadratic = 0.0 + 0.0j
-    for probe_op, bus_op in _CHANNELS[spec.kind]:
-        s_prime = _free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
-        r_op = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
+    s_mean = _sandwich(probe, s_prime)
+    ss = _sandwich(probe, _pair_products(s_prime, s_prime))
+    rr = _sandwich(bus, _pair_products(r_op, r_op))
+    r_mean = _sandwich(bus, r_op)
 
-        s_mean = _sandwich(probe, s_prime)
-        ss = _sandwich(probe, _pair_products(s_prime, s_prime))
-        rr = _sandwich(bus, _pair_products(r_op, r_op))
-        r_mean = _sandwich(bus, r_op)
+    k_probe = ss - np.outer(s_mean, s_mean)
+    k_bus = rr - np.outer(r_mean, r_mean)
 
-        k_probe = ss - np.outer(s_mean, s_mean)
-        k_bus = rr - np.outer(r_mean, r_mean)
-
-        linear += weights @ (k_probe * rr) @ weights
-        quadratic += weights @ (np.outer(s_mean, s_mean) * k_bus) @ weights
+    linear = weights @ (k_probe * rr) @ weights
+    quadratic = weights @ (np.outer(s_mean, s_mean) * k_bus) @ weights
     return linear, quadratic
 
 
@@ -186,7 +182,7 @@ def hl_condition(spec: ModelSpec, n: int, angles: StateAngles,
                  kernel: CorrelationKernel | None = None) -> float:
     """Value of the condition integral
 
-        integral sum_channels <S'(t1)><S'(t2)> K_bus(R(t1), R(t2))
+        integral <S'(t1)><S'(t2)> K_bus(R(t1), R(t2))
 
     whose magnitude exceeding ~1e-10 predicts N^2 scaling of I_x.  With
     eps = 1 the quadratic PT coefficient equals 4 times this value.
@@ -209,16 +205,7 @@ def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles,
     correlations give the N and N^2 terms.
     """
     kernel = _kernel_for(spec, Param.OMEGA1, kernel)
-    channels = _CHANNELS[spec.kind]
-    for _, r1 in channels:
-        for _, r2 in channels:
-            if np.max(np.abs(r1 @ r2 - r2 @ r1)) > 1e-12:
-                raise ValueError(
-                    "bus operators of this model do not commute; the "
-                    "strong-interaction expansion for omega1 is unsupported")
-    if len(channels) != 1:
-        raise ValueError("multi-channel interactions are not wired up yet")
-    probe_op, bus_op = channels[0]
+    probe_op, bus_op = _COUPLING[spec.kind]
 
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
@@ -314,7 +301,7 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
         t2_grid = taus[:, None] * unit[None, :]
         w2 = (w1 * taus)[:, None] * wu[None, :]
 
-        probe_op, bus_op = _CHANNELS[spec_at.kind][0]
+        probe_op, bus_op = _COUPLING[spec_at.kind]
         s_full = 0.5 * spec_at.x * probe_op
 
         def s_at(times):

@@ -7,6 +7,9 @@ over the upper half of the N grid.  Per-point failures become row flags,
 never crashes: regimes that legitimately destroy sensitivity (e.g. full
 dephasing at eps*t*x = pi/2) are data.
 
+Each (regime, N) point solves the dynamics at most once for all of its
+fisher quantities; with workers, each point is one pool task.
+
 Output ordering is deterministic (sorted by quantity, regime, N) regardless
 of how many workers computed the points, so identical configs give
 byte-identical CSV files.
@@ -21,21 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fullspace, paulis, perturb, zzzz_exact
+from . import fisher, fullspace, paulis, perturb, zzzz_exact
 from .dynamics import ModelKind, ModelSpec, propagate
-from .fisher import (
-    Param,
-    first_moment_uncertainty,
-    global_qfi_fd,
-    local_qfi_fd,
-    reduce_to_bus,
-)
+from .fisher import Param, global_qfi_fd, reduce_to_bus
 from .states import DEFAULT_ANGLES, StateAngles
-
-KNOWN_QUANTITIES = (
-    "global_qfi", "local_qfi", "first_moment", "pt1", "pt2",
-    "closed_form", "hl_condition", "appendix_fm", "local_qfi_closed",
-)
 
 
 class FitDomainError(ValueError):
@@ -108,85 +100,99 @@ class ScanResult:
     fits: tuple
 
 
-def _spec_for(config: SweepConfig, regime: Regime) -> ModelSpec:
-    return ModelSpec(kind=config.kind, delta=regime.delta, epsilon=regime.epsilon,
-                     omega0=config.omega0, omega1=config.omega1,
-                     x=config.x, t=config.t)
+class _Point:
+    """One (regime, N) grid point.  The fisher solve runs on the first
+    `evolved()` call only; a failed solve re-raises its error for every
+    fisher quantity of the point."""
+
+    def __init__(self, config: SweepConfig, regime: Regime, n: int):
+        self.config, self.regime, self.n, self.sel = config, regime, n, config.param
+        self.spec = ModelSpec(kind=config.kind, delta=regime.delta, epsilon=regime.epsilon,
+                              omega0=config.omega0, omega1=config.omega1, x=config.x, t=config.t)
+        self.angles = (config.angles if regime.alpha is None
+                       else replace(config.angles, alpha=regime.alpha))
+        self.observable = paulis.NAMED_OBSERVABLES[config.observable]
+        self._solved = None
+
+    def evolved(self):
+        if self._solved is None:
+            try:
+                self._solved = fisher.evolve_point(self.spec, self.n, self.angles, self.sel)
+            except Exception as err:
+                self._solved = err
+        if isinstance(self._solved, Exception):
+            raise self._solved
+        return self._solved
+
+    def row(self, quantity: str) -> Row:
+        try:
+            value, flag = _READERS[quantity](self)
+        except Exception as err:  # per-point failures are data, not crashes
+            value, flag = math.nan, f"error:{type(err).__name__}"
+        return Row(self.n, quantity, self.regime.name, value, flag)
+
+    def rows(self) -> list:
+        """One row per requested quantity: the task a pool worker runs."""
+        return [self.row(quantity) for quantity in self.config.quantities]
 
 
-def _angles_for(config: SweepConfig, regime: Regime) -> StateAngles:
-    if regime.alpha is None:
-        return config.angles
-    return replace(config.angles, alpha=regime.alpha)
+def _qfi(result) -> tuple:
+    return result.value, "ill_conditioned" if result.ill_conditioned else ""
 
 
-def _evaluate_point(config: SweepConfig, regime: Regime, quantity: str, n: int) -> Row:
-    spec = _spec_for(config, regime)
-    angles = _angles_for(config, regime)
-    sel = config.param
-    obs = paulis.NAMED_OBSERVABLES[config.observable]
-    try:
-        if quantity == "global_qfi":
-            r = global_qfi_fd(spec, n, angles, sel)
-            flag = "ill_conditioned" if r.ill_conditioned else ""
-            return Row(n, quantity, regime.name, r.value, flag)
-        if quantity == "local_qfi":
-            r = local_qfi_fd(spec, n, angles, sel)
-            flag = "ill_conditioned" if r.ill_conditioned else ""
-            return Row(n, quantity, regime.name, r.value, flag)
-        if quantity == "first_moment":
-            r = first_moment_uncertainty(spec, n, angles, sel, obs,
-                                         config.m_measurements)
-            return Row(n, quantity, regime.name, r.inv_squared,
-                       "insensitive" if r.insensitive else "")
-        if quantity == "pt1":
-            if sel is Param.X:
-                r = perturb.pt1_qfi_x(spec, n, angles)
-            elif sel is Param.OMEGA1:
-                r = perturb.pt1_qfi_omega1(spec, n, angles)
-            else:
-                return Row(n, quantity, regime.name, math.nan, "unsupported")
-            return Row(n, quantity, regime.name, r.value)
-        if quantity == "pt2":
-            if sel is Param.OMEGA0:
-                return Row(n, quantity, regime.name, math.nan, "unsupported")
-            r = perturb.pt2_qfi_zeroth(spec, n, angles, sel)
-            return Row(n, quantity, regime.name, r.value)
-        if quantity == "closed_form":
-            return Row(n, quantity, regime.name,
-                       zzzz_exact.global_qfi_closed(spec, n, angles, sel))
-        if quantity == "hl_condition":
-            return Row(n, quantity, regime.name, perturb.hl_condition(spec, n, angles))
-        if quantity == "appendix_fm":
-            r = perturb.appendix_local_uncertainty(spec, n, angles, obs, sel,
-                                                   m_measurements=config.m_measurements)
-            flag = r.flag or ("insensitive" if r.insensitive else "")
-            return Row(n, quantity, regime.name, r.inv_squared, flag)
-        if quantity == "local_qfi_closed":
-            return Row(n, quantity, regime.name,
-                       zzzz_exact.local_qfi_x_closed(spec, n, angles))
-        return Row(n, quantity, regime.name, math.nan, "unsupported")
-    except Exception as err:  # per-point failures are data, not crashes
-        return Row(n, quantity, regime.name, math.nan,
-                   f"error:{type(err).__name__}")
+def _first_moment(p: _Point) -> tuple:
+    r = fisher.read_first_moment(p.evolved(), p.observable, p.config.m_measurements)
+    return r.inv_squared, "insensitive" if r.insensitive else ""
 
 
-def _eval_task(args):
-    return _evaluate_point(*args)
+def _pt1(p: _Point) -> tuple:
+    if p.sel is Param.X:
+        return perturb.pt1_qfi_x(p.spec, p.n, p.angles).value, ""
+    if p.sel is Param.OMEGA1:
+        return perturb.pt1_qfi_omega1(p.spec, p.n, p.angles).value, ""
+    return math.nan, "unsupported"
+
+
+def _pt2(p: _Point) -> tuple:
+    if p.sel is Param.OMEGA0:
+        return math.nan, "unsupported"
+    return perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel).value, ""
+
+
+def _appendix_fm(p: _Point) -> tuple:
+    r = perturb.appendix_local_uncertainty(p.spec, p.n, p.angles, p.observable, p.sel,
+                                           m_measurements=p.config.m_measurements)
+    return r.inv_squared, r.flag or ("insensitive" if r.insensitive else "")
+
+
+# quantity -> reader of a point, returning (value, flag).  Readers look up what
+# they call at call time, so wrapping a module function also wraps its use here.
+_READERS = {
+    "global_qfi": lambda p: _qfi(fisher.read_global_qfi(p.evolved())),
+    "local_qfi": lambda p: _qfi(fisher.read_local_qfi(p.evolved())),
+    "first_moment": _first_moment,
+    "pt1": _pt1,
+    "pt2": _pt2,
+    "closed_form": lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel), ""),
+    "hl_condition": lambda p: (perturb.hl_condition(p.spec, p.n, p.angles), ""),
+    "appendix_fm": _appendix_fm,
+    "local_qfi_closed": lambda p: (zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles), ""),
+}
+
+KNOWN_QUANTITIES = tuple(_READERS)
 
 
 def run_sweep(config: SweepConfig) -> ScanResult:
     """Evaluate every requested quantity at every (regime, N) grid point and
     fit log-log exponents over the upper half of the N grid."""
-    tasks = [(config, regime, quantity, n)
-             for quantity in config.quantities
-             for regime in config.regimes
-             for n in config.n_list]
-    if config.workers > 1 and len(tasks) > 1:
+    points = [_Point(config, regime, n) for regime in config.regimes for n in config.n_list]
+    if config.workers > 1 and len(points) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_eval_task, tasks, chunksize=4))
+            rows = [row for batch in pool.map(_Point.rows, points) for row in batch]
     else:
-        rows = [_eval_task(t) for t in tasks]
+        # quantity by quantity, so the solves run back to back: point by point
+        # interleaves them with the quadratures and took ~10% more CPU on `figures`
+        rows = [point.row(quantity) for quantity in config.quantities for point in points]
     rows.sort(key=lambda r: (r.quantity, r.regime, r.n))
 
     fits = []

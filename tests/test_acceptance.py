@@ -125,7 +125,7 @@ def test_criterion_2_full_hilbert_oracle():
         params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0,
                       x=1.0, t=1.0)
         for sel in (Param.X, Param.OMEGA1, Param.OMEGA0):
-            mine = global_qfi_fd(ModelSpec(kind), 6, DEFAULT_ANGLES, sel).value_check
+            mine = global_qfi_fd(ModelSpec(kind), 6, DEFAULT_ANGLES, sel).value
             ref = fullspace.global_qfi_full(str(kind), 6, params, sel.field,
                                             DEFAULT_ANGLES.alpha, DEFAULT_ANGLES.phi,
                                             DEFAULT_ANGLES.beta, DEFAULT_ANGLES.varphi)
@@ -186,16 +186,16 @@ def test_criterion_3_scaling_exponents():
 def test_criterion_3_optional_weak_coupling_to_n2000():
     """SQL scaling of I_omega1 at delta=100 persists to N = 2000.
 
-    At N = 2000 the Hamiltonian norm is ~1e5 and the eigensolver backward
-    error (~1e-11 per eigenvalue) no longer resolves the 1e-8 step, so the
-    protocol flags the primary value; the fit uses the 1e-6-step values,
-    which stay well conditioned.
+    The fit uses the reported (exact-derivative) values; at N = 2000 the
+    Hamiltonian norm is ~1e5, and the check step scaled to the generator
+    keeps the finite-difference cross-check within ~1e-7 of them, so no
+    point is flagged.
     """
     rows = []
     for n in (500, 1000, 2000):
         res = global_qfi_fd(ModelSpec(ModelKind.ZZXX, delta=100.0), n,
                             DEFAULT_ANGLES, Param.OMEGA1)
-        rows.append(Row(n, "g", "r", res.value_check))
+        rows.append(Row(n, "g", "r", res.value))
     exponent, _ = fit_scaling(rows, "g", "r", (500, 2000))
     assert exponent == pytest.approx(1.0, abs=0.15)
     _report(3, f"optional long run: I_w1 delta=100 exponent {exponent:.3f} ~ 1 "
@@ -211,7 +211,7 @@ def test_criterion_4_perturbation_cubic_residual():
         residuals = []
         for v in grid:
             spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
-            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value_check
+            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
             residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
         slope = float(np.polyfit(np.log(grid), np.log(residuals), 1)[0])
         assert slope == pytest.approx(3.0, abs=0.2)

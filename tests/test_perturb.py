@@ -40,17 +40,17 @@ def test_pt1_x_quadratic_in_coupling_prefactor():
 def test_pt1_x_tracks_exact_solver_weak_coupling():
     spec = ModelSpec(ModelKind.ZZXX, epsilon=1e-3)
     for n in (1, 5, 20, 50):
-        exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X).value_check
+        exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X).value
         assert pt1_qfi_x(spec, n, DEFAULT_ANGLES).value == pytest.approx(exact, rel=1e-3)
     # deviations grow with eps*N; at N=100 (eps*N = 0.1) they reach a few 1e-3
-    exact = global_qfi_fd(spec, 100, DEFAULT_ANGLES, Param.X).value_check
+    exact = global_qfi_fd(spec, 100, DEFAULT_ANGLES, Param.X).value
     assert pt1_qfi_x(spec, 100, DEFAULT_ANGLES).value == pytest.approx(exact, rel=5e-3)
 
 
 def test_pt1_omega1_tracks_exact_solver_strong_coupling():
     spec = ModelSpec(ModelKind.ZZXX, delta=1e-3)
     for n in (1, 5, 20, 50, 100):
-        exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.OMEGA1).value_check
+        exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.OMEGA1).value
         assert pt1_qfi_omega1(spec, n, DEFAULT_ANGLES).value == pytest.approx(exact, rel=1e-3)
 
 
@@ -146,7 +146,7 @@ def test_cubic_residual_scaling():
         residuals = []
         for v in grid:
             spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
-            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value_check
+            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
             residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
         slope = np.polyfit(np.log(grid), np.log(residuals), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.2)

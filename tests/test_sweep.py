@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from spinbus import dynamics, fisher
 from spinbus.cli import main
 from spinbus.dynamics import ModelKind, ModelSpec
-from spinbus.fisher import Param
-from spinbus.states import FAVORABLE_ANGLES
+from spinbus.fisher import Param, global_qfi_fd
+from spinbus.states import DEFAULT_ANGLES, FAVORABLE_ANGLES
 from spinbus.sweep import (
     FitDomainError,
     Regime,
@@ -107,6 +108,59 @@ def test_sweep_per_point_failures_are_flagged():
     assert all(math.isnan(r.value) for r in result.rows)
 
 
+def test_fisher_quantities_share_one_solve_per_point(monkeypatch):
+    # one exact solve plus two check propagations per (regime, N), however
+    # many fisher quantities read from it
+    calls = []
+    eigensystem = dynamics.eigensystem
+
+    def counting(h):
+        calls.append(h.n_probes)
+        return eigensystem(h)
+
+    monkeypatch.setattr(dynamics, "eigensystem", counting)
+    cfg = SweepConfig(kind=ModelKind.ZZXX, param=Param.X,
+                      regimes=(Regime("r", 1.0, 0.5),), n_list=(2, 4, 8),
+                      quantities=("global_qfi", "local_qfi", "first_moment"))
+    result = run_sweep(cfg)
+    assert len(result.rows) == 9 and not any(r.flag for r in result.rows)
+    assert sorted(calls) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
+
+
+def test_failed_solve_flags_every_fisher_quantity_of_the_point(monkeypatch):
+    calls = []
+
+    def failing(*args):
+        calls.append(args[1])
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(fisher, "evolve_point", failing)
+    cfg = SweepConfig(kind=ModelKind.ZZZZ, param=Param.X,
+                      regimes=(Regime("r", 1.0, 1.0),), n_list=(1, 2),
+                      quantities=("global_qfi", "local_qfi", "first_moment",
+                                  "closed_form"))
+    rows = run_sweep(cfg).rows
+    assert calls == [1, 2]  # one attempt per point
+    for r in rows:
+        if r.quantity == "closed_form":
+            assert r.flag == "" and r.value > 0.0
+        else:
+            assert r.flag == "error:RuntimeError" and math.isnan(r.value)
+
+
+def test_failing_quantity_leaves_the_fisher_rows_alone():
+    cfg = SweepConfig(kind=ModelKind.ZZXX, param=Param.X,
+                      regimes=(Regime("r", 1.0, 1.0),), n_list=(1, 2, 4),
+                      quantities=("global_qfi", "closed_form"))
+    rows = run_sweep(cfg).rows
+    assert all(r.flag.startswith("error:") for r in rows if r.quantity == "closed_form")
+    spec = ModelSpec(ModelKind.ZZXX)
+    for r in rows:
+        if r.quantity == "global_qfi":
+            assert r.flag == ""
+            assert r.value == global_qfi_fd(spec, r.n, DEFAULT_ANGLES, Param.X).value
+
+
 def test_sweep_deterministic_across_workers(tmp_path):
     text = """
         model = zzzz
@@ -114,7 +168,7 @@ def test_sweep_deterministic_across_workers(tmp_path):
         regime = a: delta=1, epsilon=1
         regime = b: delta=1, epsilon=0.3
         nlist = 1 2 4 8 16
-        quantities = global_qfi closed_form local_qfi
+        quantities = global_qfi closed_form local_qfi first_moment
     """
     cfg = parse_config(text)
     serial = run_sweep(cfg)
