@@ -35,7 +35,7 @@ for n in (1, 10, 50, 100):
           f"{abs(pt.value - exact) / exact:9.1e}  ({pt.eps_times_n:.2f})")
 print("  -> accurate while eps*N stays small; the N^2 term signals the")
 print(f"     Heisenberg component: condition integral = "
-      f"{hl_condition(spec, 1, DEFAULT_ANGLES):.4f} (nonzero)\n")
+      f"{hl_condition(spec, DEFAULT_ANGLES):.4f} (nonzero)\n")
 
 print("Strong coupling (eps = 100): zeroth-order variance formula vs exact")
 spec = ModelSpec(ModelKind.ZZXX, epsilon=100.0)

@@ -31,7 +31,6 @@ from .fisher import (
     reduce_to_bus,
 )
 from .perturb import (
-    CorrelationKernel,
     PerturbativeUncertainty,
     PtResult,
     appendix_local_uncertainty,

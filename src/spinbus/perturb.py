@@ -40,20 +40,8 @@ _COUPLING = {
     ModelKind.ZZZX: (paulis.Z, paulis.X),
 }
 
-DEFAULT_ORDER = 64
-
-
-@dataclass(frozen=True)
-class CorrelationKernel:
-    """Quadrature configuration for the correlation-function integrals."""
-
-    kind: ModelKind
-    param: Param
-    order: int = DEFAULT_ORDER
-
-    def __post_init__(self):
-        if self.order < 8:
-            raise ValueError("quadrature order must be >= 8")
+# Gauss-Legendre nodes per time axis of every quadrature; read at call time
+QUADRATURE_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -89,8 +77,8 @@ def _gauss_nodes(order: int):
     return nodes, weights
 
 
-def _nodes_on(a: float, b: float, order: int):
-    nodes, weights = _gauss_nodes(order)
+def _nodes_on(a: float, b: float):
+    nodes, weights = _gauss_nodes(QUADRATURE_ORDER)
     half = 0.5 * (b - a)
     return a + half * (nodes + 1.0), half * weights
 
@@ -99,11 +87,12 @@ def _qubit_state(theta: float, phase: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phase)])
 
 
+_Z_DIFF = np.array([[0.0, 2.0], [-2.0, 0.0]])  # z_j - z_k for z = (1, -1)
+
+
 def _free_conjugate(op: np.ndarray, splitting: float, times: np.ndarray) -> np.ndarray:
     """exp(i w t Z/2) op exp(-i w t Z/2) for every t, shape (..., 2, 2)."""
-    z = np.array([1.0, -1.0])
-    diff = z[:, None] - z[None, :]  # z_j - z_k
-    phases = np.exp(0.5j * splitting * times[..., None, None] * diff)
+    phases = np.exp(0.5j * splitting * times[..., None, None] * _Z_DIFF)
     return phases * op
 
 
@@ -125,22 +114,12 @@ def _regime(spec: ModelSpec, n: int) -> dict:
     )
 
 
-def _kernel_for(spec: ModelSpec, sel: Param, kernel: CorrelationKernel | None) -> CorrelationKernel:
-    if kernel is None:
-        return CorrelationKernel(spec.kind, sel)
-    if kernel.kind is not spec.kind or kernel.param is not sel:
-        raise ValueError(
-            f"kernel built for ({kernel.kind}, {kernel.param}) does not match "
-            f"({spec.kind}, {sel})")
-    return kernel
-
-
-def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles, order: int):
+def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles):
     """Double integrals of the single-probe and bus correlation pieces for
     the coupling parameter; returns (linear_integral, quadratic_integral)."""
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
-    taus, weights = _nodes_on(0.0, spec.t, order)
+    taus, weights = _nodes_on(0.0, spec.t)
     probe_op, bus_op = _COUPLING[spec.kind]
     s_prime = _free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
     r_op = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
@@ -158,8 +137,7 @@ def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles, order: int):
     return linear, quadratic
 
 
-def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles,
-              kernel: CorrelationKernel | None = None) -> PtResult:
+def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
     """Lowest-order QFI for the coupling x in the weak-interaction expansion:
 
         I_x = 4 eps^2 integral[ N K_probe(S'(t1), S'(t2)) <R(t1) R(t2)>
@@ -168,8 +146,7 @@ def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles,
     with interaction-picture operators built by exact 2x2 conjugation and
     the double integral over [0, t]^2 by Gauss-Legendre quadrature.
     """
-    kernel = _kernel_for(spec, Param.X, kernel)
-    lin_int, quad_int = _pt1_x_integrals(spec, angles, kernel.order)
+    lin_int, quad_int = _pt1_x_integrals(spec, angles)
     scale = 4.0 * spec.epsilon ** 2
     linear = scale * float(lin_int.real)
     quadratic = scale * float(quad_int.real)
@@ -178,8 +155,7 @@ def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles,
                     **_regime(spec, n))
 
 
-def hl_condition(spec: ModelSpec, n: int, angles: StateAngles,
-                 kernel: CorrelationKernel | None = None) -> float:
+def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
     """Value of the condition integral
 
         integral <S'(t1)><S'(t2)> K_bus(R(t1), R(t2))
@@ -187,13 +163,11 @@ def hl_condition(spec: ModelSpec, n: int, angles: StateAngles,
     whose magnitude exceeding ~1e-10 predicts N^2 scaling of I_x.  With
     eps = 1 the quadratic PT coefficient equals 4 times this value.
     """
-    kernel = _kernel_for(spec, Param.X, kernel)
-    _, quad_int = _pt1_x_integrals(spec, angles, kernel.order)
+    _, quad_int = _pt1_x_integrals(spec, angles)
     return float(quad_int.real)
 
 
-def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles,
-                   kernel: CorrelationKernel | None = None) -> PtResult:
+def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
     """Lowest-order QFI for the probe splitting omega1 in the
     strong-interaction expansion.
 
@@ -204,12 +178,11 @@ def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles,
     the probe index with |probe> leaves 2x2 bus operators whose connected
     correlations give the N and N^2 terms.
     """
-    kernel = _kernel_for(spec, Param.OMEGA1, kernel)
     probe_op, bus_op = _COUPLING[spec.kind]
 
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
-    taus, weights = _nodes_on(0.0, spec.t, kernel.order)
+    taus, weights = _nodes_on(0.0, spec.t)
 
     # V(tau) = exp(i eps x tau/2 (P x R)) = cos(a) I + i sin(a) (P x R)
     generator = np.kron(probe_op, bus_op)
@@ -264,7 +237,6 @@ def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
 
 def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
                                observable: np.ndarray, sel: Param,
-                               kernel: CorrelationKernel | None = None,
                                m_measurements: int = 1) -> PerturbativeUncertainty:
     """Second-order expansion of the first-moment uncertainty of a bus
     observable A, combining the expanded variance and mean derivative.
@@ -276,15 +248,17 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     integrands.  Time-ordered double integrals run over the triangle
     t2 < t1 (mapped to a square by t2 = u t1); the final variance term is
     the full square [0,t]^2, which factorizes into a single integral
-    squared.  The mean derivative uses central differences of the expanded
-    mean at theta +- 1e-6 max(1, |theta|).
+    squared.  Only the probe operators S(t) depend on x or omega1, and the
+    expanded mean is linear in S(t1) and separately in S(t2), so its
+    derivative is the same quadrature with dS/dtheta in place of S
+    (product rule): exact, with no step size.
     """
     if sel is Param.OMEGA0:
         raise ValueError("the expansion targets x or omega1, not omega0")
-    kernel = _kernel_for(spec, sel, kernel)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
     a_op = paulis.check_hermitian_2x2(observable)
+    probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
 
     a_tilde = _free_conjugate(a_op, spec.delta * spec.omega0,
@@ -293,64 +267,55 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     b_tilde = a_tilde @ a_tilde - 2.0 * a_mean * a_tilde
     var0 = float((_sandwich(bus, a_tilde @ a_tilde) - a_mean ** 2).real)
 
-    def expansion_terms(spec_at: ModelSpec):
-        """(first-order integral with A~, variance pieces, mean pieces)."""
-        probe = _qubit_state(angles.alpha, angles.phi)
-        taus, w1 = _nodes_on(0.0, spec_at.t, kernel.order)
-        unit, wu = _nodes_on(0.0, 1.0, kernel.order)
-        t2_grid = taus[:, None] * unit[None, :]
-        w2 = (w1 * taus)[:, None] * wu[None, :]
+    taus, w1 = _nodes_on(0.0, spec.t)
+    unit, wu = _nodes_on(0.0, 1.0)
+    t2_grid = taus[:, None] * unit[None, :]
+    w2 = (w1 * taus)[:, None] * wu[None, :]
 
-        probe_op, bus_op = _COUPLING[spec_at.kind]
-        s_full = 0.5 * spec_at.x * probe_op
+    probe_op, bus_op = _COUPLING[spec.kind]
+    probe_splitting = spec.delta * spec.omega1
 
-        def s_at(times):
-            return _free_conjugate(s_full, spec_at.delta * spec_at.omega1, times)
+    def s_and_derivative(times):
+        """S(t) = x/2 P in the free picture, and dS/dtheta."""
+        s = _free_conjugate(0.5 * spec.x * probe_op, probe_splitting, times)
+        if sel is Param.X:
+            return s, _free_conjugate(0.5 * probe_op, probe_splitting, times)
+        return s, 0.5j * spec.delta * times[..., None, None] * _Z_DIFF * s
 
-        def r_at(times):
-            return _free_conjugate(bus_op, spec_at.delta * spec_at.omega0, times)
+    s_1, ds_1 = s_and_derivative(taus)
+    s_2, ds_2 = s_and_derivative(t2_grid)
+    r_1 = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
+    r_2 = _free_conjugate(bus_op, spec.delta * spec.omega0, t2_grid)
 
-        s_1 = s_at(taus)
-        r_1 = r_at(taus)
-        s_2 = s_at(t2_grid)
-        r_2 = r_at(t2_grid)
+    def bus_factors(op):
+        """<[R(t1), op]>, <[R(t1), op] R(t2)> and <R(t2) [op, R(t1)]>."""
+        comm_1 = np.einsum("ipq,qr->ipr", r_1, op) - np.einsum("pq,iqr->ipr", op, r_1)
+        g1 = _sandwich(bus, np.einsum("ipq,ijqr->ijpr", comm_1, r_2))
+        g2 = _sandwich(bus, np.einsum("ijpq,iqr->ijpr", r_2, -comm_1))
+        return _sandwich(bus, comm_1), g1, g2
 
-        s_mean_1 = _sandwich(probe, s_1)
-        s_mean_2 = _sandwich(probe, s_2)
-        ss_fwd = _sandwich(probe, np.einsum("ipq,ijqr->ijpr", s_1, s_2))
-        ss_rev = _sandwich(probe, np.einsum("ijpq,iqr->ijpr", s_2, s_1))
+    def first(u_1, factors):
+        """First-order integral, linear in the probe operator u(t1)."""
+        return n * np.sum(w1 * _sandwich(probe, u_1) * factors[0])
 
-        def commutator_with(op):
-            return np.einsum("ipq,qr->ipr", r_1, op) - np.einsum("pq,iqr->ipr", op, r_1)
+    def triangle(u_1, v_2, factors):
+        """Time-ordered second-order integral, linear in u(t1) and in v(t2)."""
+        _, g1, g2 = factors
+        pair = n * (n - 1) * _sandwich(probe, u_1)[:, None] * _sandwich(probe, v_2)
+        fwd = _sandwich(probe, np.einsum("ipq,ijqr->ijpr", u_1, v_2))
+        rev = _sandwich(probe, np.einsum("ijpq,iqr->ijpr", v_2, u_1))
+        return np.sum(w2 * ((pair + n * fwd) * g1 + (pair + n * rev) * g2))
 
-        def triangle(op):
-            """Time-ordered second-order piece with A~ or B~ in the commutators."""
-            comm_1 = commutator_with(op)  # [R(t1), op]
-            g1 = _sandwich(bus, np.einsum("ipq,ijqr->ijpr", comm_1, r_2))
-            g2 = _sandwich(bus, np.einsum("ijpq,iqr->ijpr",
-                                          r_2, -comm_1))  # R(t2) [op, R(t1)]
-            pair = n * (n - 1) * s_mean_1[:, None] * s_mean_2
-            return np.sum(w2 * ((pair + n * ss_fwd) * g1 + (pair + n * ss_rev) * g2))
-
-        comm_a_mean = _sandwich(bus, commutator_with(a_tilde))
-        comm_b_mean = _sandwich(bus, commutator_with(b_tilde))
-        first_a = n * np.sum(w1 * s_mean_1 * comm_a_mean)
-        first_b = n * np.sum(w1 * s_mean_1 * comm_b_mean)
-        return first_a, first_b, triangle(a_tilde), triangle(b_tilde)
-
+    a_factors = bus_factors(a_tilde)
+    b_factors = bus_factors(b_tilde)
     eps = spec.epsilon
-    first_a, first_b, tri_a, tri_b = expansion_terms(spec)
-    variance = float((var0 + 1j * eps * first_b + eps ** 2 * tri_b
-                      + eps ** 2 * first_a ** 2).real)
-
-    def expanded_mean(spec_at: ModelSpec) -> float:
-        fa, _, ta, _ = expansion_terms(spec_at)
-        return float((1j * eps * fa + eps ** 2 * ta).real)
-
-    theta = getattr(spec, sel.field)
-    h = 1e-6 * max(1.0, abs(theta))
-    deriv = (expanded_mean(spec.replaced(**{sel.field: theta + h}))
-             - expanded_mean(spec.replaced(**{sel.field: theta - h}))) / (2.0 * h)
+    variance = float((var0 + 1j * eps * first(s_1, b_factors)
+                      + eps ** 2 * triangle(s_1, s_2, b_factors)
+                      + eps ** 2 * first(s_1, a_factors) ** 2).real)
+    # d/dtheta of the expanded mean Re(i eps first_A + eps^2 triangle_A)
+    deriv = float((1j * eps * first(ds_1, a_factors)
+                   + eps ** 2 * (triangle(ds_1, s_2, a_factors)
+                                 + triangle(s_1, ds_2, a_factors))).real)
 
     if abs(deriv) <= INSENSITIVE_TOL * math.sqrt(max(variance, 0.0)):
         return PerturbativeUncertainty(delta=math.inf, inv_squared=0.0,

@@ -100,19 +100,6 @@ class SymmetricState:
     def m_values(self) -> np.ndarray:
         return m_values(self.n_probes)
 
-    def amplitude(self, m, s) -> complex:
-        return self.amplitudes[basis_index(self.n_probes, m, s)]
-
-
-def basis_index(n: int, m, s: int) -> int:
-    """Flat index of |m, s> in the fixed (m descending, s inner) layout."""
-    a = round(n / 2 - m)
-    if not 0 <= a <= n:
-        raise ValueError(f"m={m} outside -N/2..N/2 for N={n}")
-    if s not in (0, 1):
-        raise ValueError("s must be 0 or 1")
-    return 2 * a + s
-
 
 def m_values(n: int) -> np.ndarray:
     """Probe z projections in index order: N/2, N/2-1, ..., -N/2."""

@@ -174,7 +174,7 @@ _READERS = {
     "pt1": _pt1,
     "pt2": _pt2,
     "closed_form": lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel), ""),
-    "hl_condition": lambda p: (perturb.hl_condition(p.spec, p.n, p.angles), ""),
+    "hl_condition": lambda p: (perturb.hl_condition(p.spec, p.angles), ""),
     "appendix_fm": _appendix_fm,
     "local_qfi_closed": lambda p: (zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles), ""),
 }

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinbus import paulis
+from spinbus import paulis, perturb
 from spinbus.dynamics import ModelKind, ModelSpec
 from spinbus.fisher import Param, first_moment_uncertainty, global_qfi_fd
 from spinbus.perturb import (
-    CorrelationKernel,
     appendix_local_uncertainty,
     hl_condition,
     pt1_qfi_omega1,
@@ -111,17 +110,17 @@ def test_pt2_omega0_unsupported():
 
 
 def test_hl_condition_nonzero_for_xx_coupling():
-    assert abs(hl_condition(ModelSpec(ModelKind.ZZXX), 5, DEFAULT_ANGLES)) > 1e-10
+    assert abs(hl_condition(ModelSpec(ModelKind.ZZXX), DEFAULT_ANGLES)) > 1e-10
 
 
 def test_hl_condition_zero_for_bus_eigenstate():
     angles = StateAngles(math.pi / 3, 0.2, 0.0, 0.0)  # bus in |0>, Z eigenstate
-    assert abs(hl_condition(ModelSpec(ModelKind.ZZZZ), 5, angles)) < 1e-14
+    assert abs(hl_condition(ModelSpec(ModelKind.ZZZZ), angles)) < 1e-14
 
 
 def test_hl_condition_matches_quadratic_coefficient():
     spec = ModelSpec(ModelKind.ZZZZ)  # eps = 1
-    hl = hl_condition(spec, 3, FAVORABLE_ANGLES)
+    hl = hl_condition(spec, FAVORABLE_ANGLES)
     assert hl != 0.0
     values = [pt1_qfi_x(spec, n, FAVORABLE_ANGLES).value for n in range(1, 11)]
     coeffs = np.polyfit(np.arange(1, 11), values, 2)
@@ -139,33 +138,22 @@ def test_pt1_x_is_exactly_quadratic_in_n():
             predicted, rel=1e-10)
 
 
-def test_cubic_residual_scaling():
-    grid = np.logspace(-3, -1, 7)
-    for sel, fld, pt_fn in ((Param.X, "epsilon", pt1_qfi_x),
-                            (Param.OMEGA1, "delta", pt1_qfi_omega1)):
-        residuals = []
-        for v in grid:
-            spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
-            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
-            residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
-        slope = np.polyfit(np.log(grid), np.log(residuals), 1)[0]
-        assert slope == pytest.approx(3.0, abs=0.2)
-
-
-def test_quadrature_order_converged():
+def test_quadrature_order_converged(monkeypatch):
     spec = ModelSpec(ModelKind.ZZXX, epsilon=0.5)
-    for fn, sel in ((pt1_qfi_x, Param.X), (pt1_qfi_omega1, Param.OMEGA1)):
-        base = fn(spec, 10, DEFAULT_ANGLES, CorrelationKernel(spec.kind, sel, 64)).value
-        fine = fn(spec, 10, DEFAULT_ANGLES, CorrelationKernel(spec.kind, sel, 128)).value
+
+    def evaluate():
+        return ([fn(spec, 10, DEFAULT_ANGLES).value for fn in (pt1_qfi_x, pt1_qfi_omega1)],
+                [appendix_local_uncertainty(spec, 10, DEFAULT_ANGLES, paulis.XZ_HALF, sel)
+                 for sel in (Param.X, Param.OMEGA1)])
+
+    base_pt1, base_appendix = evaluate()
+    monkeypatch.setattr(perturb, "QUADRATURE_ORDER", 128)
+    fine_pt1, fine_appendix = evaluate()
+    for base, fine in zip(base_pt1, fine_pt1):
         assert abs(base - fine) <= 1e-8 * abs(fine)
-
-
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        CorrelationKernel(ModelKind.ZZXX, Param.X, order=4)
-    with pytest.raises(ValueError):
-        pt1_qfi_x(ModelSpec(ModelKind.ZZXX), 3, DEFAULT_ANGLES,
-                  CorrelationKernel(ModelKind.ZZZZ, Param.X))
+    for base, fine in zip(base_appendix, fine_appendix):
+        for field in ("variance", "mean_derivative", "inv_squared"):
+            assert getattr(base, field) == pytest.approx(getattr(fine, field), rel=1e-12)
 
 
 def test_appendix_worst_state_known_form():
@@ -174,7 +162,7 @@ def test_appendix_worst_state_known_form():
     for n in (1, 4, 12):
         got = appendix_local_uncertainty(spec, n, UNFAVORABLE_ANGLES, paulis.X, Param.X)
         expected = n ** 2 / (n + math.tan(1.0) ** 2)
-        assert got.inv_squared == pytest.approx(expected, rel=1e-6)
+        assert got.inv_squared == pytest.approx(expected, rel=1e-12)
 
 
 def test_appendix_conserved_observable_insensitive():
@@ -191,6 +179,21 @@ def test_appendix_tracks_exact_first_moment_weak_coupling():
         exact = first_moment_uncertainty(spec, n, DEFAULT_ANGLES, Param.X,
                                          paulis.XZ_HALF)
         assert pert.inv_squared == pytest.approx(exact.inv_squared, rel=1e-2)
+
+
+def test_appendix_mean_derivative_residual_is_cubic():
+    """The expanded d<A>/d theta is second order in eps: its distance from the
+    exact solver's derivative shrinks as eps^3, for x and for omega1."""
+    grid = np.logspace(-3, -1, 7)
+    for sel in (Param.X, Param.OMEGA1):
+        residuals = []
+        for eps in grid:
+            spec = ModelSpec(ModelKind.ZZXX, epsilon=float(eps))
+            pert = appendix_local_uncertainty(spec, 4, DEFAULT_ANGLES, paulis.XZ_HALF, sel)
+            exact = first_moment_uncertainty(spec, 4, DEFAULT_ANGLES, sel, paulis.XZ_HALF)
+            residuals.append(abs(pert.mean_derivative - exact.mean_derivative))
+        slope = np.polyfit(np.log(grid), np.log(residuals), 1)[0]
+        assert slope == pytest.approx(3.0, abs=0.2)
 
 
 def test_appendix_omega1_direction_runs():
