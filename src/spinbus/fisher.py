@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,11 @@ class EvolvedPoint:
     plus: SymmetricState
     minus: SymmetricState
     check_step: float
+
+    @cached_property
+    def bus_densities(self) -> tuple:
+        """Reduced bus densities of `psi`, `plus` and `minus`, built once."""
+        return tuple(reduce_to_bus(s) for s in (self.psi, self.plus, self.minus))
 
 
 def evolve_point(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> EvolvedPoint:
@@ -238,9 +244,9 @@ def read_local_qfi(point: EvolvedPoint) -> QfiResult:
     derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|); the check
     value uses central differences of the Bloch vector."""
     psi, h = point.psi, point.check_step
-    rho0 = reduce_to_bus(psi)
+    rho0, rho_plus, rho_minus = point.bus_densities
     value = _bloch_qfi(rho0.bloch(), _bloch_vector(_bus_derivative(psi.amplitudes, point.dpsi)))
-    value_check = qubit_qfi(rho0, reduce_to_bus(point.plus), reduce_to_bus(point.minus), h)
+    value_check = qubit_qfi(rho0, rho_plus, rho_minus, h)
 
     disc = _discrepancy(value, value_check)
     return QfiResult(value=value, value_check=value_check, fd_step_check=h,
@@ -282,12 +288,11 @@ def read_first_moment(point: EvolvedPoint, observable: np.ndarray,
     def mean_of(rho: np.ndarray) -> float:
         return float(np.trace(rho @ a).real)
 
-    rho0 = reduce_to_bus(point.psi).rho
+    rho0, rho_plus, rho_minus = (density.rho for density in point.bus_densities)
     mean = mean_of(rho0)
     variance = max(0.0, float(np.trace(rho0 @ a @ a).real) - mean ** 2)
     deriv = mean_of(_bus_derivative(point.psi.amplitudes, point.dpsi))
-    deriv_check = (mean_of(reduce_to_bus(point.plus).rho)
-                   - mean_of(reduce_to_bus(point.minus).rho)) / (2.0 * point.check_step)
+    deriv_check = (mean_of(rho_plus) - mean_of(rho_minus)) / (2.0 * point.check_step)
     disc = _discrepancy(deriv, deriv_check)
 
     # an exact derivative below the round-off floor of Tr(d rho A) cannot be

@@ -77,8 +77,8 @@ def _gauss_nodes(order: int):
     return nodes, weights
 
 
-def _nodes_on(a: float, b: float):
-    nodes, weights = _gauss_nodes(QUADRATURE_ORDER)
+def _nodes_on(a: float, b: float, order: int):
+    nodes, weights = _gauss_nodes(order)
     half = 0.5 * (b - a)
     return a + half * (nodes + 1.0), half * weights
 
@@ -114,12 +114,20 @@ def _regime(spec: ModelSpec, n: int) -> dict:
     )
 
 
-def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles):
+def _expansion(spec: ModelSpec, n: int, scale: float, integrals: tuple) -> PtResult:
+    """a N + b N^2 with (a, b) = scale * (linear, quadratic integral).  The
+    integrals do not depend on N: they are cached per (spec, angles, order)."""
+    a, b = (scale * part for part in integrals)
+    return PtResult(a * n + b * n ** 2, a, b, **_regime(spec, n))
+
+
+@lru_cache(maxsize=256)
+def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles, order: int) -> tuple:
     """Double integrals of the single-probe and bus correlation pieces for
     the coupling parameter; returns (linear_integral, quadratic_integral)."""
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
-    taus, weights = _nodes_on(0.0, spec.t)
+    taus, weights = _nodes_on(0.0, spec.t, order)
     probe_op, bus_op = _COUPLING[spec.kind]
     s_prime = _free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
     r_op = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
@@ -132,9 +140,8 @@ def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles):
     k_probe = ss - np.outer(s_mean, s_mean)
     k_bus = rr - np.outer(r_mean, r_mean)
 
-    linear = weights @ (k_probe * rr) @ weights
-    quadratic = weights @ (np.outer(s_mean, s_mean) * k_bus) @ weights
-    return linear, quadratic
+    return (float((weights @ (k_probe * rr) @ weights).real),
+            float((weights @ (np.outer(s_mean, s_mean) * k_bus) @ weights).real))
 
 
 def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
@@ -146,13 +153,8 @@ def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
     with interaction-picture operators built by exact 2x2 conjugation and
     the double integral over [0, t]^2 by Gauss-Legendre quadrature.
     """
-    lin_int, quad_int = _pt1_x_integrals(spec, angles)
-    scale = 4.0 * spec.epsilon ** 2
-    linear = scale * float(lin_int.real)
-    quadratic = scale * float(quad_int.real)
-    return PtResult(value=linear * n + quadratic * n ** 2,
-                    linear_coefficient=linear, quadratic_coefficient=quadratic,
-                    **_regime(spec, n))
+    return _expansion(spec, n, 4.0 * spec.epsilon ** 2,
+                      _pt1_x_integrals(spec, angles, QUADRATURE_ORDER))
 
 
 def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
@@ -163,32 +165,21 @@ def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
     whose magnitude exceeding ~1e-10 predicts N^2 scaling of I_x.  With
     eps = 1 the quadratic PT coefficient equals 4 times this value.
     """
-    _, quad_int = _pt1_x_integrals(spec, angles)
-    return float(quad_int.real)
+    return _pt1_x_integrals(spec, angles, QUADRATURE_ORDER)[1]
 
 
-def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
-    """Lowest-order QFI for the probe splitting omega1 in the
-    strong-interaction expansion.
-
-    The interaction-picture derivative of a single probe term, Z_i/2
-    conjugated with exp(i eps t H_int), closes in the (probe_i x bus)
-    algebra: the factors for the other probes commute through because their
-    bus parts match the transformed operator's bus dependence.  Sandwiching
-    the probe index with |probe> leaves 2x2 bus operators whose connected
-    correlations give the N and N^2 terms.
-    """
+@lru_cache(maxsize=256)
+def _pt1_omega1_integrals(spec: ModelSpec, angles: StateAngles, order: int) -> tuple:
+    """(linear_integral, quadratic_integral) of `pt1_qfi_omega1`."""
     probe_op, bus_op = _COUPLING[spec.kind]
-
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
-    taus, weights = _nodes_on(0.0, spec.t)
+    taus, weights = _nodes_on(0.0, spec.t, order)
 
     # V(tau) = exp(i eps x tau/2 (P x R)) = cos(a) I + i sin(a) (P x R)
     generator = np.kron(probe_op, bus_op)
     a = 0.5 * spec.epsilon * spec.x * taus
-    eye = np.eye(4)
-    v = (np.cos(a)[:, None, None] * eye
+    v = (np.cos(a)[:, None, None] * np.eye(4)
          + 1j * np.sin(a)[:, None, None] * generator)
     z_half = np.kron(0.5 * paulis.Z, np.eye(2))
     m_ops = np.einsum("ipq,qr,isr->ips", v, z_half, v.conj())
@@ -206,14 +197,23 @@ def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
     xi_bb = _sandwich(bus, bb)
     b_mean = _sandwich(bus, b_ops)
 
-    lin_int = weights @ (xi_c - xi_bb) @ weights
-    quad_int = weights @ (xi_bb - np.outer(b_mean, b_mean)) @ weights
-    scale = 4.0 * spec.delta ** 2
-    linear = scale * float(lin_int.real)
-    quadratic = scale * float(quad_int.real)
-    return PtResult(value=linear * n + quadratic * n ** 2,
-                    linear_coefficient=linear, quadratic_coefficient=quadratic,
-                    **_regime(spec, n))
+    return (float((weights @ (xi_c - xi_bb) @ weights).real),
+            float((weights @ (xi_bb - np.outer(b_mean, b_mean)) @ weights).real))
+
+
+def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
+    """Lowest-order QFI for the probe splitting omega1 in the
+    strong-interaction expansion.
+
+    The interaction-picture derivative of a single probe term, Z_i/2
+    conjugated with exp(i eps t H_int), closes in the (probe_i x bus)
+    algebra: the factors for the other probes commute through because their
+    bus parts match the transformed operator's bus dependence.  Sandwiching
+    the probe index with |probe> leaves 2x2 bus operators whose connected
+    correlations give the N and N^2 terms.
+    """
+    return _expansion(spec, n, 4.0 * spec.delta ** 2,
+                      _pt1_omega1_integrals(spec, angles, QUADRATURE_ORDER))
 
 
 def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
@@ -267,8 +267,8 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     b_tilde = a_tilde @ a_tilde - 2.0 * a_mean * a_tilde
     var0 = float((_sandwich(bus, a_tilde @ a_tilde) - a_mean ** 2).real)
 
-    taus, w1 = _nodes_on(0.0, spec.t)
-    unit, wu = _nodes_on(0.0, 1.0)
+    taus, w1 = _nodes_on(0.0, spec.t, QUADRATURE_ORDER)
+    unit, wu = _nodes_on(0.0, 1.0, QUADRATURE_ORDER)
     t2_grid = taus[:, None] * unit[None, :]
     w2 = (w1 * taus)[:, None] * wu[None, :]
 

@@ -7,8 +7,8 @@ over the upper half of the N grid.  Per-point failures become row flags,
 never crashes: regimes that legitimately destroy sensitivity (e.g. full
 dephasing at eps*t*x = pi/2) are data.
 
-Each (regime, N) point solves the dynamics at most once for all of its
-fisher quantities; with workers, each point is one pool task.
+Each (regime, N) point is one task, run in order or in a worker pool, that
+solves the dynamics at most once for all of its fisher quantities.
 
 Output ordering is deterministic (sorted by quantity, regime, N) regardless
 of how many workers computed the points, so identical configs give
@@ -124,16 +124,16 @@ class _Point:
             raise self._solved
         return self._solved
 
-    def row(self, quantity: str) -> Row:
-        try:
-            value, flag = _READERS[quantity](self)
-        except Exception as err:  # per-point failures are data, not crashes
-            value, flag = math.nan, f"error:{type(err).__name__}"
-        return Row(self.n, quantity, self.regime.name, value, flag)
-
     def rows(self) -> list:
         """One row per requested quantity: the task a pool worker runs."""
-        return [self.row(quantity) for quantity in self.config.quantities]
+        rows = []
+        for quantity in self.config.quantities:
+            try:
+                value, flag = _READERS[quantity](self)
+            except Exception as err:  # per-point failures are data, not crashes
+                value, flag = math.nan, f"error:{type(err).__name__}"
+            rows.append(Row(self.n, quantity, self.regime.name, value, flag))
+        return rows
 
 
 def _qfi(result) -> tuple:
@@ -188,12 +188,11 @@ def run_sweep(config: SweepConfig) -> ScanResult:
     points = [_Point(config, regime, n) for regime in config.regimes for n in config.n_list]
     if config.workers > 1 and len(points) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = [row for batch in pool.map(_Point.rows, points) for row in batch]
+            batches = list(pool.map(_Point.rows, points))
     else:
-        # quantity by quantity, so the solves run back to back: point by point
-        # interleaves them with the quadratures and took ~10% more CPU on `figures`
-        rows = [point.row(quantity) for quantity in config.quantities for point in points]
-    rows.sort(key=lambda r: (r.quantity, r.regime, r.n))
+        batches = map(_Point.rows, points)
+    rows = sorted((row for batch in batches for row in batch),
+                  key=lambda r: (r.quantity, r.regime, r.n))
 
     fits = []
     window = default_fit_window(config.n_list)

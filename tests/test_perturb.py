@@ -156,6 +156,26 @@ def test_quadrature_order_converged(monkeypatch):
             assert getattr(base, field) == pytest.approx(getattr(fine, field), rel=1e-12)
 
 
+def test_quadrature_order_is_part_of_the_cache_key(monkeypatch):
+    # the pt1 integrals are cached per process; a changed order must not be
+    # served the value integrated at the old one
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+
+    def evaluate():
+        return (pt1_qfi_x(spec, 10, DEFAULT_ANGLES).value,
+                pt1_qfi_omega1(spec, 10, DEFAULT_ANGLES).value,
+                hl_condition(spec, DEFAULT_ANGLES))
+
+    base = evaluate()
+    assert base[0] == pytest.approx(16.050, abs=1e-3)
+    monkeypatch.setattr(perturb, "QUADRATURE_ORDER", 4)
+    coarse = evaluate()
+    assert coarse[0] == pytest.approx(14.759, abs=1e-3)
+    assert all(c != b for c, b in zip(coarse, base))
+    monkeypatch.setattr(perturb, "QUADRATURE_ORDER", 64)
+    assert evaluate() == base
+
+
 def test_appendix_worst_state_known_form():
     # (delta_x)^-2 = N^2 t^4 e^4 x^2 / (N t^2 x^2 e^2 + tan^2(delta w0 t))
     spec = ModelSpec(ModelKind.ZZZZ)

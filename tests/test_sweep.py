@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spinbus import dynamics, fisher
+from spinbus import dynamics, fisher, perturb
 from spinbus.cli import main
 from spinbus.dynamics import ModelKind, ModelSpec
 from spinbus.fisher import Param, global_qfi_fd
@@ -127,6 +127,50 @@ def test_fisher_quantities_share_one_solve_per_point(monkeypatch):
     assert sorted(calls) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
 
 
+def test_bus_densities_are_reduced_once_per_point(monkeypatch):
+    # local_qfi and first_moment read the same three bus densities
+    calls = []
+    reduce_to_bus = fisher.reduce_to_bus
+
+    def counting(state):
+        calls.append(state.n_probes)
+        return reduce_to_bus(state)
+
+    monkeypatch.setattr(fisher, "reduce_to_bus", counting)
+    cfg = SweepConfig(kind=ModelKind.ZZXX, param=Param.X,
+                      regimes=(Regime("r", 1.0, 0.5),), n_list=(2, 4, 8),
+                      quantities=("local_qfi", "first_moment"))
+    result = run_sweep(cfg)
+    assert len(result.rows) == 6 and not any(r.flag for r in result.rows)
+    assert sorted(calls) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
+
+
+@pytest.mark.parametrize("param, quantities", [("x", "pt1 hl_condition"),
+                                               ("omega1", "pt1")])
+def test_pt1_quadrature_runs_once_per_regime(monkeypatch, param, quantities):
+    # the caches live for the whole process, so earlier tests may have filled them
+    perturb._pt1_x_integrals.cache_clear()
+    perturb._pt1_omega1_integrals.cache_clear()
+    calls = []
+    nodes_on = perturb._nodes_on
+
+    def counting(a, b, order):
+        calls.append(order)
+        return nodes_on(a, b, order)
+
+    monkeypatch.setattr(perturb, "_nodes_on", counting)
+    result = run_sweep(parse_config(f"""
+        model = zzxx
+        param = {param}
+        regime = a: delta=1, epsilon=0.01
+        regime = b: delta=0.01, epsilon=1
+        nlist = 1 2 4 8 16
+        quantities = {quantities}
+    """))
+    assert not any(r.flag for r in result.rows)
+    assert calls == [perturb.QUADRATURE_ORDER] * 2
+
+
 def test_failed_solve_flags_every_fisher_quantity_of_the_point(monkeypatch):
     calls = []
 
@@ -168,7 +212,7 @@ def test_sweep_deterministic_across_workers(tmp_path):
         regime = a: delta=1, epsilon=1
         regime = b: delta=1, epsilon=0.3
         nlist = 1 2 4 8 16
-        quantities = global_qfi closed_form local_qfi first_moment
+        quantities = global_qfi closed_form local_qfi first_moment pt1 pt2 hl_condition
     """
     cfg = parse_config(text)
     serial = run_sweep(cfg)
