@@ -8,7 +8,7 @@ validate [--suite]    run validation suites a/b/c/d (default all)
 exact <model> <param> one-shot closed-form query (ZZZZ only)
 fig <2|3|4|5|6>       reproduce a bundled figure configuration
 
-Exit codes: 0 success, 1 validation failure, 2 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 I/O or config error.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def _apply_overrides(config, args):
     updates = {}
     if getattr(args, "out", None):
         updates["out"] = args.out
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         updates["workers"] = args.workers
-    if getattr(args, "nmax", None):
+    if getattr(args, "nmax", None) is not None:
         trimmed = tuple(n for n in config.n_list if n <= args.nmax)
         updates["n_list"] = trimmed
     if updates:
@@ -47,7 +47,12 @@ def _apply_overrides(config, args):
     return config
 
 
-def _run_and_emit(config, default_out: str) -> int:
+def _run_and_emit(text: str, args, default_out: str) -> int:
+    try:
+        config = _apply_overrides(parse_config(text), args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     result = sweeplib.run_sweep(config)
     out = config.out or default_out
     try:
@@ -69,8 +74,7 @@ def _cmd_sweep(args) -> int:
     except OSError as err:
         print(f"error: cannot read {args.config}: {err}", file=sys.stderr)
         return 2
-    config = _apply_overrides(parse_config(text), args)
-    return _run_and_emit(config, default_out="sweep.csv")
+    return _run_and_emit(text, args, default_out="sweep.csv")
 
 
 def _cmd_validate(args) -> int:
@@ -89,11 +93,11 @@ def _cmd_exact(args) -> int:
         print(f"error: unknown model or parameter: {args.model} {args.param}",
               file=sys.stderr)
         return 1
-    spec = ModelSpec(kind=kind, delta=args.delta, epsilon=args.epsilon,
-                     omega0=args.omega0, omega1=args.omega1, x=args.x, t=args.t)
-    angles = StateAngles(alpha=parse_number(args.alpha), phi=parse_number(args.phi),
-                         beta=parse_number(args.beta), varphi=parse_number(args.varphi))
     try:
+        spec = ModelSpec(kind=kind, delta=args.delta, epsilon=args.epsilon,
+                         omega0=args.omega0, omega1=args.omega1, x=args.x, t=args.t)
+        angles = StateAngles(alpha=parse_number(args.alpha), phi=parse_number(args.phi),
+                             beta=parse_number(args.beta), varphi=parse_number(args.varphi))
         if args.thermal is not None:
             value = zzzz_exact.thermal_global_qfi(spec, args.n, args.thermal,
                                                   angles.beta, sel)
@@ -117,8 +121,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_fig(args) -> int:
     text = _load_packaged_config(f"fig{args.number}.cfg")
-    config = _apply_overrides(parse_config(text), args)
-    return _run_and_emit(config, default_out=f"fig{args.number}.csv")
+    return _run_and_emit(text, args, default_out=f"fig{args.number}.csv")
 
 
 def main(argv=None) -> int:

@@ -235,29 +235,13 @@ def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
                     **_regime(spec, n))
 
 
-def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
-                               observable: np.ndarray, sel: Param,
-                               m_measurements: int = 1) -> PerturbativeUncertainty:
-    """Second-order expansion of the first-moment uncertainty of a bus
-    observable A, combining the expanded variance and mean derivative.
-
-    The observable enters in the free picture at the final time,
-    A~ = exp(i delta H_R t) A exp(-i delta H_R t); with a static A the
-    free bus precession term (tan(delta w0 t) in the pure-dephasing
-    benchmark) would be lost.  B = A~^2 - 2<A~>A~ appears in the variance
-    integrands.  Time-ordered double integrals run over the triangle
-    t2 < t1 (mapped to a square by t2 = u t1); the final variance term is
-    the full square [0,t]^2, which factorizes into a single integral
-    squared.  Only the probe operators S(t) depend on x or omega1, and the
-    expanded mean is linear in S(t1) and separately in S(t2), so its
-    derivative is the same quadrature with dS/dtheta in place of S
-    (product rule): exact, with no step size.
-    """
-    if sel is Param.OMEGA0:
-        raise ValueError("the expansion targets x or omega1, not omega0")
-    if m_measurements < 1:
-        raise ValueError("M must be a positive integer")
-    a_op = paulis.check_hermitian_2x2(observable)
+@lru_cache(maxsize=256)
+def _appendix_coefficients(spec: ModelSpec, angles: StateAngles, observable: tuple,
+                           sel: Param, order: int) -> tuple:
+    """N-free coefficients (var0, c1, c2, d1, d2) of the appendix expansion:
+    variance = var0 + c1 N + c2 N^2 and d<A>/dtheta = d1 N + d2 N^2.  The
+    observable is the tuple of its four complex entries (row-major)."""
+    a_op = np.array(observable).reshape(2, 2)
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
 
@@ -267,8 +251,8 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     b_tilde = a_tilde @ a_tilde - 2.0 * a_mean * a_tilde
     var0 = float((_sandwich(bus, a_tilde @ a_tilde) - a_mean ** 2).real)
 
-    taus, w1 = _nodes_on(0.0, spec.t, QUADRATURE_ORDER)
-    unit, wu = _nodes_on(0.0, 1.0, QUADRATURE_ORDER)
+    taus, w1 = _nodes_on(0.0, spec.t, order)
+    unit, wu = _nodes_on(0.0, 1.0, order)
     t2_grid = taus[:, None] * unit[None, :]
     w2 = (w1 * taus)[:, None] * wu[None, :]
 
@@ -295,27 +279,65 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
         return _sandwich(bus, comm_1), g1, g2
 
     def first(u_1, factors):
-        """First-order integral, linear in the probe operator u(t1)."""
-        return n * np.sum(w1 * _sandwich(probe, u_1) * factors[0])
+        """First-order integral per probe, linear in the probe operator u(t1)."""
+        return np.sum(w1 * _sandwich(probe, u_1) * factors[0])
 
     def triangle(u_1, v_2, factors):
-        """Time-ordered second-order integral, linear in u(t1) and in v(t2)."""
+        """Time-ordered second-order integral, linear in u(t1) and in v(t2):
+        its probe-pair part (weight N(N - 1)) and single-probe part (weight N)."""
         _, g1, g2 = factors
-        pair = n * (n - 1) * _sandwich(probe, u_1)[:, None] * _sandwich(probe, v_2)
+        pair = _sandwich(probe, u_1)[:, None] * _sandwich(probe, v_2)
         fwd = _sandwich(probe, np.einsum("ipq,ijqr->ijpr", u_1, v_2))
         rev = _sandwich(probe, np.einsum("ijpq,iqr->ijpr", v_2, u_1))
-        return np.sum(w2 * ((pair + n * fwd) * g1 + (pair + n * rev) * g2))
+        return np.sum(w2 * pair * (g1 + g2)), np.sum(w2 * (fwd * g1 + rev * g2))
 
     a_factors = bus_factors(a_tilde)
     b_factors = bus_factors(b_tilde)
     eps = spec.epsilon
-    variance = float((var0 + 1j * eps * first(s_1, b_factors)
-                      + eps ** 2 * triangle(s_1, s_2, b_factors)
-                      + eps ** 2 * first(s_1, a_factors) ** 2).real)
+    # N(N - 1) = N^2 - N moves each pair part into both coefficients
+    b_pair, b_single = triangle(s_1, s_2, b_factors)
+    c1 = (1j * eps * first(s_1, b_factors) + eps ** 2 * (b_single - b_pair)).real
+    c2 = (eps ** 2 * (b_pair + first(s_1, a_factors) ** 2)).real
     # d/dtheta of the expanded mean Re(i eps first_A + eps^2 triangle_A)
-    deriv = float((1j * eps * first(ds_1, a_factors)
-                   + eps ** 2 * (triangle(ds_1, s_2, a_factors)
-                                 + triangle(s_1, ds_2, a_factors))).real)
+    (pair_1, single_1), (pair_2, single_2) = (triangle(ds_1, s_2, a_factors),
+                                              triangle(s_1, ds_2, a_factors))
+    d1 = (1j * eps * first(ds_1, a_factors)
+          + eps ** 2 * (single_1 + single_2 - pair_1 - pair_2)).real
+    d2 = (eps ** 2 * (pair_1 + pair_2)).real
+    return var0, float(c1), float(c2), float(d1), float(d2)
+
+
+def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
+                               observable: np.ndarray, sel: Param,
+                               m_measurements: int = 1) -> PerturbativeUncertainty:
+    """Second-order expansion of the first-moment uncertainty of a bus
+    observable A, combining the expanded variance and mean derivative.
+
+    The observable enters in the free picture at the final time,
+    A~ = exp(i delta H_R t) A exp(-i delta H_R t); with a static A the
+    free bus precession term (tan(delta w0 t) in the pure-dephasing
+    benchmark) would be lost.  B = A~^2 - 2<A~>A~ appears in the variance
+    integrands.  Time-ordered double integrals run over the triangle
+    t2 < t1 (mapped to a square by t2 = u t1); the final variance term is
+    the full square [0,t]^2, which factorizes into a single integral
+    squared.  Only the probe operators S(t) depend on x or omega1, and the
+    expanded mean is linear in S(t1) and separately in S(t2), so its
+    derivative is the same quadrature with dS/dtheta in place of S
+    (product rule): exact, with no step size.
+
+    Only the prefactors N, N(N - 1) and N^2 depend on N, so the integrals
+    are cached per (spec, angles, observable, sel, order) and each call
+    evaluates the two quadratics in N.
+    """
+    if sel is Param.OMEGA0:
+        raise ValueError("the expansion targets x or omega1, not omega0")
+    if m_measurements < 1:
+        raise ValueError("M must be a positive integer")
+    key = tuple(paulis.check_hermitian_2x2(observable).ravel().tolist())
+    var0, c1, c2, d1, d2 = _appendix_coefficients(spec, angles, key, sel,
+                                                  QUADRATURE_ORDER)
+    variance = var0 + c1 * n + c2 * n ** 2
+    deriv = d1 * n + d2 * n ** 2
 
     if abs(deriv) <= INSENSITIVE_TOL * math.sqrt(max(variance, 0.0)):
         return PerturbativeUncertainty(delta=math.inf, inv_squared=0.0,

@@ -63,6 +63,8 @@ class SweepConfig:
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_list)
+        if not ns:
+            raise ValueError("N list must not be empty")
         if any(n < 1 for n in ns):
             raise ValueError("N values must be positive integers")
         if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -73,6 +75,12 @@ class SweepConfig:
                 raise ValueError(f"unknown quantity {q!r}; known: {KNOWN_QUANTITIES}")
         if self.observable not in paulis.NAMED_OBSERVABLES:
             raise ValueError(f"unknown observable {self.observable!r}")
+        if self.m_measurements < 1:
+            raise ValueError("measurements must be a positive integer")
+        if self.workers < 1:
+            raise ValueError("workers must be a positive integer")
+        for regime in self.regimes:  # a bad parameter fails here, not mid-sweep
+            _Point(self, regime, ns[0])
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,10 @@ def parse_number(text: str) -> float:
         value = math.pi * (float(coef) if coef not in ("", "-") else
                            (-1.0 if coef == "-" else 1.0))
         if match.group(2):
-            value /= float(match.group(2))
+            divisor = float(match.group(2))
+            if divisor == 0.0:
+                raise ValueError(f"division by zero in {text!r}")
+            value /= divisor
         return value
     return float(text)
 
@@ -308,7 +319,11 @@ def parse_number(text: str) -> float:
 def _parse_n_list(text: str):
     parts = text.split()
     if parts and parts[0] == "log":
+        if len(parts) != 4:
+            raise ValueError("nlist supports: log <lo> <hi> <count>")
         lo, hi, count = int(parts[1]), int(parts[2]), int(parts[3])
+        if lo < 1 or hi < 1:
+            raise ValueError("nlist log bounds must be positive integers")
         grid = np.unique(np.round(np.logspace(math.log10(lo), math.log10(hi),
                                               count)).astype(int))
         return tuple(int(n) for n in grid if n >= 1)
@@ -333,7 +348,7 @@ def parse_config(text: str) -> SweepConfig:
     (``linspace lo hi count``, expands into one regime per probe angle),
     nlist (explicit integers or ``log lo hi count``), alpha/phi/beta/varphi,
     omega0/omega1/x/t, quantities, observable, measurements, out, workers.
-    Unknown keys are ignored.
+    Unknown keys are ignored; a malformed value raises ValueError.
     """
     values: dict = {"regimes": []}
     for raw in text.splitlines():
@@ -350,7 +365,7 @@ def parse_config(text: str) -> SweepConfig:
             values[key] = val
 
     kind = ModelKind(values.get("model", "zzxx").upper())
-    param = Param[values.get("param", "x").upper()]
+    param = Param(values.get("param", "x").lower())
     angles = StateAngles(
         alpha=parse_number(values.get("alpha", "pi/3")),
         phi=parse_number(values.get("phi", "3pi/8")),
@@ -360,9 +375,11 @@ def parse_config(text: str) -> SweepConfig:
     regimes = list(values["regimes"])
     if "alphas" in values:
         parts = values["alphas"].split()
-        if parts[0] != "linspace":
+        if len(parts) != 4 or parts[0] != "linspace":
             raise ValueError("alphas supports: linspace <lo> <hi> <count>")
         lo, hi, count = parse_number(parts[1]), parse_number(parts[2]), int(parts[3])
+        if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("alphas needs finite bounds and a positive count")
         base = regimes[0] if regimes else Regime("grid", 1.0, 1.0)
         regimes = [replace(base, name=f"alpha={a:.10g}", alpha=float(a))
                    for a in np.linspace(lo, hi, count)]

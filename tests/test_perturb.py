@@ -176,6 +176,63 @@ def test_quadrature_order_is_part_of_the_cache_key(monkeypatch):
     assert evaluate() == base
 
 
+def test_appendix_cache_key_follows_order_and_observable(monkeypatch):
+    # the appendix integrals are cached per process; neither a changed order
+    # nor an observable edited in place may be served a stale entry
+    spec = ModelSpec(ModelKind.ZZXX, epsilon=0.5)
+
+    def evaluate(observable):
+        return appendix_local_uncertainty(spec, 10, DEFAULT_ANGLES, observable, Param.X)
+
+    base = evaluate(paulis.XZ_HALF)
+    monkeypatch.setattr(perturb, "QUADRATURE_ORDER", 4)
+    assert evaluate(paulis.XZ_HALF) != base
+    monkeypatch.setattr(perturb, "QUADRATURE_ORDER", 64)
+    assert evaluate(paulis.XZ_HALF) == base
+    assert evaluate(paulis.X) != base
+
+    observable = paulis.XZ_HALF.copy()
+    assert evaluate(observable) == base
+    observable[:] = paulis.X
+    assert evaluate(observable) == evaluate(paulis.X)
+
+
+# (variance, mean derivative) at N = 1, 2, 7, 64 for eps = 0.1, DEFAULT_ANGLES
+# and (X + Z)/2, as the appendix expansion gave them before its integrals
+# were separated from N
+_APPENDIX_REFERENCE = {
+    (ModelKind.ZZXX, Param.X): [
+        (0.46886569404454254, -0.001026240453874016),
+        (0.4687551245216807, -0.002106092935328298),
+        (0.46805437875013883, -0.008309535756303702),
+        (0.4426434740325444, -0.1737612366497538)],
+    (ModelKind.ZZXX, Param.OMEGA1): [
+        (0.46886569404454254, -0.011897540750842114),
+        (0.4687551245216807, -0.02399943552828849),
+        (0.46805437875013883, -0.0875742198145843),
+        (0.4426434740325444, -1.1734203256880886)],
+    (ModelKind.ZZZX, Param.X): [
+        (0.4617858678154347, -0.019991843779908734),
+        (0.4537930717394979, -0.04059507978964984),
+        (0.4016451883430751, -0.15278214328584094),
+        (-1.6281044577479966, -2.512044737256219)],
+    (ModelKind.ZZZX, Param.OMEGA1): [  # S(t) does not depend on omega1 here
+        (0.4617858678154347, 0.0),
+        (0.4537930717394979, 0.0),
+        (0.4016451883430751, 0.0),
+        (-1.6281044577479966, 0.0)],
+}
+
+
+@pytest.mark.parametrize("kind, sel", list(_APPENDIX_REFERENCE))
+def test_appendix_matches_recorded_values(kind, sel):
+    spec = ModelSpec(kind, epsilon=0.1)
+    for n, (variance, deriv) in zip((1, 2, 7, 64), _APPENDIX_REFERENCE[kind, sel]):
+        got = appendix_local_uncertainty(spec, n, DEFAULT_ANGLES, paulis.XZ_HALF, sel)
+        assert got.variance == pytest.approx(variance, rel=1e-12, abs=0.0)
+        assert got.mean_derivative == pytest.approx(deriv, rel=1e-12, abs=0.0)
+
+
 def test_appendix_worst_state_known_form():
     # (delta_x)^-2 = N^2 t^4 e^4 x^2 / (N t^2 x^2 e^2 + tan^2(delta w0 t))
     spec = ModelSpec(ModelKind.ZZZZ)

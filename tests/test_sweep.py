@@ -90,6 +90,50 @@ def test_config_rejects_bad_input():
         parse_config("model = zzzz\nquantities = bogus\n")
 
 
+@pytest.mark.parametrize("text", [
+    "param = bar",
+    "nlist = log 1 100",
+    "nlist = log 0 100 10",
+    "nlist =",
+    "alphas = linspace 0 1",
+    "alphas =",
+    "alphas = linspace inf 1 3",
+    "alpha = pi/0",
+    "measurements = 0",
+    "workers = 0",
+    "regime = a: delta=inf",
+])
+def test_config_errors_are_value_errors(text):
+    with pytest.raises(ValueError):
+        parse_config(text)
+
+
+def test_parse_config_raises_only_value_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = ("model", "param", "regime", "alphas", "nlist", "alpha", "phi", "beta",
+            "varphi", "omega0", "omega1", "x", "t", "quantities", "observable",
+            "measurements", "out", "workers")
+    tokens = ("log", "linspace", "pi", "-pi/4", "3pi/8", "pi/0", "-", ".", "nan",
+              "inf", "1e400", "zzxx", "zzzz", "x", "omega1", "bar", "xz", "global_qfi",
+              "weak:", "delta=1,", "epsilon=0.1", "alpha=inf", ":", "=", ",")
+    # no digits in free text: counts stay small, so no grid is huge
+    junk = st.text(st.sampled_from(" \t\r\u2028=:,#-./*eilnopxz"), max_size=6)
+    value = st.lists(st.one_of(st.sampled_from(tokens), st.integers(-3, 40).map(str),
+                               junk), max_size=5).map(" ".join)
+    line = st.one_of(st.tuples(st.sampled_from(keys), value).map(" = ".join), junk)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.lists(line, max_size=8))
+    def parse(lines):
+        try:
+            parse_config("\n".join(lines))
+        except ValueError:
+            pass
+
+    parse()
+
+
 def test_empty_quantities_empty_result():
     cfg = SweepConfig(kind=ModelKind.ZZZZ, param=Param.X,
                       regimes=(Regime("r", 1.0, 1.0),), n_list=(1, 2, 4),
@@ -169,6 +213,28 @@ def test_pt1_quadrature_runs_once_per_regime(monkeypatch, param, quantities):
     """))
     assert not any(r.flag for r in result.rows)
     assert calls == [perturb.QUADRATURE_ORDER] * 2
+
+
+def test_appendix_integrates_once_per_regime(monkeypatch):
+    perturb._appendix_coefficients.cache_clear()
+    calls = []
+    nodes_on = perturb._nodes_on
+
+    def counting(a, b, order):
+        calls.append(order)
+        return nodes_on(a, b, order)
+
+    monkeypatch.setattr(perturb, "_nodes_on", counting)
+    result = run_sweep(parse_config("""
+        model = zzxx
+        param = x
+        regime = a: delta=1, epsilon=0.01
+        regime = b: delta=2, epsilon=0.05
+        nlist = 1 2 4 8 16
+        quantities = appendix_fm
+    """))
+    assert len(result.rows) == 10 and not any(r.flag for r in result.rows)
+    assert calls == [perturb.QUADRATURE_ORDER] * 4  # t1 and u axes, per regime
 
 
 def test_failed_solve_flags_every_fisher_quantity_of_the_point(monkeypatch):
@@ -262,6 +328,12 @@ def test_cli_exact_rejects_unknown_model(capsys):
     assert main(["exact", "zzxx", "x"]) == 1  # no closed form for this model
 
 
+def test_cli_exact_rejects_bad_values(capsys):
+    assert main(["exact", "zzzz", "x", "--alpha", "pi/0"]) == 1
+    assert main(["exact", "zzzz", "x", "--t", "-1"]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
 def test_cli_sweep_and_fig(tmp_path, capsys):
     config = tmp_path / "mini.cfg"
     config.write_text("""
@@ -295,6 +367,18 @@ def test_cli_io_error_exit_code(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["sweep", str(config), "--out", str(missing_dir)]) == 2
     assert main(["sweep", str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_cli_config_errors_exit_2(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("model = zzzz\nparam = bar\nquantities = closed_form\n")
+    assert main(["sweep", str(config), "--out", str(tmp_path / "bad.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    out = str(tmp_path / "fig6.csv")
+    for flag in ("--nmax", "--workers"):  # 0 is a value, not "not given"
+        assert main(["fig", "6", "--out", out, flag, "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "bad.csv").exists() and not (tmp_path / "fig6.csv").exists()
 
 
 def test_alpha_grid_expansion():
