@@ -78,7 +78,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    report = sweeplib.validate(suites=args.suite, seed=args.seed or 20260808)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    report = sweeplib.validate(suites=args.suite, **seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} [{check.suite}] {check.name}: {check.details}")

@@ -18,7 +18,9 @@ diagonal with equal tridiagonal blocks (k = N/2 - m):
 
 `assemble` returns H or dH/dtheta in that form and `eigensystem`
 diagonalizes it block by block (`scipy.linalg.eigh_tridiagonal` on the
-chains), so propagation never forms a dense 2(N+1)-square matrix.
+chains), so propagation never forms a dense 2(N+1)-square matrix.  At even
+N the second ZZXX chain is the negated signed mirror of the first, so only
+the first is diagonalized.
 `evolve_derivative` also returns the exact derivative of the evolved state
 from the same eigendecomposition (Daleckii-Krein formula).
 """
@@ -202,12 +204,29 @@ def assemble(spec: ModelSpec, n: int, wrt: str | None = None) -> HamiltonianMatr
     return HamiltonianMatrix(n, perm, diag.reshape(-1, size), off)
 
 
+def _mirrored(m: HamiltonianMatrix) -> bool:
+    """Whether m is two chains of size > 2 with chain 1 = -S (chain 0) S,
+    (S u)_k = (-1)^k u_{size-1-k}: chain 1's diagonal is chain 0's negated
+    and reversed, its off-diagonal chain 0's reversed, exactly.  Every ZZXX
+    operator at even N is (the bus spin flips under k -> N - k there)."""
+    diag, off = m.block_diag, m.block_off
+    return (diag.shape[0] == 2 and diag.shape[1] > 2
+            and np.array_equal(diag[1], -diag[0][::-1])
+            and np.array_equal(off[1], off[0][::-1]))
+
+
 def eigensystem(h: HamiltonianMatrix):
     """Eigenvalues (blocks, size), ascending within each block, and
     orthonormal eigenvectors (blocks, size, size; columns) of every
-    tridiagonal block of H, in the permuted order."""
+    tridiagonal block of H, in the permuted order.
+
+    A mirrored H (see `_mirrored`) has one chain solved: chain 1's
+    eigenvalues are -reverse(w0) and its eigenvectors S V0 with the
+    columns reversed.
+    """
     diag, off = h.block_diag, h.block_off
     size = diag.shape[1]
+    chains = 1 if _mirrored(h) else len(diag)
     try:
         if size <= 2:  # many tiny blocks: one batched dense solve
             blocks = np.zeros(diag.shape + (size,))
@@ -215,10 +234,14 @@ def eigensystem(h: HamiltonianMatrix):
             blocks[:, i, i] = diag
             blocks[:, i[:-1], i[1:]] = blocks[:, i[1:], i[:-1]] = off
             return np.linalg.eigh(blocks)
-        pairs = [eigh_tridiagonal(d, e) for d, e in zip(diag, off)]
+        pairs = [eigh_tridiagonal(d, e) for d, e in zip(diag[:chains], off)]
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
         raise RuntimeError(
             f"eigendecomposition failed to converge for dim={h.dim}: {err}") from err
+    if chains < len(diag):
+        w0, v0 = pairs[0]
+        sign = (1.0 - 2.0 * (np.arange(size) % 2))[:, None]
+        pairs.append((-w0[::-1], sign * v0[::-1, ::-1]))
     return np.stack([w for w, _ in pairs]), np.stack([v for _, v in pairs])
 
 
@@ -268,13 +291,17 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     vt = v.transpose(0, 2, 1)
     c = _mul(vt, h.to_blocks(psi0.amplitudes))
     half = np.exp(-0.5j * t * w)
-    # (V^T G V) o sinc((w_j - w_k) t/2), built in place
-    kernel = np.matmul(vt, g.block_mul(v))
-    x = 0.5 * t * (w[:, :, None] - w[:, None, :])
+    # (V^T G V) o sinc((w_j - w_k) t/2), built in place; with H and G both
+    # mirrored, chain 1's is chain 0's negated and reversed on both axes
+    chains = 1 if _mirrored(h) and _mirrored(g) else len(w)
+    kernel = np.matmul(vt[:chains], g.block_mul(v)[:chains])
+    x = 0.5 * t * (w[:chains, :, None] - w[:chains, None, :])
     sinc = np.sin(x)
     np.divide(sinc, x, out=sinc, where=x != 0.0)
     sinc[x == 0.0] = 1.0
     kernel *= sinc
+    if chains < len(w):
+        kernel = np.concatenate([kernel, -kernel[:, ::-1, ::-1]])
     psi = h.from_blocks(_mul(v, half * half * c))
     dpsi = h.from_blocks(_mul(v, -1j * t * half * _mul(kernel, half * c)))
     return SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi)), dpsi

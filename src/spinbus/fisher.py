@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import ModelSpec, assemble, evolve_derivative, propagate
+from .dynamics import ModelSpec, assemble, evolve, evolve_derivative
 from .paulis import check_hermitian_2x2
 from .states import StateAngles, SymmetricState, build_product_state
 
@@ -128,7 +128,9 @@ class EvolvedPoint:
 
 def evolve_point(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> EvolvedPoint:
     """Evolve the product state under `spec` and differentiate it exactly in
-    `sel` from one eigendecomposition of H, then propagate the check states.
+    `sel` from one eigendecomposition of H, then evolve the same product
+    state under H(theta +- h) for the check states, each its own
+    eigensolve, so the check stays independent of the exact derivative.
 
     The check step is h = 1e-6 * max(1, |theta|) / sqrt(max(1, |t| ||G||)),
     with ||G|| the Gershgorin bound of G = dH/d theta: the truncation error
@@ -136,13 +138,13 @@ def evolve_point(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> Ev
     falls short once the generator imprints a large phase.
     """
     g = assemble(spec, n, wrt=sel.field)
-    psi, dpsi = evolve_derivative(assemble(spec, n), g, spec.t,
-                                  build_product_state(n, angles))
+    psi0 = build_product_state(n, angles)
+    psi, dpsi = evolve_derivative(assemble(spec, n), g, spec.t, psi0)
     theta = getattr(spec, sel.field)
     h = (FD_STEP_CHECK * max(1.0, abs(theta))
          / math.sqrt(max(1.0, abs(spec.t) * g.norm_bound)))
-    plus = propagate(spec.replaced(**{sel.field: theta + h}), n, angles)
-    minus = propagate(spec.replaced(**{sel.field: theta - h}), n, angles)
+    plus = evolve(assemble(spec.replaced(**{sel.field: theta + h}), n), spec.t, psi0)
+    minus = evolve(assemble(spec.replaced(**{sel.field: theta - h}), n), spec.t, psi0)
     return EvolvedPoint(psi, dpsi, plus, minus, h)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinbus import fullspace, paulis
-from spinbus.dynamics import ModelKind, ModelSpec, assemble, propagate
+from spinbus import dynamics, fullspace, paulis
+from spinbus.dynamics import ModelKind, ModelSpec, assemble, eigensystem, propagate
 from spinbus.fisher import (
     BusDensity,
     Param,
@@ -291,3 +291,48 @@ def test_tridiagonal_pieces_permute_back_to_dense(kind):
         back[np.ix_(h.perm, h.perm)] = tri
         np.testing.assert_allclose(back, expected, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(h.matrix, back)
+
+
+@pytest.mark.parametrize("n, solves", [(10, 3), (11, 6), (1, 0)])
+def test_even_n_zzxx_point_solves_one_chain(monkeypatch, n, solves):
+    # H(theta) and H(theta +- h) each cost one chain solve at even N, where
+    # chain 1 is chain 0's signed mirror; N = 1 takes the batched 2x2 path
+    calls = []
+    eigh_tridiagonal = dynamics.eigh_tridiagonal
+
+    def counting(d, e):
+        calls.append(len(d))
+        return eigh_tridiagonal(d, e)
+
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", counting)
+    evolve_point(ModelSpec(ModelKind.ZZXX), n, DEFAULT_ANGLES, Param.X)
+    assert calls == [n + 1] * solves
+
+
+def test_eigenpairs_and_exact_derivative_on_random_specs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.floats(-1.5, 1.5, allow_subnormal=False)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(list(ModelKind)), value, value, value, value,
+                      value, st.floats(0.0, 1.5, allow_subnormal=False),
+                      st.integers(2, 39))
+    def check(kind, delta, epsilon, omega0, omega1, x, t, m):
+        spec = ModelSpec(kind, delta, epsilon, omega0, omega1, x, t)
+        for n in (m, m + 1):  # both parities
+            h = assemble(spec, n)
+            w, v = eigensystem(h)
+            for d, e, wb, vb in zip(h.block_diag, h.block_off, w, v):
+                tri = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                norm = np.abs(tri).sum(axis=1).max()
+                np.testing.assert_allclose(vb.T @ vb, np.eye(len(d)), rtol=0, atol=1e-10)
+                np.testing.assert_allclose((vb * wb) @ vb.T, tri, rtol=0,
+                                           atol=1e-10 * (1.0 + norm))
+            if n <= 8:
+                for sel in Param:
+                    np.testing.assert_allclose(
+                        evolve_point(spec, n, DEFAULT_ANGLES, sel).dpsi,
+                        _expm_derivative(spec, n, DEFAULT_ANGLES, sel), rtol=0, atol=1e-12)
+
+    check()

@@ -315,6 +315,14 @@ def test_validate_closed_form_suite():
     assert {c.suite for c in report.checks} == {"d"}
 
 
+def test_cli_validate_honours_seed_zero(capsys):
+    assert main(["validate", "--suite", "d", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    seeded = validate(suites="d", seed=0).checks
+    assert out == "".join(f"PASS [d] {c.name}: {c.details}\n" for c in seeded)
+    assert seeded != validate(suites="d").checks  # seed 0 is not the default
+
+
 def test_cli_exact_closed_form(capsys):
     code = main(["exact", "zzzz", "x", "--n", "7", "--alpha", "0",
                  "--beta", "pi/4", "--phi", "0", "--varphi", "0"])
