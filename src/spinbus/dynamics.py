@@ -22,7 +22,8 @@ chains), so propagation never forms a dense 2(N+1)-square matrix.  At even
 N the second ZZXX chain is the negated signed mirror of the first, so only
 the first is diagonalized.
 `evolve_derivative` also returns the exact derivative of the evolved state
-from the same eigendecomposition (Daleckii-Krein formula).
+from the same eigendecomposition (Daleckii-Krein formula), and certified
+error bounds on both.
 """
 
 from __future__ import annotations
@@ -142,10 +143,11 @@ class HamiltonianMatrix:
         return vec
 
     def block_mul(self, x: np.ndarray) -> np.ndarray:
-        """T @ x block by block, for x of shape (blocks, size, ...)."""
+        """T @ x block by block, for x of shape (k, size, ...) holding the
+        first k blocks (all of them, or the chain a mirrored T solves)."""
         extra = (1,) * (x.ndim - 2)
-        diag = self.block_diag.reshape(self.block_diag.shape + extra)
-        off = self.block_off.reshape(self.block_off.shape + extra)
+        diag = self.block_diag[:len(x)].reshape((len(x), -1) + extra)
+        off = self.block_off[:len(x)].reshape((len(x), -1) + extra)
         out = diag * x
         out[:, :-1] += off * x[:, 1:]
         out[:, 1:] += off * x[:, :-1]
@@ -272,7 +274,9 @@ def evolve(h: HamiltonianMatrix, t: float, psi0: SymmetricState) -> SymmetricSta
 
 def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
                       psi0: SymmetricState):
-    """(exp(-i H t)|psi0>, d/dtheta exp(-i (H + theta G) t)|psi0> at theta = 0).
+    """(psi, dpsi, psi_error, dpsi_error): psi = exp(-i H t)|psi0>, dpsi =
+    d/dtheta exp(-i (H + theta G) t)|psi0> at theta = 0, and bounds on their
+    errors certified from the one eigendecomposition both are built from.
 
     With H = V diag(w) V^T, the derivative of the propagator is
     V [(V^T G V) o F] V^T (Daleckii-Krein; Wilcox 1967), where
@@ -281,30 +285,63 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     degenerate limit -i t e^{-i w_j t} without cancellation.  G must have
     the block structure of H (any `assemble(spec, n, wrt=...)` of the same
     model does).
+
+    The certificate is the solve's own backward error, O(size^2) per block
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3): the residual r = max
+    ||T_b V_b - V_b diag(w_b)||_F >= ||R||_2 over the solved chains (a
+    mirrored chain's is the solved one's, reflected) and the orthogonality
+    defect d = ||V V^T psi0 - psi0|| = ||E c||, E = V^T V - I, c the
+    propagated coefficients.  With V = Q P (polar), Q diag(w) Q^T is within
+    2 ||R|| of H to first order, as [diag(w), E] = V^T R - R^T V; rounding
+    t w moves an eigenvalue by at most u ||H||.  By Duhamel, eta = 2 r +
+    2 u ||H|| moves psi by at most t eta and dpsi by t^2 ||G|| eta.  P != I
+    moves psi by about d and dpsi by about 2 t ||G|| d (E on each side of c
+    and of the kernel, of norm <= t ||G||); d samples E along c only, so
+    these terms are estimates.  Products with V (||V||_F = sqrt(size)) and
+    V^T G V round by gamma = (size + 4) u / (1 - (size + 4) u) each.
+    Normalizing psi at most doubles its error.  With ||H||, ||G|| the
+    Gershgorin `norm_bound`s:
+
+        psi_error  = 2 (d + t eta + 2 sqrt(size) gamma),
+        dpsi_error = t ||G|| (2 d + t eta + (size + 3 sqrt(size)) gamma).
     """
     _check_dims(h, psi0)
     if not (np.array_equal(g.perm, h.perm) and g.block_diag.shape == h.block_diag.shape):
         raise ValueError("G must share the block structure of H")
     if t == 0.0:
-        return psi0, np.zeros(psi0.dim, dtype=complex)
+        return psi0, np.zeros(psi0.dim, dtype=complex), 0.0, 0.0
     w, v = eigensystem(h)
     vt = v.transpose(0, 2, 1)
-    c = _mul(vt, h.to_blocks(psi0.amplitudes))
+    amps0 = h.to_blocks(psi0.amplitudes)
+    c = _mul(vt, amps0)
+    mirrored, u = _mirrored(h), float(np.finfo(float).eps) / 2.0
+    solved = 1 if mirrored else len(w)  # the certificate's residual, of the solved blocks
+    residual = np.linalg.norm(h.block_mul(v[:solved]) - v[:solved] * w[:solved, None, :],
+                              axis=(1, 2)).max()
+    eta = 2.0 * float(residual) + 2.0 * u * h.norm_bound
+    defect = float(np.linalg.norm(_mul(v, c) - amps0))
     half = np.exp(-0.5j * t * w)
     # (V^T G V) o sinc((w_j - w_k) t/2), built in place; with H and G both
     # mirrored, chain 1's is chain 0's negated and reversed on both axes
-    chains = 1 if _mirrored(h) and _mirrored(g) else len(w)
-    kernel = np.matmul(vt[:chains], g.block_mul(v)[:chains])
+    chains = 1 if mirrored and _mirrored(g) else len(w)
+    kernel = np.matmul(vt[:chains], g.block_mul(v[:chains]))
     x = 0.5 * t * (w[:chains, :, None] - w[:chains, None, :])
     sinc = np.sin(x)
     np.divide(sinc, x, out=sinc, where=x != 0.0)
     sinc[x == 0.0] = 1.0
     kernel *= sinc
+    del x, sinc
     if chains < len(w):
         kernel = np.concatenate([kernel, -kernel[:, ::-1, ::-1]])
     psi = h.from_blocks(_mul(v, half * half * c))
     dpsi = h.from_blocks(_mul(v, -1j * t * half * _mul(kernel, half * c)))
-    return SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi)), dpsi
+    size, tau = w.shape[1], abs(t)
+    gamma = (size + 4) * u / (1.0 - (size + 4) * u)
+    return (SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi)), dpsi,
+            2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma),
+            tau * g.norm_bound * (2.0 * defect + tau * eta
+                                  + (size + 3.0 * math.sqrt(size)) * gamma))
 
 
 def propagate(spec: ModelSpec, n: int, angles: StateAngles) -> SymmetricState:

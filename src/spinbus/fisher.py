@@ -1,14 +1,14 @@
 """Quantum Fisher information and first-moment measurement uncertainties.
 
 `evolve_point` solves a point once: the evolved state, its exact derivative
-d|psi>/d theta from the same eigendecomposition, and the states at theta +- h
-for a central finite-difference check.  From that record `read_global_qfi`
-gives the QFI of the pure evolved state, `read_local_qfi` the QFI of the
-reduced bus qubit via its Bloch vector, and `read_first_moment` the
-uncertainty of estimating a parameter from the sample mean of a fixed bus
-observable.  Each result carries the relative discrepancy of its check value,
-so that ill-conditioned configurations are flagged instead of silently
-reported.  Also the Bures distance and the Cramer-Rao bound.
+d|psi>/d theta and their certified error bounds, all from one
+eigendecomposition.  From that record `read_global_qfi` gives the QFI of the
+pure evolved state, `read_local_qfi` the QFI of the reduced bus qubit via its
+Bloch vector, and `read_first_moment` the uncertainty of estimating a
+parameter from the sample mean of a fixed bus observable.  Each result carries
+the relative-error bound the certificate implies, so that ill-conditioned
+configurations are flagged instead of silently reported.  Also the
+Cramer-Rao bound.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import ModelSpec, assemble, evolve, evolve_derivative
+from .dynamics import ModelSpec, assemble, evolve_derivative
 from .paulis import check_hermitian_2x2
 from .states import StateAngles, SymmetricState, build_product_state
 
-FD_STEP_CHECK = 1e-6
-FD_DISCREPANCY_TOL = 1e-3
+RELATIVE_ERROR_TOL = 1e-3
 NEGATIVE_CLAMP = 1e-10
 PURE_BOUNDARY_TOL = 1e-9
 INSENSITIVE_TOL = 1e-14
@@ -74,18 +73,13 @@ def _bloch_vector(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value plus the finite-difference cross-check.
-
-    `value` uses the exact state derivative, `value_check` the central
-    difference at `fd_step_check`, and `relative_discrepancy` compares the
-    two; above 1e-3 the result is flagged `ill_conditioned`.  That happens
-    when the QFI itself is tiny (round-off in the state difference scales
-    like 1/step) or the check step no longer resolves the dynamics.
-    """
+    """QFI from the exact state derivative.  `relative_discrepancy` bounds
+    the relative error of `value` from the solve's certificate; above 1e-3
+    the result is flagged `ill_conditioned` (a QFI that is a small remainder
+    of a large derivative, or an inaccurate solve).  `clamped` marks a
+    round-off negative value set to 0."""
 
     value: float
-    value_check: float
-    fd_step_check: float
     relative_discrepancy: float
     ill_conditioned: bool = False
     clamped: bool = False
@@ -93,7 +87,8 @@ class QfiResult:
 
 @dataclass(frozen=True)
 class FirstMomentResult:
-    """Uncertainty of theta estimated from the sample mean of a bus observable."""
+    """Uncertainty of theta estimated from the sample mean of a bus observable;
+    `relative_discrepancy` bounds the relative error of `mean_derivative`."""
 
     delta: float
     inv_squared: float
@@ -103,49 +98,48 @@ class FirstMomentResult:
     insensitive: bool = False
 
 
-def _discrepancy(a: float, b: float) -> float:
-    ref = max(abs(a), abs(b))
-    return 0.0 if ref == 0.0 else abs(a - b) / ref
+def _relative(error: float, value: float) -> float:
+    """error / |value|, 0 without error and inf for a vanishing value."""
+    if error == 0.0:
+        return 0.0
+    return math.inf if value == 0.0 else error / abs(value)
+
+
+def _qfi_result(value: float, error: float, clamped: bool = False) -> QfiResult:
+    bound = _relative(error, value)
+    return QfiResult(value, bound, bound > RELATIVE_ERROR_TOL, clamped)
 
 
 @dataclass(frozen=True)
 class EvolvedPoint:
     """One solved point: the evolved state `psi`, its exact derivative `dpsi`
-    (d|psi>/d theta in the |m, s> layout), and the states `plus` and `minus`
-    at theta +- `check_step` for the finite-difference check."""
+    (d|psi>/d theta in the |m, s> layout), and the bounds on their errors
+    certified by `dynamics.evolve_derivative`; no finite difference."""
 
     psi: SymmetricState
     dpsi: np.ndarray
-    plus: SymmetricState
-    minus: SymmetricState
-    check_step: float
+    psi_error: float
+    dpsi_error: float
 
     @cached_property
-    def bus_densities(self) -> tuple:
-        """Reduced bus densities of `psi`, `plus` and `minus`, built once."""
-        return tuple(reduce_to_bus(s) for s in (self.psi, self.plus, self.minus))
+    def bus_density(self) -> "BusDensity":
+        """Reduced bus density of `psi`, built once."""
+        return reduce_to_bus(self.psi)
+
+    @cached_property
+    def bus_derivative(self) -> tuple:
+        """(d rho_bus / d theta = Tr_probes(|d psi><psi| + |psi><d psi|), a bound
+        on its trace-norm error): the errors of psi and dpsi each enter twice."""
+        half = _bus_block(self.dpsi, self.psi.amplitudes)
+        error = 2.0 * (self.dpsi_error + float(np.linalg.norm(self.dpsi)) * self.psi_error)
+        return half + half.conj().T, error
 
 
 def evolve_point(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> EvolvedPoint:
     """Evolve the product state under `spec` and differentiate it exactly in
-    `sel` from one eigendecomposition of H, then evolve the same product
-    state under H(theta +- h) for the check states, each its own
-    eigensolve, so the check stays independent of the exact derivative.
-
-    The check step is h = 1e-6 * max(1, |theta|) / sqrt(max(1, |t| ||G||)),
-    with ||G|| the Gershgorin bound of G = dH/d theta: the truncation error
-    of the central difference grows like (h t ||G||)^2, so a fixed step
-    falls short once the generator imprints a large phase.
-    """
-    g = assemble(spec, n, wrt=sel.field)
-    psi0 = build_product_state(n, angles)
-    psi, dpsi = evolve_derivative(assemble(spec, n), g, spec.t, psi0)
-    theta = getattr(spec, sel.field)
-    h = (FD_STEP_CHECK * max(1.0, abs(theta))
-         / math.sqrt(max(1.0, abs(spec.t) * g.norm_bound)))
-    plus = evolve(assemble(spec.replaced(**{sel.field: theta + h}), n), spec.t, psi0)
-    minus = evolve(assemble(spec.replaced(**{sel.field: theta - h}), n), spec.t, psi0)
-    return EvolvedPoint(psi, dpsi, plus, minus, h)
+    `sel`, both from one eigendecomposition of H that certifies itself."""
+    return EvolvedPoint(*evolve_derivative(assemble(spec, n), assemble(spec, n, wrt=sel.field),
+                                           spec.t, build_product_state(n, angles)))
 
 
 def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
@@ -154,40 +148,23 @@ def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
 
 
 def read_global_qfi(point: EvolvedPoint) -> QfiResult:
-    """QFI of the evolved pure state, I = 4(<d psi|d psi> - |<psi|d psi>|^2),
-    with the exact |d psi>; the check value uses central differences."""
-    psi, h = point.psi.amplitudes, point.check_step
-    value = _pure_qfi(psi, point.dpsi)
-    value_check = _pure_qfi(psi, (point.plus.amplitudes - point.minus.amplitudes) / (2.0 * h))
-
-    disc = _discrepancy(value, value_check)
-    clamped = False
-    if value < 0.0 or value_check < 0.0:
-        if min(value, value_check) < -NEGATIVE_CLAMP:
-            raise ArithmeticError(
-                f"QFI came out negative beyond round-off: {value}, {value_check}")
-        value, value_check = max(value, 0.0), max(value_check, 0.0)
-        clamped = True
-    return QfiResult(value=value, value_check=value_check, fd_step_check=h,
-                     relative_discrepancy=disc,
-                     ill_conditioned=disc > FD_DISCREPANCY_TOL, clamped=clamped)
+    """QFI of the evolved pure state, I = 4(<d psi|d psi> - |<psi|d psi>|^2)
+    = 4 ||y||^2 with y = (1 - |psi><psi|) |d psi>, from the exact |d psi>.
+    ||delta y|| <= e = dpsi_error + 2 ||d psi|| psi_error (first order), so
+    |delta I| <= 4 e (sqrt(I) + e)."""
+    value = _pure_qfi(point.psi.amplitudes, point.dpsi)
+    clamped = value < 0.0
+    if clamped:
+        if value < -NEGATIVE_CLAMP:
+            raise ArithmeticError(f"QFI came out negative beyond round-off: {value}")
+        value = 0.0
+    e = point.dpsi_error + 2.0 * float(np.linalg.norm(point.dpsi)) * point.psi_error
+    return _qfi_result(value, 4.0 * e * (math.sqrt(value) + e), clamped)
 
 
 def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
     """`read_global_qfi` of `evolve_point(spec, n, angles, sel)`."""
     return read_global_qfi(evolve_point(spec, n, angles, sel))
-
-
-def bures_distance(state_a: SymmetricState, state_b: SymmetricState) -> float:
-    """Pure-state Bures distance sqrt(2) * sqrt(1 - |<a|b>|)."""
-    for s in (state_a, state_b):
-        norm = np.linalg.norm(s.amplitudes)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state norm {norm} is off unity by more than 1e-6")
-    if state_a.dim != state_b.dim:
-        raise ValueError("states must share a dimension")
-    fidelity = abs(np.vdot(state_a.amplitudes, state_b.amplitudes))
-    return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - fidelity))
 
 
 def reduce_to_bus(state: SymmetricState) -> BusDensity:
@@ -203,28 +180,10 @@ def _bus_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ms,mt->st", a.reshape(-1, 2), b.reshape(-1, 2).conj())
 
 
-def _bus_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """d rho_bus = Tr_probes(|d psi><psi| + |psi><d psi|)."""
-    half = _bus_block(dpsi, psi)
-    return half + half.conj().T
-
-
-def qubit_qfi(rho0: BusDensity, rho_plus: BusDensity, rho_minus: BusDensity,
-              step: float) -> float:
-    """Single-qubit QFI from the Bloch vector: |dr|^2 + (r.dr)^2/(1 - |r|^2).
-
-    The derivative dr comes from central differences of the densities at
-    theta +- step.  At the pure boundary |r| -> 1 the second term is dropped
-    when the motion is tangent (|r.dr| < 1e-9 |dr|); a non-tangent derivative
-    there means the parameter pushes rho off the state space and raises.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return _bloch_qfi(rho0.bloch(), (rho_plus.bloch() - rho_minus.bloch()) / (2.0 * step))
-
-
 def _bloch_qfi(r: np.ndarray, dr: np.ndarray) -> float:
-    """|dr|^2 + (r.dr)^2/(1 - |r|^2), with qubit_qfi's pure-boundary rules."""
+    """Single-qubit QFI |dr|^2 + (r.dr)^2/(1 - |r|^2).  At the pure boundary
+    the second term is dropped for tangent motion (|r.dr| < 1e-9 |dr|); a
+    non-tangent derivative there pushes rho off the state space and raises."""
     r_sq = float(r @ r)
     if r_sq > 1.0 + PURE_BOUNDARY_TOL:
         raise ValueError(f"|r| = {math.sqrt(r_sq)} exceeds 1: invalid density")
@@ -243,17 +202,23 @@ def _bloch_qfi(r: np.ndarray, dr: np.ndarray) -> float:
 
 def read_local_qfi(point: EvolvedPoint) -> QfiResult:
     """QFI of the reduced bus state from its Bloch vector and the exact
-    derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|); the check
-    value uses central differences of the Bloch vector."""
-    psi, h = point.psi, point.check_step
-    rho0, rho_plus, rho_minus = point.bus_densities
-    value = _bloch_qfi(rho0.bloch(), _bloch_vector(_bus_derivative(psi.amplitudes, point.dpsi)))
-    value_check = qubit_qfi(rho0, rho_plus, rho_minus, h)
+    derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|).
 
-    disc = _discrepancy(value, value_check)
-    return QfiResult(value=value, value_check=value_check, fd_step_check=h,
-                     relative_discrepancy=disc,
-                     ill_conditioned=disc > FD_DISCREPANCY_TOL)
+    As |delta r| <= sqrt(2) ||delta rho||_F, r and dr err by at most
+    e_r = 2 sqrt(2) psi_error and e_dr = sqrt(2) times d rho's error.  The
+    value is dr^T M dr, M = I + r r^T / (1 - |r|^2) (I on the tangent
+    branch), so it errs by at most (|g| + e_dr ||M||) e_dr + |r.dr| |g| e_r
+    / (1 - |r|^2), g = 2 M dr, exactly in dr and to first order in r.
+    """
+    r = point.bus_density.bloch()
+    drho, drho_error = point.bus_derivative
+    dr = _bloch_vector(drho)
+    value = _bloch_qfi(r, dr)
+    e_r, e_dr = 2.0 * math.sqrt(2.0) * point.psi_error, math.sqrt(2.0) * drho_error
+    scale = 1.0 - float(r @ r)
+    scale, radial = (scale, float(r @ dr) / scale) if scale > PURE_BOUNDARY_TOL else (1.0, 0.0)
+    grad = 2.0 * float(np.linalg.norm(dr + radial * r))
+    return _qfi_result(value, (grad + e_dr / scale) * e_dr + abs(radial) * grad * e_r)
 
 
 def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
@@ -280,27 +245,25 @@ def read_first_moment(point: EvolvedPoint, observable: np.ndarray,
         delta = sqrt(Var(A)) / (sqrt(M) |d<A>/d theta|)
 
     with <A> and Var(A) evaluated on the reduced bus state and the exact
-    derivative d<A>/d theta = Tr(d rho A); the discrepancy is against the
-    central difference at the check step.
+    derivative d<A>/d theta = Tr(d rho A), whose error is at most ||A||_2
+    times the trace-norm error of d rho; `relative_discrepancy` is that
+    bound over |d<A>/d theta|.
     """
     a = check_hermitian_2x2(observable)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
 
-    def mean_of(rho: np.ndarray) -> float:
-        return float(np.trace(rho @ a).real)
-
-    rho0, rho_plus, rho_minus = (density.rho for density in point.bus_densities)
-    mean = mean_of(rho0)
+    rho0 = point.bus_density.rho
+    drho, drho_error = point.bus_derivative
+    a_norm = float(np.linalg.norm(a, 2))
+    mean = float(np.trace(rho0 @ a).real)
     variance = max(0.0, float(np.trace(rho0 @ a @ a).real) - mean ** 2)
-    deriv = mean_of(_bus_derivative(point.psi.amplitudes, point.dpsi))
-    deriv_check = (mean_of(rho_plus) - mean_of(rho_minus)) / (2.0 * point.check_step)
-    disc = _discrepancy(deriv, deriv_check)
+    deriv = float(np.trace(drho @ a).real)
+    disc = _relative(a_norm * drho_error, deriv)
 
     # an exact derivative below the round-off floor of Tr(d rho A) cannot be
     # distinguished from an exactly vanishing one
-    noise_floor = (64.0 * np.finfo(float).eps * float(np.linalg.norm(a, 2))
-                   * float(np.linalg.norm(point.dpsi)))
+    noise_floor = 64.0 * np.finfo(float).eps * a_norm * float(np.linalg.norm(point.dpsi))
     if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(variance), noise_floor):
         return FirstMomentResult(delta=math.inf, inv_squared=0.0,
                                  variance=variance, mean_derivative=deriv,

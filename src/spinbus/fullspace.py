@@ -113,28 +113,33 @@ def pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
 
 
-def global_qfi_full(kind, n, params: dict, which: str, alpha, phi, beta, varphi,
-                    step: float = 1e-6) -> float:
-    """Finite-difference QFI of the fully propagated pure state.
+def _central_difference(f, theta0: float, step: float) -> tuple:
+    """(f(theta0), the central difference of f at step * max(1, |theta0|))."""
+    h = step * max(1.0, abs(theta0))
+    return f(theta0), (f(theta0 + h) - f(theta0 - h)) / (2.0 * h)
 
-    `params` holds delta, epsilon, omega0, omega1, x, t; `which` names the
-    parameter being estimated (x, omega0 or omega1).
-    """
+
+def evolved_with_derivative_full(kind, n, params: dict, which: str, alpha, phi, beta,
+                                 varphi, step: float = 1e-6) -> tuple:
+    """(psi, d psi/d theta) of the fully propagated pure state, the derivative
+    a central difference: three dense propagations.  `params` holds delta,
+    epsilon, omega0, omega1, x, t; `which` names the parameter (x, omega0 or
+    omega1)."""
     psi0 = product_state_full(n, alpha, phi, beta, varphi)
-    t = params["t"]
 
     def state_at(theta):
-        p = dict(params)
-        p[which] = theta
+        p = dict(params, **{which: theta})
         h = hamiltonian_full(kind, n, p["delta"], p["epsilon"], p["omega0"],
                              p["omega1"], p["x"])
-        return propagate_full(h, t, psi0)
+        return propagate_full(h, p["t"], psi0)
 
-    theta0 = params[which]
-    h = step * max(1.0, abs(theta0))
-    psi = state_at(theta0)
-    dpsi = (state_at(theta0 + h) - state_at(theta0 - h)) / (2.0 * h)
-    return pure_qfi(psi, dpsi)
+    return _central_difference(state_at, params[which], step)
+
+
+def bus_density_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """d rho_bus = Tr_probes(|d psi><psi| + |psi><d psi|)."""
+    half = np.einsum("ps,pt->st", dpsi.reshape(-1, 2), psi.reshape(-1, 2).conj())
+    return half + half.conj().T
 
 
 def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
@@ -180,13 +185,8 @@ def thermal_global_qfi_full(kind, n, params: dict, which: str, beta_th,
     For which='omega1' the parameter shift moves both the thermal
     populations and the propagator, as it should.
     """
-    theta0 = params[which]
-    h = step * max(1.0, abs(theta0))
-
-    def rho_at(theta):
-        return thermal_evolved_density(kind, n, params, beta_th, bus_beta,
-                                       bus_varphi, override={which: theta})
-
-    rho = rho_at(theta0)
-    drho = (rho_at(theta0 + h) - rho_at(theta0 - h)) / (2.0 * h)
+    rho, drho = _central_difference(
+        lambda theta: thermal_evolved_density(kind, n, params, beta_th, bus_beta,
+                                              bus_varphi, override={which: theta}),
+        params[which], step)
     return mixed_qfi(rho, drho)

@@ -156,22 +156,6 @@ def build_product_state(n: int, angles: StateAngles) -> SymmetricState:
     return SymmetricState(n_probes=n, amplitudes=amps / norm)
 
 
-def collective_jz(n: int) -> np.ndarray:
-    """J_z = sum_i Z^(i)/2 on the (N+1)-dimensional probe sector: diag(m)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.diag(m_values(n).astype(float))
-
-
-def collective_jx(n: int) -> np.ndarray:
-    """J_x = sum_i X^(i)/2: symmetric tridiagonal with the ladder elements
-    <m +- 1|J_x|m> = sqrt(j(j+1) - m(m +- 1))/2, j = N/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    off = _jx_ladder(n)
-    return np.diag(off, 1) + np.diag(off, -1)
-
-
 def _jx_ladder(n: int) -> np.ndarray:
     """The N off-diagonal elements <m - 1|J_x|m>, m = N/2 .. -N/2 + 1."""
     j = n / 2

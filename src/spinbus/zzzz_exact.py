@@ -43,9 +43,11 @@ class ClosedFormUncertainty:
     flag: str | None = None
 
 
-def _require_zzzz(spec: ModelSpec):
+def _require_zzzz(spec: ModelSpec, n: int):
     if spec.kind is not ModelKind.ZZZZ:
         raise ValueError(f"closed forms exist only for the ZZZZ model, got {spec.kind}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def global_qfi_closed(spec: ModelSpec, n: int, angles: StateAngles,
@@ -56,7 +58,7 @@ def global_qfi_closed(spec: ModelSpec, n: int, angles: StateAngles,
         I_omega1 = N delta^2 t^2 sin^2(2a)
         I_omega0 = delta^2 t^2 sin^2(2b)
     """
-    _require_zzzz(spec)
+    _require_zzzz(spec, n)
     sin2a = math.sin(2 * angles.alpha)
     cos2a = math.cos(2 * angles.alpha)
     sin2b = math.sin(2 * angles.beta)
@@ -84,7 +86,7 @@ def reduced_rho_closed(spec: ModelSpec, n: int, angles: StateAngles) -> BusDensi
         rho_00 = cos^2(b),  rho_11 = sin^2(b),
         rho_01 = sin(2b)/2 e^{-i(varphi + delta w0 t)} w^N.
     """
-    _require_zzzz(spec)
+    _require_zzzz(spec, n)
     w = _coherence_factor(spec, angles.alpha)
     mag = abs(w)
     if mag == 0.0:
@@ -105,7 +107,7 @@ def local_qfi_x_closed(spec: ModelSpec, n: int, angles: StateAngles) -> float:
     For the favorable state this equals N^2 eps^2 t^2; for the worst state it
     reduces to N^2 t^2 eps^2 tan^2(eps t x) / (cos(eps t x)^{-2N} - 1).
     """
-    _require_zzzz(spec)
+    _require_zzzz(spec, n)
     phase = spec.epsilon * spec.x * spec.t
     c2, s2 = math.cos(angles.alpha) ** 2, math.sin(angles.alpha) ** 2
     w = c2 * np.exp(-1j * phase) + s2 * np.exp(1j * phase)
@@ -166,7 +168,7 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
     with Phi_m = delta w0 t + varphi + 2 eps x t m, and returns
     sqrt((1 - <X>^2)) / (sqrt(M) |d<X>|).
     """
-    _require_zzzz(spec)
+    _require_zzzz(spec, n)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
     eps, t, x = spec.epsilon, spec.t, spec.x
@@ -230,7 +232,7 @@ def thermal_global_qfi(spec: ModelSpec, n: int, beta_th: float,
     with u = beta_th * omega1.  I_omega1 carries no explicit t: the level
     spacing enters only through the initial populations here.
     """
-    _require_zzzz(spec)
+    _require_zzzz(spec, n)
     if beta_th < 0:
         raise ValueError("beta_th must be >= 0")
     u = beta_th * spec.omega1
@@ -256,7 +258,7 @@ def thermal_local_equivalence_check(spec: ModelSpec, n: int, beta_th: float,
     over probe configurations, each contributing its dephasing factor to the
     coherence.  Returns (passed, max elementwise deviation).
     """
-    _require_zzzz(spec)
+    _require_zzzz(spec, n)
     alpha = thermal_equivalent_alpha(ThermalProbeSpec(beta_th, spec.omega1))
     pure = reduced_rho_closed(
         spec, n, StateAngles(alpha, 0.0, bus_beta, bus_varphi)).rho

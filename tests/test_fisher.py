@@ -1,21 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from spinbus import dynamics, fullspace, paulis
+from spinbus import dynamics, fisher, fullspace, paulis
 from spinbus.dynamics import ModelKind, ModelSpec, assemble, eigensystem, propagate
 from spinbus.fisher import (
     BusDensity,
     Param,
-    bures_distance,
+    _bloch_qfi,
     evolve_point,
     first_moment_uncertainty,
     global_qfi_fd,
     local_qfi_fd,
     qcr_bound,
-    qubit_qfi,
     reduce_to_bus,
 )
 from spinbus.states import (
@@ -23,10 +23,11 @@ from spinbus.states import (
     FAVORABLE_ANGLES,
     UNFAVORABLE_ANGLES,
     StateAngles,
+    _jx_ladder,
     build_product_state,
-    collective_jx,
-    collective_jz,
+    m_values,
 )
+from spinbus.sweep import _discrepancy, _fd_global_qfi
 from spinbus.zzzz_exact import global_qfi_closed
 
 ZZZZ = ModelSpec(ModelKind.ZZZZ)
@@ -47,11 +48,17 @@ def test_global_qfi_zero_at_t0():
 def test_global_qfi_matches_full_hilbert():
     spec = ModelSpec(ModelKind.ZZXX)
     params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0, x=1.0, t=1.0)
-    mine = global_qfi_fd(spec, 6, DEFAULT_ANGLES, Param.X).value_check
-    reference = fullspace.global_qfi_full("ZZXX", 6, params, "x",
-                                          DEFAULT_ANGLES.alpha, DEFAULT_ANGLES.phi,
-                                          DEFAULT_ANGLES.beta, DEFAULT_ANGLES.varphi)
+    mine = global_qfi_fd(spec, 6, DEFAULT_ANGLES, Param.X).value
+    reference = fullspace.pure_qfi(*fullspace.evolved_with_derivative_full(
+        "ZZXX", 6, params, "x", DEFAULT_ANGLES.alpha, DEFAULT_ANGLES.phi,
+        DEFAULT_ANGLES.beta, DEFAULT_ANGLES.varphi))
     assert mine == pytest.approx(reference, rel=1e-6)
+
+
+def bures_distance(state_a, state_b) -> float:
+    """Pure-state Bures distance sqrt(2) * sqrt(1 - |<a|b>|)."""
+    fidelity = abs(np.vdot(state_a.amplitudes, state_b.amplitudes))
+    return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - fidelity))
 
 
 def test_bures_distance_basics():
@@ -103,14 +110,14 @@ def test_reduce_to_bus_matches_full_partial_trace(n):
 def test_qubit_qfi_classical_populations():
     # rho(theta) = diag((1+theta)/2, (1-theta)/2) at theta=0: eigenvalue
     # formula gives sum (dp)^2/p = 1
-    h = 1e-6
-    rho = lambda th: BusDensity(np.diag([(1 + th) / 2, (1 - th) / 2]))
-    assert qubit_qfi(rho(0.0), rho(h), rho(-h), h) == pytest.approx(1.0, rel=1e-9)
+    r = BusDensity(np.diag([0.5, 0.5])).bloch()
+    dr = np.array([0.0, 0.0, 1.0])  # d r_z / d theta of the populations above
+    assert _bloch_qfi(r, dr) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_qubit_qfi_parameter_independent():
     rho = BusDensity(np.array([[0.75, 0.1], [0.1, 0.25]]))
-    assert qubit_qfi(rho, rho, rho, 1e-6) == 0.0
+    assert _bloch_qfi(rho.bloch(), np.zeros(3)) == 0.0
 
 
 def test_qubit_qfi_worst_state_closed_value():
@@ -184,20 +191,23 @@ def test_time_squared_scaling_dephasing_model():
 
 
 def test_two_step_protocol_recorded():
-    res = global_qfi_fd(ZZZZ, 8, DEFAULT_ANGLES, Param.X)
+    # validate suite b's finite-difference check
+    res, check, step = _fd_global_qfi(ZZZZ, 8, DEFAULT_ANGLES, Param.X)
     # 1e-6 * max(1, |x|) / sqrt(max(1, |t| ||G||)) with G = dH/dx = eps K (x) Z,
     # whose Gershgorin bound at N = 8 is eps * N/2 = 4
     assert assemble(ZZZZ, 8, wrt="x").norm_bound == 4.0
-    assert res.fd_step_check == 1e-6 / math.sqrt(4.0)
-    assert res.relative_discrepancy < 1e-3
+    assert step == 1e-6 / math.sqrt(4.0)
+    assert _discrepancy(res.value, check) < 1e-3
+    assert not res.ill_conditioned
 
 
 def test_check_step_scales_with_the_generator():
     """A large generator (|t| ||dH/d omega1|| ~ 2.5e4 at N = 500) still gets a
-    check value that agrees with the exact one to far better than 1e-3."""
-    res = global_qfi_fd(ModelSpec(ModelKind.ZZXX, delta=100.0), 500,
-                        DEFAULT_ANGLES, Param.OMEGA1)
-    assert res.relative_discrepancy < 1e-6
+    suite b check value that agrees with the exact one to far better than
+    1e-3, and the certificate does not flag the point."""
+    res, check, _ = _fd_global_qfi(ModelSpec(ModelKind.ZZXX, delta=100.0), 500,
+                                   DEFAULT_ANGLES, Param.OMEGA1)
+    assert _discrepancy(res.value, check) < 1e-6
     assert not res.ill_conditioned
 
 
@@ -270,7 +280,8 @@ def test_tridiagonal_pieces_permute_back_to_dense(kind):
     spec = ModelSpec(kind, delta=1.3, epsilon=0.7, omega0=0.4, omega1=1.1, x=0.9)
     bus_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     bus_z = np.diag([1.0, -1.0])
-    jz, jx = collective_jz(n), collective_jx(n)
+    jz = np.diag(m_values(n).astype(float))
+    jx = np.diag(_jx_ladder(n), 1) + np.diag(_jx_ladder(n), -1)
     coupling = {ModelKind.ZZZZ: np.kron(jz, bus_z), ModelKind.ZZXX: np.kron(jx, bus_x),
                 ModelKind.ZZZX: np.kron(jz, bus_x)}[kind]
     dense = {None: spec.delta * (spec.omega1 * np.kron(jz, np.eye(2))
@@ -293,10 +304,10 @@ def test_tridiagonal_pieces_permute_back_to_dense(kind):
         np.testing.assert_array_equal(h.matrix, back)
 
 
-@pytest.mark.parametrize("n, solves", [(10, 3), (11, 6), (1, 0)])
+@pytest.mark.parametrize("n, solves", [(10, 1), (11, 2), (1, 0)])
 def test_even_n_zzxx_point_solves_one_chain(monkeypatch, n, solves):
-    # H(theta) and H(theta +- h) each cost one chain solve at even N, where
-    # chain 1 is chain 0's signed mirror; N = 1 takes the batched 2x2 path
+    # a point is one solve of H: one chain at even N, where chain 1 is chain
+    # 0's signed mirror, two at odd N; N = 1 takes the batched 2x2 path
     calls = []
     eigh_tridiagonal = dynamics.eigh_tridiagonal
 
@@ -331,8 +342,72 @@ def test_eigenpairs_and_exact_derivative_on_random_specs():
                                            atol=1e-10 * (1.0 + norm))
             if n <= 8:
                 for sel in Param:
-                    np.testing.assert_allclose(
-                        evolve_point(spec, n, DEFAULT_ANGLES, sel).dpsi,
-                        _expm_derivative(spec, n, DEFAULT_ANGLES, sel), rtol=0, atol=1e-12)
+                    point = evolve_point(spec, n, DEFAULT_ANGLES, sel)
+                    reference = _expm_derivative(spec, n, DEFAULT_ANGLES, sel)
+                    np.testing.assert_allclose(point.dpsi, reference, rtol=0, atol=1e-12)
+                    _assert_bound_covers(point, dataclasses.replace(point, dpsi=reference))
 
     check()
+
+
+_READERS = (("global", fisher.read_global_qfi), ("local", fisher.read_local_qfi),
+            ("first moment", lambda p: fisher.read_first_moment(p, paulis.XZ_HALF)))
+
+
+def _reading(result) -> float:
+    return getattr(result, "value", getattr(result, "mean_derivative", None))
+
+
+def _assert_bound_covers(point, reference_point):
+    """Each reader's value at `point` is within its own certified relative
+    bound of the same reader's value at `reference_point`."""
+    for name, read in _READERS:
+        try:
+            mine, other = read(point), read(reference_point)
+        except ArithmeticError:  # the bus QFI is singular at a pure bus state
+            continue
+        value = _reading(mine)
+        bound = mine.relative_discrepancy
+        allowed = math.inf if bound == math.inf else bound * abs(value)
+        assert abs(value - _reading(other)) <= allowed, (name, value, _reading(other), bound)
+
+
+def _tilt_eigenvector(monkeypatch, size):
+    """Make every eigensolve tilt eigenvector 1 of the first block towards
+    eigenvector 0 by `size`.  The tilt follows the signs of both columns, so
+    the corrupted solve stays smooth in theta and a central difference of it
+    sees the corruption rather than an arbitrary eigenvector sign."""
+    solve = dynamics.eigensystem
+
+    def corrupted(h):
+        w, v = solve(h)
+        v = v.copy()
+        tilted, towards = v[0, :, 1], v[0, :, 0]
+        v[0, :, 1] = tilted + size * np.sign(tilted[0] * towards[0]) * towards
+        return w, v
+
+    monkeypatch.setattr(dynamics, "eigensystem", corrupted)
+
+
+@pytest.mark.parametrize("n, sel", [(10, Param.X), (11, Param.OMEGA1)])
+def test_certificate_covers_a_corrupted_eigenvector(monkeypatch, n, sel):
+    spec = ModelSpec(ModelKind.ZZXX)
+    clean = evolve_point(spec, n, DEFAULT_ANGLES, sel)
+    _tilt_eigenvector(monkeypatch, 1e-8)
+    corrupted = evolve_point(spec, n, DEFAULT_ANGLES, sel)
+    assert np.max(np.abs(corrupted.dpsi - clean.dpsi)) > 0.0
+    _assert_bound_covers(corrupted, clean)
+    assert not fisher.read_global_qfi(corrupted).ill_conditioned
+    assert not fisher.read_local_qfi(corrupted).ill_conditioned
+
+
+@pytest.mark.parametrize("n, sel", [(10, Param.X), (11, Param.OMEGA1)])
+def test_certificate_and_suite_b_flag_a_badly_corrupted_eigenvector(monkeypatch, n, sel):
+    spec = ModelSpec(ModelKind.ZZXX)
+    _tilt_eigenvector(monkeypatch, 1e-2)
+    point = evolve_point(spec, n, DEFAULT_ANGLES, sel)
+    assert fisher.read_global_qfi(point).ill_conditioned
+    assert fisher.read_local_qfi(point).ill_conditioned
+    res, check, _ = _fd_global_qfi(spec, n, DEFAULT_ANGLES, sel)
+    assert res.ill_conditioned
+    assert _discrepancy(res.value, check) > 1e-3

@@ -10,8 +10,8 @@ from spinbus.states import (
     SymmetricState,
     ThermalProbeSpec,
     build_product_state,
-    collective_jx,
-    collective_jz,
+    _jx_ladder,
+    m_values,
     state_from_text,
     state_to_text,
     thermal_equivalent_alpha,
@@ -51,6 +51,17 @@ def test_product_state_full_hilbert_agreement_random_angles(n):
         np.testing.assert_allclose(state.amplitudes, projected, atol=1e-10)
         # nothing may leak out of the symmetric sector for identical probes
         assert abs(np.linalg.norm(projected) - 1.0) < 1e-10
+
+
+def collective_jz(n: int) -> np.ndarray:
+    """J_z = sum_i Z^(i)/2 on the (N+1)-dimensional probe sector: diag(m)."""
+    return np.diag(m_values(n).astype(float))
+
+
+def collective_jx(n: int) -> np.ndarray:
+    """J_x = sum_i X^(i)/2 from the ladder elements the Hamiltonians use."""
+    off = _jx_ladder(n)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("n,expected", [

@@ -153,8 +153,8 @@ def test_sweep_per_point_failures_are_flagged():
 
 
 def test_fisher_quantities_share_one_solve_per_point(monkeypatch):
-    # one exact solve plus two check propagations per (regime, N), however
-    # many fisher quantities read from it
+    # one eigensolve per (regime, N), however many fisher quantities read
+    # from it
     calls = []
     eigensystem = dynamics.eigensystem
 
@@ -168,11 +168,11 @@ def test_fisher_quantities_share_one_solve_per_point(monkeypatch):
                       quantities=("global_qfi", "local_qfi", "first_moment"))
     result = run_sweep(cfg)
     assert len(result.rows) == 9 and not any(r.flag for r in result.rows)
-    assert sorted(calls) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
+    assert sorted(calls) == [2, 4, 8]
 
 
 def test_bus_densities_are_reduced_once_per_point(monkeypatch):
-    # local_qfi and first_moment read the same three bus densities
+    # local_qfi and first_moment read the same bus density
     calls = []
     reduce_to_bus = fisher.reduce_to_bus
 
@@ -186,7 +186,7 @@ def test_bus_densities_are_reduced_once_per_point(monkeypatch):
                       quantities=("local_qfi", "first_moment"))
     result = run_sweep(cfg)
     assert len(result.rows) == 6 and not any(r.flag for r in result.rows)
-    assert sorted(calls) == [2, 2, 2, 4, 4, 4, 8, 8, 8]
+    assert sorted(calls) == [2, 4, 8]
 
 
 @pytest.mark.parametrize("param, quantities", [("x", "pt1 hl_condition"),
@@ -339,7 +339,11 @@ def test_cli_exact_rejects_unknown_model(capsys):
 def test_cli_exact_rejects_bad_values(capsys):
     assert main(["exact", "zzzz", "x", "--alpha", "pi/0"]) == 1
     assert main(["exact", "zzzz", "x", "--t", "-1"]) == 1
-    assert capsys.readouterr().err.count("error: ") == 2
+    assert main(["exact", "zzzz", "x", "--n", "-3"]) == 1
+    assert main(["exact", "zzzz", "x", "--n", "0", "--thermal", "0.5"]) == 1
+    assert main(["exact", "zzzz", "x", "--local", "--n", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("error: ") == 5 and captured.out == ""
 
 
 def test_cli_sweep_and_fig(tmp_path, capsys):

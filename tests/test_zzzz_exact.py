@@ -32,6 +32,19 @@ def test_global_closed_special_states():
     assert global_qfi_closed(ZZZZ, 7, UNFAVORABLE_ANGLES, Param.X) == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_closed_forms_reject_fewer_than_one_probe(n):
+    calls = (lambda: global_qfi_closed(ZZZZ, n, DEFAULT_ANGLES, Param.X),
+             lambda: reduced_rho_closed(ZZZZ, n, DEFAULT_ANGLES),
+             lambda: local_qfi_x_closed(ZZZZ, n, DEFAULT_ANGLES),
+             lambda: delta_x_x_readout(ZZZZ, n, DEFAULT_ANGLES, XReadoutVariant.PT_GENERAL),
+             lambda: thermal_global_qfi(ZZZZ, n, 0.5, 0.3, Param.X),
+             lambda: thermal_local_equivalence_check(ZZZZ, n, 0.5, 0.3))
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call()
+
+
 def test_global_closed_omega0_n_independent():
     values = {global_qfi_closed(ZZZZ, n, DEFAULT_ANGLES, Param.OMEGA0)
               for n in (1, 10, 100)}
