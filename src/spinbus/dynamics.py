@@ -322,16 +322,17 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     eta = 2.0 * float(residual) + 2.0 * u * h.norm_bound
     defect = float(np.linalg.norm(_mul(v, c) - amps0))
     half = np.exp(-0.5j * t * w)
-    # (V^T G V) o sinc((w_j - w_k) t/2), built in place; with H and G both
-    # mirrored, chain 1's is chain 0's negated and reversed on both axes
+    # (V^T G V) o sinc((w_j - w_k) t/2), in place and half the blocks at a time;
+    # with H and G mirrored, chain 1's is chain 0's negated, reversed on both axes
     chains = 1 if mirrored and _mirrored(g) else len(w)
     kernel = np.matmul(vt[:chains], g.block_mul(v[:chains]))
-    x = 0.5 * t * (w[:chains, :, None] - w[:chains, None, :])
-    sinc = np.sin(x)
-    np.divide(sinc, x, out=sinc, where=x != 0.0)
-    sinc[x == 0.0] = 1.0
-    kernel *= sinc
-    del x, sinc
+    for part in (slice(None, (chains + 1) // 2), slice((chains + 1) // 2, chains)):
+        x = 0.5 * t * (w[part, :, None] - w[part, None, :])
+        sinc = np.sin(x)
+        np.divide(sinc, x, out=sinc, where=x != 0.0)
+        sinc[x == 0.0] = 1.0
+        kernel[part] *= sinc
+        del x, sinc
     if chains < len(w):
         kernel = np.concatenate([kernel, -kernel[:, ::-1, ::-1]])
     psi = h.from_blocks(_mul(v, half * half * c))

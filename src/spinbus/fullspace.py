@@ -4,7 +4,9 @@ Everything here is built directly on the computational basis, with no
 reliance on the symmetric-sector machinery, so these routines serve as an
 independent cross-check of the reduced pipeline.  Every Hamiltonian term is
 a real Pauli string, placed in a dense real symmetric matrix by index
-arithmetic on the basis bits, and every propagation is one dense `eigh`.
+arithmetic on the basis bits.  A propagation splits the basis into the
+blocks that the matrix never couples, read off its nonzero pattern, and
+solves each group of equal-size blocks with one batched real `eigh`.
 They scale exponentially and are only meant for N up to ~10.
 
 Qubit ordering: probes 1..N first (probe 1 most significant), bus last,
@@ -81,9 +83,36 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return m @ z.real + 1j * (m @ z.imag)
 
 
+def _component_labels(h: np.ndarray) -> np.ndarray:
+    """For each basis index, the smallest index of its connected component
+    in the graph of h's nonzero entries (min-label propagation with pointer
+    jumping: a label only ever falls to another index of its component)."""
+    rows, cols = np.nonzero(h)
+    label = np.arange(len(h))
+    while True:
+        previous = label.copy()
+        np.minimum.at(label, rows, label[cols])
+        label = label[label]
+        if np.array_equal(label, previous):
+            return label
+
+
 def propagate_full(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return _real_matmul(v, np.exp(-1j * w * t) * _real_matmul(v.T, psi0))
+    """exp(-i h t) psi0 for a real symmetric h and psi0 a vector or a (dim, k)
+    stack of columns, exactly: h couples no two connected components of its
+    nonzero pattern, so each is propagated through its own eigendecomposition,
+    and components of equal size share one batched `eigh`."""
+    cols = np.asarray(psi0, dtype=complex).reshape(len(h), -1)
+    out = np.empty_like(cols)
+    label = _component_labels(h)
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    for s in np.unique(size):
+        idx = order[start[size == s, None] + np.arange(s)]  # (blocks, s)
+        w, v = np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]])
+        c = _real_matmul(v.transpose(0, 2, 1), cols[idx])
+        out[idx] = _real_matmul(v, np.exp(-1j * w * t)[..., None] * c)
+    return out.reshape(np.shape(psi0))
 
 
 def bus_density(psi: np.ndarray) -> np.ndarray:
@@ -159,12 +188,12 @@ def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi
 
     h = hamiltonian_full(kind, n, p["delta"], p["epsilon"], p["omega0"],
                          p["omega1"], p["x"])
-    w, v = np.linalg.eigh(h)
-    bus = qubit_state(bus_beta, bus_varphi)
-    # column c is the eigenbasis amplitude of |config c> (x) |bus>, so
-    # psi_t[:, c] is that configuration evolved to time t
-    coeffs = (bus[0] * v[0::2] + bus[1] * v[1::2]).T
-    psi_t = _real_matmul(v, np.exp(-1j * w * p["t"])[:, None] * coeffs)
+    # column c is |config c> (x) |bus>, so psi_t[:, c] is that configuration
+    # evolved to time t
+    configs = np.arange(2 ** n)
+    psi0 = np.zeros((2 ** n, 2, 2 ** n), dtype=complex)
+    psi0[configs, :, configs] = qubit_state(bus_beta, bus_varphi)
+    psi_t = propagate_full(h, p["t"], psi0.reshape(2 ** (n + 1), 2 ** n))
     return (psi_t * weights) @ psi_t.conj().T
 
 

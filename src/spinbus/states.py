@@ -7,14 +7,12 @@ Amplitude vectors are laid out row-major over (m descending, s inner):
 
     index(m, s) = 2 * (N/2 - m) + s
 
-so index 0 is (m = N/2, s = 0).  This layout is the binary contract for
-serialized states; it keeps J_z diagonal and makes the bus partial trace a
-stride-2 reduction.
+so index 0 is (m = N/2, s = 0).  This layout keeps J_z diagonal and makes
+the bus partial trace a stride-2 reduction.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -174,34 +172,3 @@ def thermal_equivalent_alpha(spec: ThermalProbeSpec) -> float:
     cos_sq = 1.0 / (1.0 + math.exp(2.0 * u)) if u < 350 else 0.0
     return math.acos(math.sqrt(cos_sq))
 
-
-def state_to_text(state: SymmetricState) -> str:
-    """Serialize a state as UTF-8 text: 'N=<int>' then lines 'm s re im'
-    with 17-significant-digit floats, in index order."""
-    buf = io.StringIO()
-    buf.write(f"N={state.n_probes}\n")
-    for a, m in enumerate(state.m_values()):
-        for s in (0, 1):
-            c = state.amplitudes[2 * a + s]
-            buf.write(f"{m:.17g} {s} {c.real:.17g} {c.imag:.17g}\n")
-    return buf.getvalue()
-
-
-def state_from_text(text: str) -> SymmetricState:
-    """Parse the serialization produced by :func:`state_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("N="):
-        raise ValueError("serialized state must start with an 'N=<int>' line")
-    n = int(lines[0][2:])
-    rows = lines[1:]
-    if len(rows) != 2 * (n + 1):
-        raise ValueError(f"expected {2 * (n + 1)} amplitude lines, got {len(rows)}")
-    amps = np.empty(2 * (n + 1), dtype=complex)
-    expected_m = m_values(n)
-    for idx, row in enumerate(rows):
-        m_str, s_str, re_str, im_str = row.split()
-        a, s = divmod(idx, 2)
-        if int(s_str) != s or abs(float(m_str) - expected_m[a]) > 1e-12:
-            raise ValueError(f"amplitude line {idx} out of index order: {row!r}")
-        amps[idx] = complex(float(re_str), float(im_str))
-    return SymmetricState(n_probes=n, amplitudes=amps)

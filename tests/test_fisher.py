@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ def test_even_n_zzxx_point_solves_one_chain(monkeypatch, n, solves):
     monkeypatch.setattr(dynamics, "eigh_tridiagonal", counting)
     evolve_point(ModelSpec(ModelKind.ZZXX), n, DEFAULT_ANGLES, Param.X)
     assert calls == [n + 1] * solves
+
+
+def test_odd_n_zzxx_derivative_peak_memory_stays_near_even_n():
+    # the sinc factor of the kernel is built for half the chains at a time,
+    # so solving both chains at odd N costs little more memory than the one
+    # mirrored chain at even N (both factors at once: 1.37 times as much)
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    peaks = []
+    for n in (400, 401):
+        tracemalloc.start()
+        try:
+            global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.OMEGA1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_eigenpairs_and_exact_derivative_on_random_specs():

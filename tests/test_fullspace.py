@@ -39,6 +39,55 @@ def test_hamiltonian_matches_kron_chains(kind, n):
     assert np.max(np.abs(h - _kron_hamiltonian(kind, n, *params))) < 1e-14
 
 
+def _dense_propagation(h, t, psi0):
+    """exp(-i h t) psi0 through one dense eigendecomposition of all of h."""
+    w, v = np.linalg.eigh(h)
+    return v @ (np.exp(-1j * w * t)[:, None] * (v.T @ psi0.reshape(len(h), -1)))
+
+
+# (delta, epsilon, omega0, omega1, x) of the cases that change the block
+# structure: x = 0, eps = 0 (no coupling) and omega0 = omega1 = 0 (no fields)
+DEGENERATE = [(0.8, 1.2, 0.9, 1.1, 0.0), (0.8, 0.0, 0.9, 1.1, 1.3),
+              (0.8, 1.2, 0.0, 0.0, 1.3)]
+
+
+@pytest.mark.parametrize("kind", sorted(INTERACTIONS))
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_blocked_propagation_matches_dense_eigh(kind, n):
+    rng = np.random.default_rng(n * 11 + len(kind))
+    cases = [tuple(rng.uniform(-2.0, 2.0, 5)), *DEGENERATE]
+    dim = 2 ** (n + 1)
+    psi0 = fullspace.product_state_full(n, *rng.uniform(0.0, math.pi, 4))
+    stack = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    for params in cases:
+        h = fullspace.hamiltonian_full(kind, n, *params)
+        t = rng.uniform(0.3, 2.0)
+        psi = fullspace.propagate_full(h, t, psi0)
+        assert psi.shape == psi0.shape
+        assert np.max(np.abs(psi - _dense_propagation(h, t, psi0)[:, 0])) < 1e-13
+        columns = fullspace.propagate_full(h, t, stack)
+        assert columns.shape == stack.shape
+        assert np.max(np.abs(columns - _dense_propagation(h, t, stack))) < 1e-13
+
+
+@pytest.mark.parametrize("kind, sizes", [("ZZZZ", {1}), ("ZZZX", {1, 2}),
+                                         ("ZZXX", {64})])
+def test_each_group_of_decoupled_blocks_is_one_eigh(kind, sizes, monkeypatch):
+    solved = []
+
+    def recording_eigh(a):
+        solved.append(a.shape)
+        return eigh(a)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    h = fullspace.hamiltonian_full(kind, 6, 0.8, 1.2, 0.9, 1.1, 1.3)
+    fullspace.propagate_full(h, 1.0, fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9))
+    assert {shape[-1] for shape in solved} == sizes
+    assert len(solved) == len(sizes)  # one batched solve per block size
+    assert sum(blocks * size for blocks, size, _ in solved) == 2 ** 7  # ZZXX: 2 x 64
+
+
 def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, override):
     """One complex propagation and one outer product per probe configuration."""
     p = dict(params, **override)

@@ -12,8 +12,6 @@ from spinbus.states import (
     build_product_state,
     _jx_ladder,
     m_values,
-    state_from_text,
-    state_to_text,
     thermal_equivalent_alpha,
 )
 
@@ -128,24 +126,3 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         SymmetricState(2, np.array([1.0, 0, 0, 0]))  # wrong length
 
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(99)
-    state = build_product_state(5, StateAngles(*rng.uniform(0, math.pi, 4)))
-    text = state_to_text(state)
-    lines = text.splitlines()
-    assert lines[0] == "N=5"
-    assert len(lines) == 1 + 2 * 6
-    first_m, first_s = lines[1].split()[:2]
-    assert float(first_m) == 2.5 and first_s == "0"
-    back = state_from_text(text)
-    assert back.n_probes == 5
-    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
-
-
-def test_serialization_rejects_shuffled_lines():
-    state = build_product_state(2, FAVORABLE_ANGLES)
-    lines = state_to_text(state).splitlines()
-    lines[1], lines[3] = lines[3], lines[1]
-    with pytest.raises(ValueError):
-        state_from_text("\n".join(lines))
