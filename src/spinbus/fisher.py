@@ -259,12 +259,12 @@ def read_first_moment(point: EvolvedPoint, observable: np.ndarray,
     mean = float(np.trace(rho0 @ a).real)
     variance = max(0.0, float(np.trace(rho0 @ a @ a).real) - mean ** 2)
     deriv = float(np.trace(drho @ a).real)
-    disc = _relative(a_norm * drho_error, deriv)
+    deriv_error = a_norm * drho_error
+    disc = _relative(deriv_error, deriv)
 
-    # an exact derivative below the round-off floor of Tr(d rho A) cannot be
-    # distinguished from an exactly vanishing one
-    noise_floor = 64.0 * np.finfo(float).eps * a_norm * float(np.linalg.norm(point.dpsi))
-    if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(variance), noise_floor):
+    # a derivative within its certified error cannot be distinguished from an
+    # exactly vanishing one
+    if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(variance), deriv_error):
         return FirstMomentResult(delta=math.inf, inv_squared=0.0,
                                  variance=variance, mean_derivative=deriv,
                                  relative_discrepancy=disc, insensitive=True)

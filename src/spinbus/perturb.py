@@ -1,14 +1,14 @@
 """Perturbative quantum Fisher information and observable uncertainties.
 
-Two expansions are implemented:
+Both QFI expansions read one kernel, `_connected_integrals`: the QFI of N
+product-state probes sharing the bus is an N term (one probe's connected
+correlation) plus an N^2 term (the correlation the bus carries) of one
+probe's term of dH/dtheta:
 
-* Interaction in the perturbation (weak coupling): the QFI is a double time
-  integral of a connected correlation function of the interaction-picture
-  derivative of the perturbing term, with an N (single-probe) and an N^2
-  (bus-variance) contribution.
-* Parameter in the dominant term (strong coupling): the zeroth-order QFI is
-  4 t^2 times the variance of the derivative of the dominant Hamiltonian in
-  the initial state, computed generically from the collective matrices.
+* interaction in the perturbation (weak coupling): that term in the
+  interaction picture, double-integrated over [0, t]^2;
+* parameter in the dominant term (strong coupling): 4 t^2 times its
+  variance in the initial state, the kernel at a single time.
 
 Also provided: the condition integral whose non-vanishing predicts N^2
 scaling, and the second-order expansion of the variance and mean derivative
@@ -29,9 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import paulis
-from .dynamics import ModelKind, ModelSpec, assemble
+from .dynamics import ModelKind, ModelSpec
 from .fisher import INSENSITIVE_TOL, Param
-from .states import StateAngles, build_product_state
+from .states import StateAngles
 
 # (probe operator P with S = x/2 P, bus operator R) per model
 _COUPLING = {
@@ -48,14 +48,14 @@ QUADRATURE_ORDER = 64
 class PtResult:
     """Perturbative QFI with its per-N decomposition and regime metadata.
 
-    value = linear_coefficient * N + quadratic_coefficient * N^2 where the
-    coefficients include the square of the small parameter.  The zeroth-order
-    strong-coupling result has no such decomposition (coefficients None).
+    value = linear_coefficient * N + quadratic_coefficient * N^2 for every
+    expansion; the coefficients include the square of the expansion's
+    parameter (and t^2 at zeroth order).
     """
 
     value: float
-    linear_coefficient: float | None
-    quadratic_coefficient: float | None
+    linear_coefficient: float
+    quadratic_coefficient: float
     eps_times_n: float
     delta_times_n: float
     free_norm_t: float
@@ -88,6 +88,7 @@ def _qubit_state(theta: float, phase: float) -> np.ndarray:
 
 
 _Z_DIFF = np.array([[0.0, 2.0], [-2.0, 0.0]])  # z_j - z_k for z = (1, -1)
+_Z_HALF_PROBE = np.kron(0.5 * paulis.Z, np.eye(2))  # Z/2 (x) I on probe (x) bus
 
 
 def _free_conjugate(op: np.ndarray, splitting: float, times: np.ndarray) -> np.ndarray:
@@ -101,11 +102,6 @@ def _sandwich(vec: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("p,...pq,q->...", vec.conj(), ops, vec)
 
 
-def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All products a[i] @ b[j], shape (len(a), len(b), 2, 2)."""
-    return np.einsum("ipq,jqr->ijpr", a, b)
-
-
 def _regime(spec: ModelSpec, n: int) -> dict:
     return dict(
         eps_times_n=abs(spec.epsilon) * n,
@@ -115,33 +111,50 @@ def _regime(spec: ModelSpec, n: int) -> dict:
 
 
 def _expansion(spec: ModelSpec, n: int, scale: float, integrals: tuple) -> PtResult:
-    """a N + b N^2 with (a, b) = scale * (linear, quadratic integral).  The
-    integrals do not depend on N: they are cached per (spec, angles, order)."""
+    """a N + b N^2 with (a, b) = scale * (linear, quadratic integral)."""
     a, b = (scale * part for part in integrals)
     return PtResult(a * n + b * n ** 2, a, b, **_regime(spec, n))
 
 
-@lru_cache(maxsize=256)
-def _pt1_x_integrals(spec: ModelSpec, angles: StateAngles, order: int) -> tuple:
-    """Double integrals of the single-probe and bus correlation pieces for
-    the coupling parameter; returns (linear_integral, quadratic_integral)."""
+def _connected_integrals(m_ops: np.ndarray, weights: np.ndarray,
+                         angles: StateAngles) -> tuple:
+    """(linear, quadratic) integrals over the nodes of one probe's term M(tau),
+    a (probe x bus) 4x4 operator, in the product state.  Sandwiching the probe
+    index leaves bus operators B(tau) = <M(tau)>, C(t1, t2) = <M(t1) M(t2)>:
+    linear = <C> - <B B> and quadratic = <B B> - <B><B>, so a sum of N such
+    terms at one time has the variance linear N + quadratic N^2."""
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
-    taus, weights = _nodes_on(0.0, spec.t, order)
+    m_blocks = m_ops.reshape(-1, 2, 2, 2, 2)  # (tau, p, s, p', s')
+    b_ops = np.einsum("p,ipsqt,q->ist", probe.conj(), m_blocks, probe)
+    prod = np.einsum("ipq,jqr->ijpr", m_ops, m_ops).reshape(-1, len(weights), 2, 2, 2, 2)
+    c_ops = np.einsum("p,ijpsqt,q->ijst", probe.conj(), prod, probe)
+
+    xi_c = _sandwich(bus, c_ops)
+    xi_bb = _sandwich(bus, np.einsum("ipq,jqr->ijpr", b_ops, b_ops))
+    b_mean = _sandwich(bus, b_ops)
+    return (float((weights @ (xi_c - xi_bb) @ weights).real),
+            float((weights @ (xi_bb - np.outer(b_mean, b_mean)) @ weights).real))
+
+
+@lru_cache(maxsize=256)
+def _pt1_integrals(spec: ModelSpec, angles: StateAngles, sel: Param, order: int) -> tuple:
+    """`_connected_integrals` of one probe's term of dH/d theta (x or omega1)
+    in the interaction picture, over [0, t]^2."""
     probe_op, bus_op = _COUPLING[spec.kind]
-    s_prime = _free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
-    r_op = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
-
-    s_mean = _sandwich(probe, s_prime)
-    ss = _sandwich(probe, _pair_products(s_prime, s_prime))
-    rr = _sandwich(bus, _pair_products(r_op, r_op))
-    r_mean = _sandwich(bus, r_op)
-
-    k_probe = ss - np.outer(s_mean, s_mean)
-    k_bus = rr - np.outer(r_mean, r_mean)
-
-    return (float((weights @ (k_probe * rr) @ weights).real),
-            float((weights @ (np.outer(s_mean, s_mean) * k_bus) @ weights).real))
+    taus, weights = _nodes_on(0.0, spec.t, order)
+    if sel is Param.X:
+        # S'(tau) (x) R(tau), each factor conjugated with the free evolution
+        s_prime = _free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
+        r_op = _free_conjugate(bus_op, spec.delta * spec.omega0, taus)
+        m_ops = np.einsum("ipq,irs->iprqs", s_prime, r_op).reshape(-1, 4, 4)
+    else:
+        # V(tau) = exp(i eps x tau/2 (P x R)) = cos(a) I + i sin(a) (P x R)
+        a = 0.5 * spec.epsilon * spec.x * taus
+        v = (np.cos(a)[:, None, None] * np.eye(4)
+             + 1j * np.sin(a)[:, None, None] * np.kron(probe_op, bus_op))
+        m_ops = np.einsum("ipq,qr,isr->ips", v, _Z_HALF_PROBE, v.conj())
+    return _connected_integrals(m_ops, weights, angles)
 
 
 def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
@@ -150,11 +163,11 @@ def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
         I_x = 4 eps^2 integral[ N K_probe(S'(t1), S'(t2)) <R(t1) R(t2)>
                                + N^2 <S'(t1)><S'(t2)> K_bus(R(t1), R(t2)) ]
 
-    with interaction-picture operators built by exact 2x2 conjugation and
-    the double integral over [0, t]^2 by Gauss-Legendre quadrature.
+    the connected correlations of S'(tau) (x) R(tau), with the double
+    integral over [0, t]^2 by Gauss-Legendre quadrature.
     """
     return _expansion(spec, n, 4.0 * spec.epsilon ** 2,
-                      _pt1_x_integrals(spec, angles, QUADRATURE_ORDER))
+                      _pt1_integrals(spec, angles, Param.X, QUADRATURE_ORDER))
 
 
 def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
@@ -165,40 +178,7 @@ def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
     whose magnitude exceeding ~1e-10 predicts N^2 scaling of I_x.  With
     eps = 1 the quadratic PT coefficient equals 4 times this value.
     """
-    return _pt1_x_integrals(spec, angles, QUADRATURE_ORDER)[1]
-
-
-@lru_cache(maxsize=256)
-def _pt1_omega1_integrals(spec: ModelSpec, angles: StateAngles, order: int) -> tuple:
-    """(linear_integral, quadratic_integral) of `pt1_qfi_omega1`."""
-    probe_op, bus_op = _COUPLING[spec.kind]
-    probe = _qubit_state(angles.alpha, angles.phi)
-    bus = _qubit_state(angles.beta, angles.varphi)
-    taus, weights = _nodes_on(0.0, spec.t, order)
-
-    # V(tau) = exp(i eps x tau/2 (P x R)) = cos(a) I + i sin(a) (P x R)
-    generator = np.kron(probe_op, bus_op)
-    a = 0.5 * spec.epsilon * spec.x * taus
-    v = (np.cos(a)[:, None, None] * np.eye(4)
-         + 1j * np.sin(a)[:, None, None] * generator)
-    z_half = np.kron(0.5 * paulis.Z, np.eye(2))
-    m_ops = np.einsum("ipq,qr,isr->ips", v, z_half, v.conj())
-
-    # sandwich the probe index: 2x2 bus operators B(tau)
-    m_blocks = m_ops.reshape(-1, 2, 2, 2, 2)  # (tau, p, s, p', s')
-    b_ops = np.einsum("p,ipsqt,q->ist", probe.conj(), m_blocks, probe)
-
-    # <probe| M(t1) M(t2) |probe>, still a bus operator
-    prod = np.einsum("ipq,jqr->ijpr", m_ops, m_ops).reshape(-1, len(taus), 2, 2, 2, 2)
-    c_ops = np.einsum("p,ijpsqt,q->ijst", probe.conj(), prod, probe)
-
-    bb = np.einsum("ipq,jqr->ijpr", b_ops, b_ops)
-    xi_c = _sandwich(bus, c_ops)
-    xi_bb = _sandwich(bus, bb)
-    b_mean = _sandwich(bus, b_ops)
-
-    return (float((weights @ (xi_c - xi_bb) @ weights).real),
-            float((weights @ (xi_bb - np.outer(b_mean, b_mean)) @ weights).real))
+    return _pt1_integrals(spec, angles, Param.X, QUADRATURE_ORDER)[1]
 
 
 def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
@@ -208,31 +188,25 @@ def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
     The interaction-picture derivative of a single probe term, Z_i/2
     conjugated with exp(i eps t H_int), closes in the (probe_i x bus)
     algebra: the factors for the other probes commute through because their
-    bus parts match the transformed operator's bus dependence.  Sandwiching
-    the probe index with |probe> leaves 2x2 bus operators whose connected
-    correlations give the N and N^2 terms.
+    bus parts match the transformed operator's bus dependence.
     """
     return _expansion(spec, n, 4.0 * spec.delta ** 2,
-                      _pt1_omega1_integrals(spec, angles, QUADRATURE_ORDER))
+                      _pt1_integrals(spec, angles, Param.OMEGA1, QUADRATURE_ORDER))
 
 
 def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
                    sel: Param) -> PtResult:
     """Zeroth-order QFI when the estimated parameter sits in the dominant
-    Hamiltonian: I = 4 t^2 Var_psi0(d_theta H_dominant), evaluated from the
-    tridiagonal generator `assemble` gives rather than any specialized
-    formula."""
+    Hamiltonian: I = 4 t^2 Var_psi0(d_theta H_dominant), where d_theta H sums
+    eps (P/2 x R) (for x) or delta (Z/2 x I) (for omega1) over the probes:
+    `_connected_integrals` at a single time."""
     if sel is Param.OMEGA0:
         raise ValueError("no zeroth-order expansion is provided for omega0")
-    # d/dx of eps*x*(K (x) B), or d/d omega1 of delta*omega1*J_z (x) I
-    generator = assemble(spec, n, wrt=sel.field)
-    psi = generator.to_blocks(build_product_state(n, angles).amplitudes)
-    g_psi = generator.block_mul(psi)
-    mean = np.vdot(psi, g_psi).real
-    variance = np.vdot(g_psi, g_psi).real - mean ** 2
-    return PtResult(value=4.0 * spec.t ** 2 * float(variance),
-                    linear_coefficient=None, quadratic_coefficient=None,
-                    **_regime(spec, n))
+    probe_op, bus_op = _COUPLING[spec.kind]
+    scale, term = ((spec.epsilon, np.kron(0.5 * probe_op, bus_op)) if sel is Param.X
+                   else (spec.delta, _Z_HALF_PROBE))
+    return _expansion(spec, n, 4.0 * (scale * spec.t) ** 2,
+                      _connected_integrals(term[None], np.ones(1), angles))
 
 
 @lru_cache(maxsize=256)

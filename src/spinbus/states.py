@@ -95,9 +95,6 @@ class SymmetricState:
     def dim(self) -> int:
         return 2 * (self.n_probes + 1)
 
-    def m_values(self) -> np.ndarray:
-        return m_values(self.n_probes)
-
 
 def m_values(n: int) -> np.ndarray:
     """Probe z projections in index order: N/2, N/2-1, ..., -N/2."""

@@ -151,6 +151,17 @@ def test_first_moment_identity_insensitive():
     assert res.insensitive and res.delta == math.inf and res.inv_squared == 0.0
 
 
+@pytest.mark.parametrize("spec, angles", [(ZZZZ, DEFAULT_ANGLES),
+                                           (ZZZZ.replaced(epsilon=100.0), UNFAVORABLE_ANGLES)])
+def test_first_moment_within_its_certificate_is_insensitive(spec, angles):
+    # at N = 200 the X readout's d<X>/dx (~1e-12 and ~1e-9) lies inside its
+    # certified error (relative bounds 22 and 60), so it cannot be told from
+    # zero; at DEFAULT_ANGLES the closed form's (delta x)^-2 is 4.2e-25
+    res = first_moment_uncertainty(spec, 200, angles, Param.X, paulis.X)
+    assert res.relative_discrepancy > 1.0
+    assert res.insensitive and res.delta == math.inf and res.inv_squared == 0.0
+
+
 def test_sensitivity_inequality_chain():
     # (delta)^-2 <= local QFI <= global QFI, all computed independently
     spec = ModelSpec(ModelKind.ZZXX, epsilon=1e-3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinbus import paulis, perturb
-from spinbus.dynamics import ModelKind, ModelSpec
+from spinbus.dynamics import ModelKind, ModelSpec, assemble
 from spinbus.fisher import Param, first_moment_uncertainty, global_qfi_fd
 from spinbus.perturb import (
     appendix_local_uncertainty,
@@ -13,7 +13,13 @@ from spinbus.perturb import (
     pt1_qfi_x,
     pt2_qfi_zeroth,
 )
-from spinbus.states import DEFAULT_ANGLES, FAVORABLE_ANGLES, UNFAVORABLE_ANGLES, StateAngles
+from spinbus.states import (
+    DEFAULT_ANGLES,
+    FAVORABLE_ANGLES,
+    UNFAVORABLE_ANGLES,
+    StateAngles,
+    build_product_state,
+)
 from spinbus.zzzz_exact import global_qfi_closed
 
 
@@ -107,6 +113,78 @@ def test_pt2_equals_closed_form_for_dephasing_model():
 def test_pt2_omega0_unsupported():
     with pytest.raises(ValueError):
         pt2_qfi_zeroth(ModelSpec(ModelKind.ZZXX), 4, DEFAULT_ANGLES, Param.OMEGA0)
+
+
+def test_pt2_omega1_equals_closed_form_at_large_n():
+    # Var(J_z) = N sin^2(2 alpha)/4 without the O(N eps) cancellation of
+    # <J_z^2> - <J_z>^2
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    expected = (spec.t * spec.delta) ** 2 * 2000 * math.sin(2 * DEFAULT_ANGLES.alpha) ** 2
+    got = pt2_qfi_zeroth(spec, 2000, DEFAULT_ANGLES, Param.OMEGA1)
+    assert got.value == pytest.approx(expected, rel=1e-14)
+    assert got.quadratic_coefficient == pytest.approx(0.0, abs=1e-14 * got.linear_coefficient)
+
+
+def _pt1_x_integrals_2x2(spec, angles, order):
+    """Reference: (linear, quadratic) pt1 integrals for x from the 2x2
+    correlators K_probe(S', S') <R R> and <S'><S'> K_bus(R, R)."""
+    probe = perturb._qubit_state(angles.alpha, angles.phi)
+    bus = perturb._qubit_state(angles.beta, angles.varphi)
+    taus, weights = perturb._nodes_on(0.0, spec.t, order)
+    probe_op, bus_op = perturb._COUPLING[spec.kind]
+    s_prime = perturb._free_conjugate(0.5 * probe_op, spec.delta * spec.omega1, taus)
+    r_op = perturb._free_conjugate(bus_op, spec.delta * spec.omega0, taus)
+
+    def pairs(a):
+        return np.einsum("ipq,jqr->ijpr", a, a)
+
+    s_mean = perturb._sandwich(probe, s_prime)
+    r_mean = perturb._sandwich(bus, r_op)
+    rr = perturb._sandwich(bus, pairs(r_op))
+    k_probe = perturb._sandwich(probe, pairs(s_prime)) - np.outer(s_mean, s_mean)
+    k_bus = rr - np.outer(r_mean, r_mean)
+    return (float((weights @ (k_probe * rr) @ weights).real),
+            float((weights @ (np.outer(s_mean, s_mean) * k_bus) @ weights).real))
+
+
+def _pt2_from_collective_variance(spec, n, angles, sel):
+    """Reference: 4 t^2 Var_psi0(dH/d theta) with dH/d theta from `assemble`."""
+    generator = assemble(spec, n, wrt=sel.field)
+    psi = generator.to_blocks(build_product_state(n, angles).amplitudes)
+    g_psi = generator.block_mul(psi)
+    mean = np.vdot(psi, g_psi).real
+    return 4.0 * spec.t ** 2 * float(np.vdot(g_psi, g_psi).real - mean ** 2)
+
+
+def test_connected_kernel_matches_the_direct_derivations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # zero or of physical size: products of tinier parameters leave floats
+    value = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+    angle = st.floats(0.0, math.pi, allow_subnormal=False)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(list(ModelKind)), value, value, value, value, value,
+                      st.floats(0.0, 2.0).filter(lambda v: v == 0.0 or v > 1e-6),
+                      angle, angle, angle, angle, st.integers(1, 64))
+    def check(kind, delta, epsilon, omega0, omega1, x, t, alpha, phi, beta, varphi, n):
+        spec = ModelSpec(kind, delta, epsilon, omega0, omega1, x, t)
+        angles = StateAngles(alpha, phi, beta, varphi)
+        # each value is a cancellation of terms up to ~ c^2 t^2 N (N + 1)
+        size = t ** 2 * n * (n + 1)
+
+        linear, quadratic = _pt1_x_integrals_2x2(spec, angles, perturb.QUADRATURE_ORDER)
+        assert hl_condition(spec, angles) == pytest.approx(quadratic, rel=1e-12,
+                                                           abs=1e-12 * t ** 2)
+        assert pt1_qfi_x(spec, n, angles).value == pytest.approx(
+            4.0 * epsilon ** 2 * (linear * n + quadratic * n ** 2),
+            rel=1e-12, abs=1e-12 * epsilon ** 2 * size)
+        for sel, c in ((Param.X, epsilon), (Param.OMEGA1, delta)):
+            assert pt2_qfi_zeroth(spec, n, angles, sel).value == pytest.approx(
+                _pt2_from_collective_variance(spec, n, angles, sel),
+                rel=1e-12, abs=1e-12 * c ** 2 * size)
+
+    check()
 
 
 def test_hl_condition_nonzero_for_xx_coupling():

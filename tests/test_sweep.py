@@ -192,9 +192,8 @@ def test_bus_densities_are_reduced_once_per_point(monkeypatch):
 @pytest.mark.parametrize("param, quantities", [("x", "pt1 hl_condition"),
                                                ("omega1", "pt1")])
 def test_pt1_quadrature_runs_once_per_regime(monkeypatch, param, quantities):
-    # the caches live for the whole process, so earlier tests may have filled them
-    perturb._pt1_x_integrals.cache_clear()
-    perturb._pt1_omega1_integrals.cache_clear()
+    # the cache lives for the whole process, so earlier tests may have filled it
+    perturb._pt1_integrals.cache_clear()
     calls = []
     nodes_on = perturb._nodes_on
 
