@@ -76,26 +76,26 @@ class QfiResult:
     """QFI from the exact state derivative.  `relative_discrepancy` bounds
     the relative error of `value` from the solve's certificate; above 1e-3
     the result is flagged `ill_conditioned` (a QFI that is a small remainder
-    of a large derivative, or an inaccurate solve).  `clamped` marks a
-    round-off negative value set to 0."""
+    of a large derivative, or an inaccurate solve)."""
 
     value: float
     relative_discrepancy: float
     ill_conditioned: bool = False
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
 class FirstMomentResult:
     """Uncertainty of theta estimated from the sample mean of a bus observable;
-    `relative_discrepancy` bounds the relative error of `mean_derivative`."""
+    `relative_discrepancy` bounds the relative error of `mean_derivative`, and
+    `flag` is "" or the reason the value cannot be trusted (see
+    `first_moment_result`)."""
 
     delta: float
     inv_squared: float
     variance: float
     mean_derivative: float
     relative_discrepancy: float
-    insensitive: bool = False
+    flag: str = ""
 
 
 def _relative(error: float, value: float) -> float:
@@ -105,9 +105,9 @@ def _relative(error: float, value: float) -> float:
     return math.inf if value == 0.0 else error / abs(value)
 
 
-def _qfi_result(value: float, error: float, clamped: bool = False) -> QfiResult:
+def _qfi_result(value: float, error: float) -> QfiResult:
     bound = _relative(error, value)
-    return QfiResult(value, bound, bound > RELATIVE_ERROR_TOL, clamped)
+    return QfiResult(value, bound, bound > RELATIVE_ERROR_TOL)
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,12 @@ def read_global_qfi(point: EvolvedPoint) -> QfiResult:
     ||delta y|| <= e = dpsi_error + 2 ||d psi|| psi_error (first order), so
     |delta I| <= 4 e (sqrt(I) + e)."""
     value = _pure_qfi(point.psi.amplitudes, point.dpsi)
-    clamped = value < 0.0
-    if clamped:
+    if value < 0.0:
         if value < -NEGATIVE_CLAMP:
             raise ArithmeticError(f"QFI came out negative beyond round-off: {value}")
         value = 0.0
     e = point.dpsi_error + 2.0 * float(np.linalg.norm(point.dpsi)) * point.psi_error
-    return _qfi_result(value, 4.0 * e * (math.sqrt(value) + e), clamped)
+    return _qfi_result(value, 4.0 * e * (math.sqrt(value) + e))
 
 
 def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
@@ -238,45 +237,45 @@ def qcr_bound(i_theta: float, m_measurements: int) -> float:
     return 1.0 / (m_measurements * i_theta)
 
 
-def read_first_moment(point: EvolvedPoint, observable: np.ndarray,
-                      m_measurements: int = 1) -> FirstMomentResult:
-    """Uncertainty of theta from the sample mean of I^(x)N (x) A:
+def first_moment_result(variance: float, mean_derivative: float, error: float,
+                        m_measurements: int) -> FirstMomentResult:
+    """The one rule from (Var A, d<A>/d theta) to the uncertainty
 
-        delta = sqrt(Var(A)) / (sqrt(M) |d<A>/d theta|)
+        delta = sqrt(Var A) / (sqrt(M) |d<A>/d theta|)
 
-    with <A> and Var(A) evaluated on the reduced bus state and the exact
-    derivative d<A>/d theta = Tr(d rho A), whose error is at most ||A||_2
-    times the trace-norm error of d rho; `relative_discrepancy` is that
-    bound over |d<A>/d theta|.
+    given a bound `error` on the error of d<A>/d theta.  Flags, first match:
+    `insensitive` (delta = inf, 1/delta^2 = 0) when the derivative lies within
+    its error or 1e-14 sqrt(Var A), as it cannot be told from an exactly
+    vanishing one; `nonpositive_variance` (delta = nan, 1/delta^2 = M d^2 / Var,
+    inf at Var = 0) when Var A <= 0, which an expanded variance can reach; and
+    `ill_conditioned` when error / |d<A>/d theta| exceeds RELATIVE_ERROR_TOL.
     """
-    a = check_hermitian_2x2(observable)
     if m_measurements < 1:
         raise ValueError("M must be a positive integer")
+    deriv = mean_derivative
+    disc = _relative(error, deriv)
+    if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(max(variance, 0.0)), error):
+        return FirstMomentResult(math.inf, 0.0, variance, deriv, disc, "insensitive")
+    inv_sq = m_measurements * deriv ** 2 / variance if variance != 0.0 else math.inf
+    if variance <= 0.0:
+        return FirstMomentResult(math.nan, inv_sq, variance, deriv, disc,
+                                 "nonpositive_variance")
+    return FirstMomentResult(1.0 / math.sqrt(inv_sq), inv_sq, variance, deriv, disc,
+                             "ill_conditioned" if disc > RELATIVE_ERROR_TOL else "")
 
+
+def read_first_moment(point: EvolvedPoint, observable: np.ndarray,
+                      m_measurements: int = 1) -> FirstMomentResult:
+    """`first_moment_result` of a bus observable A: <A> and Var(A) on the
+    reduced bus state and the exact derivative d<A>/d theta = Tr(d rho A),
+    whose error is at most ||A||_2 times the trace-norm error of d rho."""
+    a = check_hermitian_2x2(observable)
     rho0 = point.bus_density.rho
     drho, drho_error = point.bus_derivative
-    a_norm = float(np.linalg.norm(a, 2))
     mean = float(np.trace(rho0 @ a).real)
-    variance = max(0.0, float(np.trace(rho0 @ a @ a).real) - mean ** 2)
-    deriv = float(np.trace(drho @ a).real)
-    deriv_error = a_norm * drho_error
-    disc = _relative(deriv_error, deriv)
-
-    # a derivative within its certified error cannot be distinguished from an
-    # exactly vanishing one
-    if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(variance), deriv_error):
-        return FirstMomentResult(delta=math.inf, inv_squared=0.0,
-                                 variance=variance, mean_derivative=deriv,
-                                 relative_discrepancy=disc, insensitive=True)
-    if variance == 0.0:
-        # zero-variance observable with a residual derivative: delta -> 0
-        return FirstMomentResult(delta=0.0, inv_squared=math.inf,
-                                 variance=variance, mean_derivative=deriv,
-                                 relative_discrepancy=disc)
-    inv_sq = m_measurements * deriv ** 2 / variance
-    return FirstMomentResult(delta=1.0 / math.sqrt(inv_sq), inv_squared=inv_sq,
-                             variance=variance, mean_derivative=deriv,
-                             relative_discrepancy=disc)
+    return first_moment_result(float(np.trace(rho0 @ a @ a).real) - mean ** 2,
+                               float(np.trace(drho @ a).real),
+                               float(np.linalg.norm(a, 2)) * drho_error, m_measurements)
 
 
 def first_moment_uncertainty(spec: ModelSpec, n: int, angles: StateAngles, sel: Param,

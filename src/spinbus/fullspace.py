@@ -19,6 +19,9 @@ import math
 
 import numpy as np
 
+# relative step of the oracle's central differences
+FD_STEP = 1e-6
+
 # (probe operator, bus operator) of the interaction term, per model
 _INTERACTIONS = {
     "ZZZZ": ("Z", "Z"),
@@ -142,14 +145,14 @@ def pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
 
 
-def _central_difference(f, theta0: float, step: float) -> tuple:
-    """(f(theta0), the central difference of f at step * max(1, |theta0|))."""
-    h = step * max(1.0, abs(theta0))
+def _central_difference(f, theta0: float) -> tuple:
+    """(f(theta0), the central difference of f at FD_STEP * max(1, |theta0|))."""
+    h = FD_STEP * max(1.0, abs(theta0))
     return f(theta0), (f(theta0 + h) - f(theta0 - h)) / (2.0 * h)
 
 
 def evolved_with_derivative_full(kind, n, params: dict, which: str, alpha, phi, beta,
-                                 varphi, step: float = 1e-6) -> tuple:
+                                 varphi) -> tuple:
     """(psi, d psi/d theta) of the fully propagated pure state, the derivative
     a central difference: three dense propagations.  `params` holds delta,
     epsilon, omega0, omega1, x, t; `which` names the parameter (x, omega0 or
@@ -162,7 +165,7 @@ def evolved_with_derivative_full(kind, n, params: dict, which: str, alpha, phi, 
                              p["omega1"], p["x"])
         return propagate_full(h, p["t"], psi0)
 
-    return _central_difference(state_at, params[which], step)
+    return _central_difference(state_at, params[which])
 
 
 def bus_density_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -171,14 +174,11 @@ def bus_density_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return half + half.conj().T
 
 
-def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
-                            override: dict | None = None) -> np.ndarray:
+def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta,
+                            bus_varphi) -> np.ndarray:
     """rho(t) for thermal probes: convex combination over the 2^N probe
     configurations, each propagated as a pure state, all in one product."""
-    p = dict(params)
-    if override:
-        p.update(override)
-    u = beta_th * p["omega1"]
+    u = beta_th * params["omega1"]
     pop = np.array([math.exp(-u), math.exp(u)])
     pop /= pop.sum()
 
@@ -186,14 +186,14 @@ def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi
     for _ in range(n):  # weight of each probe configuration
         weights = np.kron(weights, pop)
 
-    h = hamiltonian_full(kind, n, p["delta"], p["epsilon"], p["omega0"],
-                         p["omega1"], p["x"])
+    h = hamiltonian_full(kind, n, params["delta"], params["epsilon"],
+                         params["omega0"], params["omega1"], params["x"])
     # column c is |config c> (x) |bus>, so psi_t[:, c] is that configuration
     # evolved to time t
     configs = np.arange(2 ** n)
     psi0 = np.zeros((2 ** n, 2, 2 ** n), dtype=complex)
     psi0[configs, :, configs] = qubit_state(bus_beta, bus_varphi)
-    psi_t = propagate_full(h, p["t"], psi0.reshape(2 ** (n + 1), 2 ** n))
+    psi_t = propagate_full(h, params["t"], psi0.reshape(2 ** (n + 1), 2 ** n))
     return (psi_t * weights) @ psi_t.conj().T
 
 
@@ -208,14 +208,14 @@ def mixed_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float = 1e-14) -> float
 
 
 def thermal_global_qfi_full(kind, n, params: dict, which: str, beta_th,
-                            bus_beta, bus_varphi, step: float = 1e-6) -> float:
+                            bus_beta, bus_varphi) -> float:
     """Finite-difference mixed-state QFI of the thermal-probe state.
 
     For which='omega1' the parameter shift moves both the thermal
     populations and the propagator, as it should.
     """
     rho, drho = _central_difference(
-        lambda theta: thermal_evolved_density(kind, n, params, beta_th, bus_beta,
-                                              bus_varphi, override={which: theta}),
-        params[which], step)
+        lambda theta: thermal_evolved_density(kind, n, dict(params, **{which: theta}),
+                                              beta_th, bus_beta, bus_varphi),
+        params[which])
     return mixed_qfi(rho, drho)

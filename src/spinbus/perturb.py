@@ -30,7 +30,7 @@ import numpy as np
 
 from . import paulis
 from .dynamics import ModelKind, ModelSpec
-from .fisher import INSENSITIVE_TOL, Param
+from .fisher import FirstMomentResult, Param, first_moment_result
 from .states import StateAngles
 
 # (probe operator P with S = x/2 P, bus operator R) per model
@@ -59,16 +59,6 @@ class PtResult:
     eps_times_n: float
     delta_times_n: float
     free_norm_t: float
-
-
-@dataclass(frozen=True)
-class PerturbativeUncertainty:
-    delta: float
-    inv_squared: float
-    variance: float
-    mean_derivative: float
-    insensitive: bool = False
-    flag: str | None = None
 
 
 @lru_cache(maxsize=32)
@@ -120,21 +110,21 @@ def _connected_integrals(m_ops: np.ndarray, weights: np.ndarray,
                          angles: StateAngles) -> tuple:
     """(linear, quadratic) integrals over the nodes of one probe's term M(tau),
     a (probe x bus) 4x4 operator, in the product state.  Sandwiching the probe
-    index leaves bus operators B(tau) = <M(tau)>, C(t1, t2) = <M(t1) M(t2)>:
-    linear = <C> - <B B> and quadratic = <B B> - <B><B>, so a sum of N such
-    terms at one time has the variance linear N + quadratic N^2."""
+    index leaves the bus operator B(tau) = <M(tau)>; with both factors centred,
+    dM = M - I x B and dB = B - <B> I, linear = <dM(t1) dM(t2)> and quadratic
+    = <dB(t1) dB(t2)>, so a sum of N such terms at one time has the variance
+    linear N + quadratic N^2 without a difference of large moments."""
     probe = _qubit_state(angles.alpha, angles.phi)
     bus = _qubit_state(angles.beta, angles.varphi)
     m_blocks = m_ops.reshape(-1, 2, 2, 2, 2)  # (tau, p, s, p', s')
     b_ops = np.einsum("p,ipsqt,q->ist", probe.conj(), m_blocks, probe)
-    prod = np.einsum("ipq,jqr->ijpr", m_ops, m_ops).reshape(-1, len(weights), 2, 2, 2, 2)
-    c_ops = np.einsum("p,ijpsqt,q->ijst", probe.conj(), prod, probe)
-
-    xi_c = _sandwich(bus, c_ops)
-    xi_bb = _sandwich(bus, np.einsum("ipq,jqr->ijpr", b_ops, b_ops))
-    b_mean = _sandwich(bus, b_ops)
-    return (float((weights @ (xi_c - xi_bb) @ weights).real),
-            float((weights @ (xi_bb - np.outer(b_mean, b_mean)) @ weights).real))
+    dm = (m_blocks - np.einsum("pq,ist->ipsqt", np.eye(2), b_ops)).reshape(-1, 4, 4)
+    prod = np.einsum("ipq,jqr->ijpr", dm, dm).reshape(-1, len(weights), 2, 2, 2, 2)
+    linear = _sandwich(bus, np.einsum("p,ijpsqt,q->ijst", probe.conj(), prod, probe))
+    db = b_ops - _sandwich(bus, b_ops)[:, None, None] * np.eye(2)
+    quadratic = _sandwich(bus, np.einsum("ipq,jqr->ijpr", db, db))
+    return (float((weights @ linear @ weights).real),
+            float((weights @ quadratic @ weights).real))
 
 
 @lru_cache(maxsize=256)
@@ -283,9 +273,10 @@ def _appendix_coefficients(spec: ModelSpec, angles: StateAngles, observable: tup
 
 def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
                                observable: np.ndarray, sel: Param,
-                               m_measurements: int = 1) -> PerturbativeUncertainty:
+                               m_measurements: int = 1) -> FirstMomentResult:
     """Second-order expansion of the first-moment uncertainty of a bus
-    observable A, combining the expanded variance and mean derivative.
+    observable A: `fisher.first_moment_result` of the expanded variance and
+    mean derivative, exact polynomials in N (error 0).
 
     The observable enters in the free picture at the final time,
     A~ = exp(i delta H_R t) A exp(-i delta H_R t); with a static A the
@@ -305,25 +296,8 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     """
     if sel is Param.OMEGA0:
         raise ValueError("the expansion targets x or omega1, not omega0")
-    if m_measurements < 1:
-        raise ValueError("M must be a positive integer")
     key = tuple(paulis.check_hermitian_2x2(observable).ravel().tolist())
     var0, c1, c2, d1, d2 = _appendix_coefficients(spec, angles, key, sel,
                                                   QUADRATURE_ORDER)
-    variance = var0 + c1 * n + c2 * n ** 2
-    deriv = d1 * n + d2 * n ** 2
-
-    if abs(deriv) <= INSENSITIVE_TOL * math.sqrt(max(variance, 0.0)):
-        return PerturbativeUncertainty(delta=math.inf, inv_squared=0.0,
-                                       variance=variance, mean_derivative=deriv,
-                                       insensitive=True)
-    if variance <= 0.0:
-        return PerturbativeUncertainty(delta=math.nan,
-                                       inv_squared=m_measurements * deriv ** 2 / variance
-                                       if variance != 0.0 else math.inf,
-                                       variance=variance, mean_derivative=deriv,
-                                       flag="nonpositive_variance")
-    inv_sq = m_measurements * deriv ** 2 / variance
-    return PerturbativeUncertainty(delta=1.0 / math.sqrt(inv_sq),
-                                   inv_squared=inv_sq, variance=variance,
-                                   mean_derivative=deriv)
+    return first_moment_result(var0 + c1 * n + c2 * n ** 2, d1 * n + d2 * n ** 2, 0.0,
+                               m_measurements)

@@ -79,6 +79,9 @@ class SweepConfig:
             raise ValueError("measurements must be a positive integer")
         if self.workers < 1:
             raise ValueError("workers must be a positive integer")
+        names = [regime.name for regime in self.regimes]  # each names its CSV rows
+        if any(not name or "," in name for name in names) or len(set(names)) < len(names):
+            raise ValueError(f"regime names must be nonempty, comma-free and distinct: {names}")
         for regime in self.regimes:  # a bad parameter fails here, not mid-sweep
             _Point(self, regime, ns[0])
 
@@ -148,9 +151,8 @@ def _qfi(result) -> tuple:
     return result.value, "ill_conditioned" if result.ill_conditioned else ""
 
 
-def _first_moment(p: _Point) -> tuple:
-    r = fisher.read_first_moment(p.evolved(), p.observable, p.config.m_measurements)
-    return r.inv_squared, "insensitive" if r.insensitive else ""
+def _first_moment(r) -> tuple:
+    return r.inv_squared, r.flag
 
 
 def _pt1(p: _Point) -> tuple:
@@ -167,23 +169,19 @@ def _pt2(p: _Point) -> tuple:
     return perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel).value, ""
 
 
-def _appendix_fm(p: _Point) -> tuple:
-    r = perturb.appendix_local_uncertainty(p.spec, p.n, p.angles, p.observable, p.sel,
-                                           m_measurements=p.config.m_measurements)
-    return r.inv_squared, r.flag or ("insensitive" if r.insensitive else "")
-
-
 # quantity -> reader of a point, returning (value, flag).  Readers look up what
 # they call at call time, so wrapping a module function also wraps its use here.
 _READERS = {
     "global_qfi": lambda p: _qfi(fisher.read_global_qfi(p.evolved())),
     "local_qfi": lambda p: _qfi(fisher.read_local_qfi(p.evolved())),
-    "first_moment": _first_moment,
+    "first_moment": lambda p: _first_moment(fisher.read_first_moment(
+        p.evolved(), p.observable, p.config.m_measurements)),
     "pt1": _pt1,
     "pt2": _pt2,
     "closed_form": lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel), ""),
     "hl_condition": lambda p: (perturb.hl_condition(p.spec, p.angles), ""),
-    "appendix_fm": _appendix_fm,
+    "appendix_fm": lambda p: _first_moment(perturb.appendix_local_uncertainty(
+        p.spec, p.n, p.angles, p.observable, p.sel, p.config.m_measurements)),
     "local_qfi_closed": lambda p: (zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles), ""),
 }
 

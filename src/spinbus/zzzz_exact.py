@@ -33,7 +33,7 @@ class XReadoutVariant(Enum):
 
     EXACT_WORST = "exact_worst"      # exact result at the worst product state
     PT_WORST = "pt_worst"            # lowest-order result at the worst state
-    PT_GENERAL = "pt_general"        # binomial-sum formula for any angles
+    PT_GENERAL = "pt_general"        # exact binomial sums for any angles
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from spinbus.fisher import (
     Param,
     _bloch_qfi,
     evolve_point,
+    first_moment_result,
     first_moment_uncertainty,
     global_qfi_fd,
     local_qfi_fd,
@@ -148,7 +149,7 @@ def test_first_moment_worst_state_exact_form():
 
 def test_first_moment_identity_insensitive():
     res = first_moment_uncertainty(ZZZZ, 3, DEFAULT_ANGLES, Param.X, paulis.IDENTITY)
-    assert res.insensitive and res.delta == math.inf and res.inv_squared == 0.0
+    assert res.flag == "insensitive" and res.delta == math.inf and res.inv_squared == 0.0
 
 
 @pytest.mark.parametrize("spec, angles", [(ZZZZ, DEFAULT_ANGLES),
@@ -159,7 +160,26 @@ def test_first_moment_within_its_certificate_is_insensitive(spec, angles):
     # zero; at DEFAULT_ANGLES the closed form's (delta x)^-2 is 4.2e-25
     res = first_moment_uncertainty(spec, 200, angles, Param.X, paulis.X)
     assert res.relative_discrepancy > 1.0
-    assert res.insensitive and res.delta == math.inf and res.inv_squared == 0.0
+    assert res.flag == "insensitive" and res.delta == math.inf and res.inv_squared == 0.0
+
+
+@pytest.mark.parametrize("variance, deriv, error, flag, inv_squared", [
+    (0.5, 1.0, 1e-3, "", 2.0),
+    (0.5, 1.0, 2e-3, "ill_conditioned", 2.0),
+    (0.5, 1e-3, 1e-3, "insensitive", 0.0),
+    (0.0, 1.0, 0.0, "nonpositive_variance", math.inf),
+    (-0.5, 1.0, 0.0, "nonpositive_variance", -2.0),
+    (-0.5, 1e-3, 1e-3, "insensitive", 0.0),
+])
+def test_first_moment_rule_on_direct_inputs(variance, deriv, error, flag, inv_squared):
+    res = first_moment_result(variance, deriv, error, 1)
+    assert res.flag == flag and res.inv_squared == inv_squared
+    assert res.variance == variance and res.mean_derivative == deriv
+    if flag == "nonpositive_variance":
+        assert math.isnan(res.delta)
+    assert first_moment_result(variance, deriv, error, 3).inv_squared == 3 * inv_squared
+    with pytest.raises(ValueError):
+        first_moment_result(variance, deriv, error, 0)
 
 
 def test_sensitivity_inequality_chain():
@@ -427,6 +447,19 @@ def test_certificate_covers_a_corrupted_eigenvector(monkeypatch, n, sel):
     _assert_bound_covers(corrupted, clean)
     assert not fisher.read_global_qfi(corrupted).ill_conditioned
     assert not fisher.read_local_qfi(corrupted).ill_conditioned
+
+
+def test_certificate_flags_a_first_moment_inside_a_few_percent(monkeypatch):
+    # a tilt of 1e-5 leaves the global QFI's bound below 1e-3, but d<A>/dx
+    # carries a certified error of 4.5e-2 of itself
+    spec = ModelSpec(ModelKind.ZZXX)
+    clean = evolve_point(spec, 10, DEFAULT_ANGLES, Param.X)
+    _tilt_eigenvector(monkeypatch, 1e-5)
+    corrupted = evolve_point(spec, 10, DEFAULT_ANGLES, Param.X)
+    _assert_bound_covers(corrupted, clean)
+    assert not fisher.read_global_qfi(corrupted).ill_conditioned
+    assert fisher.read_first_moment(corrupted, paulis.XZ_HALF).flag == "ill_conditioned"
+    assert fisher.read_first_moment(clean, paulis.XZ_HALF).flag == ""
 
 
 @pytest.mark.parametrize("n, sel", [(10, Param.X), (11, Param.OMEGA1)])

@@ -113,8 +113,8 @@ def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, overri
 def test_thermal_density_matches_per_configuration_loop(kind, n):
     params = dict(delta=0.7, epsilon=1.3, omega0=0.9, omega1=1.1, x=0.8, t=1.7)
     for override in ({}, {"omega1": 1.1 + 1e-3}):
-        rho = fullspace.thermal_evolved_density(kind, n, params, 0.6, 0.4, 1.2,
-                                                override=override)
+        rho = fullspace.thermal_evolved_density(kind, n, dict(params, **override),
+                                                0.6, 0.4, 1.2)
         reference = _loop_thermal_density(kind, n, params, 0.6, 0.4, 1.2, override)
         assert np.max(np.abs(rho - reference)) < 1e-13
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-15

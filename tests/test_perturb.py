@@ -125,6 +125,22 @@ def test_pt2_omega1_equals_closed_form_at_large_n():
     assert got.quadratic_coefficient == pytest.approx(0.0, abs=1e-14 * got.linear_coefficient)
 
 
+def test_pt2_omega1_keeps_full_precision_near_polarized_probes():
+    # alpha within 1e-5..1e-2 of 0 or pi/2 makes one probe's variance tiny
+    # against <M^2>: the centred kernel still gives t^2 delta^2 N sin^2(2 alpha)
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        offset = 10.0 ** rng.uniform(-5.0, -2.0)
+        alpha = offset if rng.random() < 0.5 else 0.5 * math.pi - offset
+        angles = StateAngles(alpha, *rng.uniform(0.0, 2.0 * math.pi, 3))
+        spec = ModelSpec(ModelKind(rng.choice(list(ModelKind))),
+                         **dict(zip(("delta", "epsilon", "t"), rng.uniform(0.1, 10.0, 3))))
+        n = int(rng.integers(1, 201))
+        expected = (spec.t * spec.delta) ** 2 * n * math.sin(2.0 * alpha) ** 2
+        got = pt2_qfi_zeroth(spec, n, angles, Param.OMEGA1).value
+        assert got == pytest.approx(expected, rel=1e-13)
+
+
 def _pt1_x_integrals_2x2(spec, angles, order):
     """Reference: (linear, quadratic) pt1 integrals for x from the 2x2
     correlators K_probe(S', S') <R R> and <S'><S'> K_bus(R, R)."""
@@ -323,7 +339,7 @@ def test_appendix_worst_state_known_form():
 def test_appendix_conserved_observable_insensitive():
     got = appendix_local_uncertainty(ModelSpec(ModelKind.ZZZZ), 4, DEFAULT_ANGLES,
                                      paulis.Z, Param.X)
-    assert got.insensitive and got.delta == math.inf
+    assert got.flag == "insensitive" and got.delta == math.inf
 
 
 def test_appendix_tracks_exact_first_moment_weak_coupling():

@@ -102,6 +102,10 @@ def test_config_rejects_bad_input():
     "measurements = 0",
     "workers = 0",
     "regime = a: delta=inf",
+    "regime = : delta=1",
+    "regime = we,ak: delta=1",
+    "regime = strong: epsilon=100\nregime = strong: epsilon=10",
+    "alphas = linspace 0.5 0.5 3",
 ])
 def test_config_errors_are_value_errors(text):
     with pytest.raises(ValueError):
