@@ -24,17 +24,24 @@ the first is diagonalized.
 `evolve_derivative` also returns the exact derivative of the evolved state
 from the same eigendecomposition (Daleckii-Krein formula), and certified
 error bounds on both.
+
+The chain solves are the package's only calls into scipy's BLAS/LAPACK, and
+they run with scipy's bundled OpenBLAS set to one thread (see
+`_one_scipy_blas_thread`); numpy's pool, which the kernel products and the
+full-space oracle use, keeps the caller's setting.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack, eigh_tridiagonal
 
 from .states import SymmetricState, StateAngles, _jx_ladder, build_product_state, m_values
 
@@ -217,6 +224,39 @@ def _mirrored(m: HamiltonianMatrix) -> bool:
             and np.array_equal(off[1], off[0][::-1]))
 
 
+def _scipy_blas_threads():
+    """(get, set) thread-count functions of the OpenBLAS scipy links, or None
+    when scipy links another BLAS (MKL, Accelerate)."""
+    try:
+        lib = ctypes.CDLL(cython_lapack.__file__)  # dlsym also searches its dependencies
+        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+
+
+_SCIPY_BLAS_THREADS = _scipy_blas_threads()
+
+
+@contextmanager
+def _one_scipy_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore the
+    caller's count.  numpy bundles a second OpenBLAS; when the two pools
+    alternate, each keeps a worker spinning after its call and slows the
+    other's next call, and a chain solve gains almost nothing from threads.
+    The count is process-wide, so Python threads that solve at once may
+    restore each other's setting."""
+    if _SCIPY_BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _SCIPY_BLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def eigensystem(h: HamiltonianMatrix):
     """Eigenvalues (blocks, size), ascending within each block, and
     orthonormal eigenvectors (blocks, size, size; columns) of every
@@ -236,7 +276,8 @@ def eigensystem(h: HamiltonianMatrix):
             blocks[:, i, i] = diag
             blocks[:, i[:-1], i[1:]] = blocks[:, i[1:], i[:-1]] = off
             return np.linalg.eigh(blocks)
-        pairs = [eigh_tridiagonal(d, e) for d, e in zip(diag[:chains], off)]
+        with _one_scipy_blas_thread():
+            pairs = [eigh_tridiagonal(d, e) for d, e in zip(diag[:chains], off)]
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
         raise RuntimeError(
             f"eigendecomposition failed to converge for dim={h.dim}: {err}") from err
@@ -300,11 +341,17 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     and of the kernel, of norm <= t ||G||); d samples E along c only, so
     these terms are estimates.  Products with V (||V||_F = sqrt(size)) and
     V^T G V round by gamma = (size + 4) u / (1 - (size + 4) u) each.
-    Normalizing psi at most doubles its error.  With ||H||, ||G|| the
-    Gershgorin `norm_bound`s:
+    Normalizing psi at most doubles its error.  With gradual underflow an
+    operation may also err absolutely, by at most the smallest subnormal
+    number s (Higham, eq. 2.8); a component of dpsi is about 3 size + 4
+    operations deep, and what errs before the products with t and the kernel
+    grows by at most (1 + t)(1 + t ||G||), so each bound gains the floor
+    f = (3 size + 4) sqrt(dim) (1 + t)(1 + t ||G||) s, taken as 0 for G = 0,
+    whose dpsi = 0 is exact (psi's gamma term alone exceeds f).  With ||H||,
+    ||G|| the Gershgorin `norm_bound`s:
 
-        psi_error  = 2 (d + t eta + 2 sqrt(size) gamma),
-        dpsi_error = t ||G|| (2 d + t eta + (size + 3 sqrt(size)) gamma).
+        psi_error  = 2 (d + t eta + 2 sqrt(size) gamma) + f,
+        dpsi_error = t ||G|| (2 d + t eta + (size + 3 sqrt(size)) gamma) + f.
     """
     _check_dims(h, psi0)
     if not (np.array_equal(g.perm, h.perm) and g.block_diag.shape == h.block_diag.shape):
@@ -337,12 +384,15 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         kernel = np.concatenate([kernel, -kernel[:, ::-1, ::-1]])
     psi = h.from_blocks(_mul(v, half * half * c))
     dpsi = h.from_blocks(_mul(v, -1j * t * half * _mul(kernel, half * c)))
-    size, tau = w.shape[1], abs(t)
+    size, tau, g_norm = w.shape[1], abs(t), g.norm_bound
     gamma = (size + 4) * u / (1.0 - (size + 4) * u)
+    tiny = float(np.finfo(float).smallest_subnormal)
+    floor = 0.0 if g_norm == 0.0 else ((3 * size + 4) * math.sqrt(h.dim) * (1.0 + tau)
+                                       * (1.0 + tau * g_norm) * tiny)
     return (SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi)), dpsi,
-            2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma),
-            tau * g.norm_bound * (2.0 * defect + tau * eta
-                                  + (size + 3.0 * math.sqrt(size)) * gamma))
+            2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma) + floor,
+            tau * g_norm * (2.0 * defect + tau * eta
+                            + (size + 3.0 * math.sqrt(size)) * gamma) + floor)
 
 
 def propagate(spec: ModelSpec, n: int, angles: StateAngles) -> SymmetricState:

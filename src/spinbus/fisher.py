@@ -179,10 +179,11 @@ def _bus_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ms,mt->st", a.reshape(-1, 2), b.reshape(-1, 2).conj())
 
 
-def _bloch_qfi(r: np.ndarray, dr: np.ndarray) -> float:
+def _bloch_qfi(r: np.ndarray, dr: np.ndarray, radial_error: float) -> float:
     """Single-qubit QFI |dr|^2 + (r.dr)^2/(1 - |r|^2).  At the pure boundary
-    the second term is dropped for tangent motion (|r.dr| < 1e-9 |dr|); a
-    non-tangent derivative there pushes rho off the state space and raises."""
+    the second term is dropped for tangent motion, |r.dr| <= `radial_error`
+    (a bound on the error of r.dr); a non-tangent derivative there pushes rho
+    off the state space and raises."""
     r_sq = float(r @ r)
     if r_sq > 1.0 + PURE_BOUNDARY_TOL:
         raise ValueError(f"|r| = {math.sqrt(r_sq)} exceeds 1: invalid density")
@@ -190,13 +191,11 @@ def _bloch_qfi(r: np.ndarray, dr: np.ndarray) -> float:
     radial = float(r @ dr)
     if r_sq < 1.0 - PURE_BOUNDARY_TOL:
         return dr_sq + radial ** 2 / (1.0 - r_sq)
-    if dr_sq == 0.0:
-        return 0.0
-    if abs(radial) < PURE_BOUNDARY_TOL * math.sqrt(dr_sq):
+    if abs(radial) <= radial_error:
         return dr_sq
     raise ArithmeticError(
         "derivative is not tangent at the pure-state boundary "
-        f"(|r.dr| = {abs(radial)}): QFI is singular here")
+        f"(|r.dr| = {abs(radial)} > {radial_error}): QFI is singular here")
 
 
 def read_local_qfi(point: EvolvedPoint) -> QfiResult:
@@ -204,16 +203,18 @@ def read_local_qfi(point: EvolvedPoint) -> QfiResult:
     derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|).
 
     As |delta r| <= sqrt(2) ||delta rho||_F, r and dr err by at most
-    e_r = 2 sqrt(2) psi_error and e_dr = sqrt(2) times d rho's error.  The
-    value is dr^T M dr, M = I + r r^T / (1 - |r|^2) (I on the tangent
-    branch), so it errs by at most (|g| + e_dr ||M||) e_dr + |r.dr| |g| e_r
-    / (1 - |r|^2), g = 2 M dr, exactly in dr and to first order in r.
+    e_r = 2 sqrt(2) psi_error and e_dr = sqrt(2) times d rho's error, so r.dr
+    errs by at most |dr| e_r + e_dr (|r| <= 1): at a pure bus state a
+    derivative whose |r.dr| lies within that is tangent.  The value is dr^T M
+    dr, M = I + r r^T / (1 - |r|^2) (I on the tangent branch), so it errs by
+    at most (|g| + e_dr ||M||) e_dr + |r.dr| |g| e_r / (1 - |r|^2), g = 2 M dr,
+    exactly in dr and to first order in r.
     """
     r = point.bus_density.bloch()
     drho, drho_error = point.bus_derivative
     dr = _bloch_vector(drho)
-    value = _bloch_qfi(r, dr)
     e_r, e_dr = 2.0 * math.sqrt(2.0) * point.psi_error, math.sqrt(2.0) * drho_error
+    value = _bloch_qfi(r, dr, float(np.linalg.norm(dr)) * e_r + e_dr)
     scale = 1.0 - float(r @ r)
     scale, radial = (scale, float(r @ dr) / scale) if scale > PURE_BOUNDARY_TOL else (1.0, 0.0)
     grad = 2.0 * float(np.linalg.norm(dr + radial * r))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinbus import fullspace
+from spinbus import dynamics, fullspace
 from spinbus.dynamics import (
     HamiltonianMatrix,
     ModelKind,
@@ -108,6 +108,35 @@ def test_eigensystem_orthonormal_d50():
     np.testing.assert_allclose(v.T @ v, np.eye(50), atol=1e-10)
     residual = h.matrix @ v - v * w
     assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)
+
+
+def test_chain_solves_run_on_one_scipy_blas_thread(monkeypatch):
+    if dynamics._SCIPY_BLAS_THREADS is None:
+        pytest.skip("scipy does not link its bundled OpenBLAS")
+    get, set_ = dynamics._SCIPY_BLAS_THREADS
+    solve, seen = dynamics.eigh_tridiagonal, []
+
+    def recording(d, e):
+        seen.append(get())
+        return solve(d, e)
+
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", recording)
+    caller = get()
+    try:
+        for count in (caller, 2):
+            set_(count)
+            count = get()
+            for n in (300, 301):  # one mirrored chain, then two chains
+                h = assemble(ModelSpec(ModelKind.ZZXX), n)
+                seen.clear()
+                w, v = eigensystem(h)
+                assert seen == [1] * (1 if n % 2 == 0 else 2)
+                assert get() == count
+                for b, (d, e) in enumerate(zip(h.block_diag[:len(seen)], h.block_off)):
+                    w_ref, v_ref = solve(d, e)  # on the caller's thread count
+                    assert np.array_equal(w[b], w_ref) and np.array_equal(v[b], v_ref)
+    finally:
+        set_(caller)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -114,12 +114,21 @@ def test_qubit_qfi_classical_populations():
     # formula gives sum (dp)^2/p = 1
     r = BusDensity(np.diag([0.5, 0.5])).bloch()
     dr = np.array([0.0, 0.0, 1.0])  # d r_z / d theta of the populations above
-    assert _bloch_qfi(r, dr) == pytest.approx(1.0, rel=1e-9)
+    assert _bloch_qfi(r, dr, 0.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_qubit_qfi_parameter_independent():
     rho = BusDensity(np.array([[0.75, 0.1], [0.1, 0.25]]))
-    assert _bloch_qfi(rho.bloch(), np.zeros(3)) == 0.0
+    assert _bloch_qfi(rho.bloch(), np.zeros(3), 0.0) == 0.0
+
+
+def test_local_qfi_raises_for_a_radial_derivative_at_a_pure_bus():
+    # the tangent case, round-off within its certified error, is
+    # test_sweep.py's pure-bus sweep
+    psi = build_product_state(4, DEFAULT_ANGLES)  # a product state: the bus is pure
+    radial = fisher.EvolvedPoint(psi, psi.amplitudes.copy(), 1e-15, 1e-15)  # d rho = 2 rho
+    with pytest.raises(ArithmeticError):
+        fisher.read_local_qfi(radial)
 
 
 def test_qubit_qfi_worst_state_closed_value():
@@ -374,6 +383,8 @@ def test_eigenpairs_and_exact_derivative_on_random_specs():
     value = st.floats(-1.5, 1.5, allow_subnormal=False)
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    # t ||dH/dx|| at the underflow threshold: the certificate's absolute floor
+    @hypothesis.example(ModelKind.ZZZZ, 0.0, 1.149e-307, 0.0, 0.0, 0.0, 2.0 ** -8, 2)
     @hypothesis.given(st.sampled_from(list(ModelKind)), value, value, value, value,
                       value, st.floats(0.0, 1.5, allow_subnormal=False),
                       st.integers(2, 39))

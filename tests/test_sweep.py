@@ -1,4 +1,6 @@
+import importlib.resources
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -275,23 +277,41 @@ def test_failing_quantity_leaves_the_fisher_rows_alone():
 
 
 def test_sweep_deterministic_across_workers(tmp_path):
-    text = """
+    small = parse_config("""
         model = zzzz
         param = x
         regime = a: delta=1, epsilon=1
         regime = b: delta=1, epsilon=0.3
         nlist = 1 2 4 8 16
         quantities = global_qfi closed_form local_qfi first_moment pt1 pt2 hl_condition
-    """
-    cfg = parse_config(text)
-    serial = run_sweep(cfg)
-    from dataclasses import replace
-    parallel = run_sweep(replace(cfg, workers=2))
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    emit_csv(serial, str(p1))
-    emit_csv(parallel, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    assert (tmp_path / "serial.csv.fits.csv").exists()
+    """)
+    # fig 3's regimes at N = 500: chains long enough that the kernel gemm
+    # rounds differently on another BLAS thread count
+    text = importlib.resources.files("spinbus").joinpath("configs", "fig3.cfg").read_text()
+    fig3 = replace(parse_config(text), n_list=(500,), quantities=("global_qfi",))
+    for name, cfg in (("small", small), ("fig3", fig3)):
+        p1, p2 = tmp_path / f"{name}_serial.csv", tmp_path / f"{name}_parallel.csv"
+        emit_csv(run_sweep(cfg), str(p1))
+        emit_csv(run_sweep(replace(cfg, workers=2)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes(), name
+        assert (tmp_path / f"{name}_serial.csv.fits.csv").exists()
+
+
+def test_pure_bus_sweep_has_no_error_rows():
+    # at x = 0 the bus decouples and stays pure, and its derivative in omega1
+    # is round-off; the tangency test reads that from the certified errors
+    for model in ModelKind:
+        cfg = parse_config(f"""
+            model = {model}
+            param = omega1
+            x = 0
+            regime = a: delta=1, epsilon=1
+            regime = b: delta=2, epsilon=0.3
+            nlist = 1 2 4 8 16
+            quantities = local_qfi global_qfi first_moment
+        """)
+        flags = {row.flag for row in run_sweep(cfg).rows}
+        assert not any(flag.startswith("error") for flag in flags), (model, flags)
 
 
 def test_emit_csv_round_trip(tmp_path):
