@@ -1,10 +1,12 @@
 """Command-line driver: sweeps, validation suites, closed-form queries, and
-figure-data reproduction.
+figure-data reproduction.  Sweeps and config parsing live in
+`spinbus.sweep`, the validation suites in `spinbus.validate`.
 
 Subcommands
 -----------
 sweep <config>        run the sweep described by a key = value config file
-validate [--suite]    run validation suites a/b/c/d (default all)
+validate [--suite]    run validation suites a/b/c/d (default all), one
+                      `PASS|FAIL [suite] name: details` line per check
 exact <model> <param> one-shot closed-form query (ZZZZ only)
 fig <2|3|4|5|6>       reproduce a bundled figure configuration
 
@@ -23,6 +25,7 @@ from .dynamics import ModelKind, ModelSpec
 from .fisher import Param
 from .states import StateAngles
 from .sweep import parse_config, parse_number
+from .validate import SUITES, validate
 
 FIG_NUMBERS = ("2", "3", "4", "5", "6")
 
@@ -79,7 +82,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     seed = {} if args.seed is None else {"seed": args.seed}
-    report = sweeplib.validate(suites=args.suite, **seed)
+    report = validate(suites=args.suite, **seed)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} [{check.suite}] {check.name}: {check.details}")
@@ -136,8 +139,7 @@ def main(argv=None) -> int:
     _add_common(p_sweep)
 
     p_val = sub.add_parser("validate", help="run validation suites")
-    p_val.add_argument("--suite", choices=["a", "b", "c", "d", "all"],
-                       default="all")
+    p_val.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p_val.add_argument("--seed", type=int, default=None)
 
     p_exact = sub.add_parser("exact", help="closed-form query (ZZZZ)")

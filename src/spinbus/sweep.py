@@ -1,4 +1,4 @@
-"""Regime sweeps over N, scaling-exponent fits, validation suites, CSV output.
+"""Regime sweeps over N, scaling-exponent fits, CSV output, config parsing.
 
 A sweep evaluates a set of quantities (global/local QFI, first-moment
 uncertainties, perturbative values, closed forms) on a grid of probe numbers
@@ -12,7 +12,8 @@ solves the dynamics at most once for all of its fisher quantities.
 
 Output ordering is deterministic (sorted by quantity, regime, N) regardless
 of how many workers computed the points, so identical configs give
-byte-identical CSV files.
+byte-identical CSV files.  `parse_config` reads the `key = value` config
+format and rejects unknown keys; the validation suites are `spinbus.validate`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fisher, fullspace, paulis, perturb, zzzz_exact
-from .dynamics import ModelKind, ModelSpec, assemble, evolve, propagate
-from .fisher import Param, global_qfi_fd, reduce_to_bus
-from .states import DEFAULT_ANGLES, StateAngles, build_product_state
+from . import fisher, paulis, perturb, zzzz_exact
+from .dynamics import ModelKind, ModelSpec
+from .fisher import Param
+from .states import DEFAULT_ANGLES, StateAngles
 
 
 class FitDomainError(ValueError):
@@ -242,10 +243,10 @@ def fit_scaling(rows, quantity: str, regime: str, window) -> tuple:
     if len(pts) < 3:
         raise FitDomainError(
             f"need >= 3 usable points in window for {quantity}/{regime}, got {len(pts)}")
-    return _fit_loglog([p[0] for p in pts], [p[1] for p in pts])
+    return fit_loglog([p[0] for p in pts], [p[1] for p in pts])
 
 
-def _fit_loglog(xs, ys) -> tuple:
+def fit_loglog(xs, ys) -> tuple:
     """Least-squares slope of log(ys) vs log(xs) and its standard error
     (inf with fewer than three points)."""
     log_x, log_y = np.log(xs), np.log(ys)
@@ -328,12 +329,25 @@ def _parse_n_list(text: str):
     return tuple(int(p) for p in parts)
 
 
+# every config key but the repeatable `regime`, with its default value
+_CONFIG_DEFAULTS = {"model": "zzxx", "param": "x", "alphas": None, "nlist": "log 1 100 10",
+                    "alpha": "pi/3", "phi": "3pi/8", "beta": "pi/6", "varphi": "5pi/8",
+                    "omega0": "1", "omega1": "1", "x": "1", "t": "1",
+                    "quantities": "global_qfi", "observable": "xz", "measurements": "1",
+                    "out": None, "workers": "1"}
+_REGIME_FIELDS = ("delta", "epsilon", "alpha")
+
+
 def _parse_regime(text: str) -> Regime:
     name, _, body = text.partition(":")
     fields = {}
     for item in body.split(","):
-        key, _, val = item.partition("=")
-        fields[key.strip()] = parse_number(val)
+        if not item.strip():
+            continue
+        key, _, val = (part.strip() for part in item.partition("="))
+        if key not in _REGIME_FIELDS:
+            raise ValueError(f"unknown regime field {key!r}; known: {_REGIME_FIELDS}")
+        fields[key] = parse_number(val)
     return Regime(name=name.strip(), delta=fields.get("delta", 1.0),
                   epsilon=fields.get("epsilon", 1.0),
                   alpha=fields.get("alpha"))
@@ -346,9 +360,12 @@ def parse_config(text: str) -> SweepConfig:
     (``linspace lo hi count``, expands into one regime per probe angle),
     nlist (explicit integers or ``log lo hi count``), alpha/phi/beta/varphi,
     omega0/omega1/x/t, quantities, observable, measurements, out, workers.
-    Unknown keys are ignored; a malformed value raises ValueError.
+    A regime is ``name: field=value, ...`` with fields delta, epsilon and
+    alpha (delta and epsilon default to 1); ``alphas`` takes at most one
+    regime.  An unknown key or regime field, or a malformed value, raises
+    ValueError.
     """
-    values: dict = {"regimes": []}
+    values, regimes = dict(_CONFIG_DEFAULTS), []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -358,26 +375,22 @@ def parse_config(text: str) -> SweepConfig:
         if not _:
             raise ValueError(f"expected 'key = value', got {raw!r}")
         if key == "regime":
-            values["regimes"].append(_parse_regime(val))
-        else:
+            regimes.append(_parse_regime(val))
+        elif key in values:
             values[key] = val
+        else:
+            raise ValueError(f"unknown config key {key!r}")
 
-    kind = ModelKind(values.get("model", "zzxx").upper())
-    param = Param(values.get("param", "x").lower())
-    angles = StateAngles(
-        alpha=parse_number(values.get("alpha", "pi/3")),
-        phi=parse_number(values.get("phi", "3pi/8")),
-        beta=parse_number(values.get("beta", "pi/6")),
-        varphi=parse_number(values.get("varphi", "5pi/8")),
-    )
-    regimes = list(values["regimes"])
-    if "alphas" in values:
+    angles = StateAngles(*(parse_number(values[k]) for k in ("alpha", "phi", "beta", "varphi")))
+    if values["alphas"] is not None:
         parts = values["alphas"].split()
         if len(parts) != 4 or parts[0] != "linspace":
             raise ValueError("alphas supports: linspace <lo> <hi> <count>")
         lo, hi, count = parse_number(parts[1]), parse_number(parts[2]), int(parts[3])
         if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("alphas needs finite bounds and a positive count")
+        if len(regimes) > 1:
+            raise ValueError(f"alphas expands one regime, got {len(regimes)}")
         base = regimes[0] if regimes else Regime("grid", 1.0, 1.0)
         regimes = [replace(base, name=f"alpha={a:.10g}", alpha=float(a))
                    for a in np.linspace(lo, hi, count)]
@@ -385,225 +398,10 @@ def parse_config(text: str) -> SweepConfig:
         regimes = [Regime("default", 1.0, 1.0)]
 
     return SweepConfig(
-        kind=kind, param=param, regimes=tuple(regimes),
-        n_list=_parse_n_list(values.get("nlist", "log 1 100 10")),
-        angles=angles,
-        quantities=tuple(values.get("quantities", "global_qfi").split()),
-        observable=values.get("observable", "xz"),
-        omega0=parse_number(values.get("omega0", "1")),
-        omega1=parse_number(values.get("omega1", "1")),
-        x=parse_number(values.get("x", "1")),
-        t=parse_number(values.get("t", "1")),
-        m_measurements=int(values.get("measurements", "1")),
-        out=values.get("out"),
-        workers=int(values.get("workers", "1")),
+        kind=ModelKind(values["model"].upper()), param=Param(values["param"].lower()),
+        regimes=tuple(regimes), n_list=_parse_n_list(values["nlist"]), angles=angles,
+        quantities=tuple(values["quantities"].split()), observable=values["observable"],
+        **{k: parse_number(values[k]) for k in ("omega0", "omega1", "x", "t")},
+        m_measurements=int(values["measurements"]), out=values["out"],
+        workers=int(values["workers"]),
     )
-
-
-# --------------------------------------------------------------------------
-# validation suites
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    details: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _suite_cubic_residual() -> list:
-    """Residual |I_exact - I_pt| must scale as the cube of the small parameter."""
-    checks = []
-    grid = np.logspace(-3, -1, 7)
-    for label, sel, fld, pt_fn in (
-            ("eps", Param.X, "epsilon", perturb.pt1_qfi_x),
-            ("delta", Param.OMEGA1, "delta", perturb.pt1_qfi_omega1)):
-        residuals = []
-        for v in grid:
-            spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
-            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
-            residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
-        slope, _ = _fit_loglog(grid, residuals)
-        checks.append(CheckResult("a", f"cubic-residual-{label}",
-                                  abs(slope - 3.0) <= 0.2, f"slope={slope:.3f}"))
-    return checks
-
-
-def _discrepancy(a: float, b: float) -> float:
-    ref = max(abs(a), abs(b))
-    return 0.0 if ref == 0.0 else abs(a - b) / ref
-
-
-def _fd_global_qfi(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> tuple:
-    """(exact `QfiResult`, central-difference QFI, step h) at one point.
-
-    The states at theta +- h are each their own eigensolve, so the check is
-    independent of the exact derivative and its certificate.  h = 1e-6
-    max(1, |theta|) / sqrt(max(1, |t| ||G||)), ||G|| the Gershgorin bound of
-    dH/d theta: the truncation error grows like (h t ||G||)^2.
-    """
-    point = fisher.evolve_point(spec, n, angles, sel)
-    theta = getattr(spec, sel.field)
-    h = (1e-6 * max(1.0, abs(theta))
-         / math.sqrt(max(1.0, abs(spec.t) * assemble(spec, n, wrt=sel.field).norm_bound)))
-    psi0 = build_product_state(n, angles)
-    plus, minus = (evolve(assemble(spec.replaced(**{sel.field: theta + s}), n),
-                          spec.t, psi0).amplitudes for s in (h, -h))
-    check = fisher._pure_qfi(point.psi.amplitudes, (plus - minus) / (2.0 * h))
-    return fisher.read_global_qfi(point), check, h
-
-
-def _suite_fd_two_step() -> list:
-    """Exact against finite-difference derivative across the sweep regimes,
-    the one finite-difference check of the sector outside the tests.
-
-    Configurations whose QFI has effectively vanished (below 1e-6) cannot be
-    finite-differenced to three digits in double precision; those must carry
-    the certificate's ill-conditioned flag instead of being silently
-    reported.  All resolvable configurations must agree to 1e-3.
-    """
-    worst = 0.0
-    flagged_vanishing = 0
-    silent_violations = []
-    configs = []
-    for sel, regimes in ((Param.X, ((1.0, 0.001), (1.0, 1.0), (1.0, 100.0))),
-                         (Param.OMEGA1, ((100.0, 1.0), (1.0, 1.0), (0.001, 1.0))),
-                         (Param.OMEGA0, ((100.0, 1.0), (1.0, 1.0), (0.001, 1.0)))):
-        for delta, eps in regimes:
-            for n in (4, 32, 128):
-                configs.append((sel, delta, eps, n))
-    for sel, delta, eps, n in configs:
-        spec = ModelSpec(ModelKind.ZZXX, delta=delta, epsilon=eps)
-        res, check, _ = _fd_global_qfi(spec, n, DEFAULT_ANGLES, sel)
-        disc = _discrepancy(res.value, check)
-        if disc < 1e-3:
-            worst = max(worst, disc)
-        elif res.ill_conditioned and max(res.value, check) < 1e-6:
-            flagged_vanishing += 1
-        else:
-            silent_violations.append((sel.field, delta, eps, n, disc))
-    return [CheckResult("b", "fd-two-step-agreement", not silent_violations,
-                        f"worst resolvable discrepancy={worst:.2e} over "
-                        f"{len(configs)} configs; {flagged_vanishing} "
-                        f"vanishing-QFI configs flagged; "
-                        f"unflagged violations: {silent_violations or 'none'}")]
-
-
-# Suite c's oracle checks and their absolute floors: the oracle resolves d psi
-# to ~1e-10, so a vanishing d<A>/d theta to ~1e-10, a vanishing bus QFI to ~1e-20.
-_ORACLE_FLOORS = (("full-hilbert-qfi", 1e-30), ("full-hilbert-bus-qfi", 1e-12),
-                  ("full-hilbert-first-moment", 1e-3))
-
-
-def _suite_full_hilbert() -> list:
-    """Symmetric-sector pipeline against dense full-space computations: the
-    states and bus densities, and at N = 6 each quantity a sweep reads from
-    a solved point against the oracle's central difference."""
-    checks = []
-    angles = DEFAULT_ANGLES
-    observable = paulis.NAMED_OBSERVABLES["xz"]
-    state_dev = 0.0
-    rho_dev = 0.0
-    oracle_dev = [0.0] * len(_ORACLE_FLOORS)
-    for kind in (ModelKind.ZZZZ, ModelKind.ZZXX, ModelKind.ZZZX):
-        for n in (3, 6, 8):
-            spec = ModelSpec(kind)
-            psi = propagate(spec, n, angles)
-            full0 = fullspace.product_state_full(n, angles.alpha, angles.phi,
-                                                 angles.beta, angles.varphi)
-            hfull = fullspace.hamiltonian_full(str(kind), n, spec.delta,
-                                               spec.epsilon, spec.omega0,
-                                               spec.omega1, spec.x)
-            psi_full = fullspace.propagate_full(hfull, spec.t, full0)
-            proj = fullspace.project_symmetric(psi_full, n)
-            state_dev = max(state_dev, float(np.max(np.abs(proj - psi.amplitudes))))
-            rho_dev = max(rho_dev, float(np.max(np.abs(
-                fullspace.bus_density(psi_full) - reduce_to_bus(psi).rho))))
-            if n == 6:
-                params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0,
-                              x=1.0, t=1.0)
-                for sel in (Param.X, Param.OMEGA1):
-                    point = fisher.evolve_point(spec, n, angles, sel)
-                    full, dfull = fullspace.evolved_with_derivative_full(
-                        str(kind), n, params, sel.field, angles.alpha, angles.phi,
-                        angles.beta, angles.varphi)
-                    drho = fullspace.bus_density_derivative(full, dfull)
-                    pairs = ((fisher.read_global_qfi(point).value,
-                              fullspace.pure_qfi(full, dfull)),
-                             (fisher.read_local_qfi(point).value,
-                              fullspace.mixed_qfi(fullspace.bus_density(full), drho)),
-                             (fisher.read_first_moment(point, observable).mean_derivative,
-                              float(np.trace(drho @ observable).real)))
-                    for i, ((mine, ref), (_, floor)) in enumerate(zip(pairs, _ORACLE_FLOORS)):
-                        oracle_dev[i] = max(oracle_dev[i], abs(mine - ref) / max(abs(ref), floor))
-    checks.append(CheckResult("c", "full-hilbert-states", state_dev < 1e-8,
-                              f"max amplitude deviation={state_dev:.2e}"))
-    checks.append(CheckResult("c", "full-hilbert-bus-density", rho_dev < 1e-10,
-                              f"max element deviation={rho_dev:.2e}"))
-    for (name, floor), dev in zip(_ORACLE_FLOORS, oracle_dev):
-        below = f" (absolute below {floor:g})" if floor > 1e-30 else ""
-        checks.append(CheckResult("c", name, dev < 1e-6,
-                                  f"max relative deviation={dev:.2e}{below}"))
-    return checks
-
-
-def _suite_closed_forms(seed: int) -> list:
-    """ZZZZ numerical pipeline against the closed forms, random angles."""
-    rng = np.random.default_rng(seed)
-    worst_global = 0.0
-    worst_rho = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 65))
-        angles = StateAngles(alpha=rng.uniform(0.05, math.pi / 2 - 0.05),
-                             phi=rng.uniform(0, 2 * math.pi),
-                             beta=rng.uniform(0.05, math.pi / 2 - 0.05),
-                             varphi=rng.uniform(0, 2 * math.pi))
-        spec = ModelSpec(ModelKind.ZZZZ, delta=rng.uniform(0.5, 2.0),
-                         epsilon=rng.uniform(0.5, 2.0), x=rng.uniform(0.5, 2.0),
-                         t=rng.uniform(0.5, 2.0))
-        for sel in (Param.X, Param.OMEGA1, Param.OMEGA0):
-            closed = zzzz_exact.global_qfi_closed(spec, n, angles, sel)
-            numeric = global_qfi_fd(spec, n, angles, sel).value
-            worst_global = max(worst_global,
-                               abs(numeric - closed) / max(abs(closed), 1e-12))
-        rho_c = zzzz_exact.reduced_rho_closed(spec, n, angles).rho
-        rho_n = reduce_to_bus(propagate(spec, n, angles)).rho
-        worst_rho = max(worst_rho, float(np.max(np.abs(rho_c - rho_n))))
-    return [
-        CheckResult("d", "zzzz-global-closed-forms", worst_global < 1e-6,
-                    f"worst relative deviation={worst_global:.2e} (20 configs)"),
-        CheckResult("d", "zzzz-reduced-density", worst_rho < 1e-10,
-                    f"worst element deviation={worst_rho:.2e}"),
-    ]
-
-
-def validate(suites: str = "all", seed: int = 20260808) -> ValidationReport:
-    """Run the requested validation suites:
-
-    a: cubic scaling of the perturbation-theory residual,
-    b: exact vs finite-difference derivative agreement scan,
-    c: full-Hilbert oracle comparison (N <= 8),
-    d: ZZZZ closed forms vs the numerical pipeline.
-    """
-    checks = []
-    if suites in ("a", "all"):
-        checks += _suite_cubic_residual()
-    if suites in ("b", "all"):
-        checks += _suite_fd_two_step()
-    if suites in ("c", "all"):
-        checks += _suite_full_hilbert()
-    if suites in ("d", "all"):
-        checks += _suite_closed_forms(seed)
-    if not checks:
-        raise ValueError(f"unknown suite {suites!r}; use a, b, c, d or all")
-    return ValidationReport(checks=tuple(checks))

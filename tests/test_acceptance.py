@@ -10,33 +10,22 @@ import numpy as np
 import pytest
 
 from spinbus import fullspace, paulis
-from spinbus.dynamics import ModelKind, ModelSpec, propagate
-from spinbus.fisher import (
-    Param,
-    evolve_point,
-    first_moment_uncertainty,
-    global_qfi_fd,
-    local_qfi_fd,
-    read_first_moment,
-    read_global_qfi,
-    read_local_qfi,
-    reduce_to_bus,
-)
-from spinbus.perturb import pt1_qfi_omega1, pt1_qfi_x
+from spinbus.dynamics import ModelKind, ModelSpec
+from spinbus.fisher import Param, first_moment_uncertainty, global_qfi_fd, local_qfi_fd
+from spinbus.perturb import pt1_qfi_omega1
 from spinbus.states import (
     DEFAULT_ANGLES,
     FAVORABLE_ANGLES,
     UNFAVORABLE_ANGLES,
-    StateAngles,
     build_product_state,
 )
 from spinbus.sweep import Row, fit_scaling
+from spinbus.validate import closed_form_checks, random_angles, validate
 from spinbus.zzzz_exact import (
     XReadoutVariant,
     delta_x_x_readout,
     global_qfi_closed,
     local_qfi_x_closed,
-    reduced_rho_closed,
     thermal_global_qfi,
     thermal_local_equivalence_check,
 )
@@ -50,31 +39,24 @@ def _report(criterion: int, text: str):
     print(f"\nACCEPTANCE {criterion} PASS: {text}")
 
 
-def _random_angles(rng):
-    return StateAngles(alpha=rng.uniform(0.05, math.pi / 2 - 0.05),
-                       phi=rng.uniform(0.0, 2 * math.pi),
-                       beta=rng.uniform(0.05, math.pi / 2 - 0.05),
-                       varphi=rng.uniform(0.0, 2 * math.pi))
+def _passed_summary(checks) -> str:
+    assert all(c.passed for c in checks), checks
+    return "; ".join(f"{c.name} {c.details}" for c in checks)
 
 
 def test_criterion_1_dephasing_closed_forms():
-    """Numerical pipeline vs every ZZZZ closed form, 20 random angle sets."""
+    """Numerical pipeline vs every ZZZZ closed form: validate suite d's
+    checks on 20 random angle sets at every N of N_SAMPLE, then the worst
+    state's local QFI and X readout."""
     rng = np.random.default_rng(20260808)
-    worst = 0.0
+    configs = []
     for _ in range(ANGLE_SETS):
-        angles = _random_angles(rng)
+        angles = random_angles(rng)
         spec = ModelSpec(ModelKind.ZZZZ, delta=rng.uniform(0.5, 1.5),
                          epsilon=rng.uniform(0.5, 1.5), x=rng.uniform(0.5, 1.5),
                          t=rng.uniform(0.5, 1.5))
-        for n in N_SAMPLE:
-            for sel in Param:
-                closed = global_qfi_closed(spec, n, angles, sel)
-                numeric = global_qfi_fd(spec, n, angles, sel).value
-                worst = max(worst, abs(numeric - closed) / max(abs(closed), 1e-12))
-            rho_c = reduced_rho_closed(spec, n, angles).rho
-            rho_n = reduce_to_bus(propagate(spec, n, angles)).rho
-            worst = max(worst, float(np.max(np.abs(rho_c - rho_n))))
-    assert worst < RELATIVE
+        configs += [(n, angles, spec) for n in N_SAMPLE]
+    summary = _passed_summary(closed_form_checks(configs))
 
     # Worst-state closed forms: local QFI and exact X-readout sensitivity.
     # Both decay like cos(eps t x)^(2N), reaching 1e-31 by N = 64; a finite
@@ -99,64 +81,14 @@ def test_criterion_1_dephasing_closed_forms():
             worst_abs = max(worst_abs, abs(numeric - closed))
     assert worst_local < RELATIVE
     assert worst_abs < 1e-8
-    _report(1, f"pipeline vs closed forms, worst relative deviation "
-               f"{max(worst, worst_local):.2e} < 1e-6 "
-               f"(absolute {worst_abs:.2e} on the suppressed tail)")
+    _report(1, f"{summary}; worst state relative {worst_local:.2e} < 1e-6 "
+               f"(absolute {worst_abs:.2e} < 1e-8 on the suppressed tail)")
 
 
 def test_criterion_2_full_hilbert_oracle():
     """Dense 2^(N+1) construction/propagation/partial trace vs the
-    symmetric-sector pipeline for N <= 8."""
-    rng = np.random.default_rng(42)
-    worst_state = 0.0
-    worst_rho = 0.0
-    worst_qfi = 0.0
-    worst_bus = 0.0
-    worst_moment = 0.0
-    for kind in ModelKind:
-        for n in (2, 5, 8):
-            angles = _random_angles(rng)
-            spec = ModelSpec(kind, t=rng.uniform(0.5, 1.5))
-            full0 = fullspace.product_state_full(n, angles.alpha, angles.phi,
-                                                 angles.beta, angles.varphi)
-            hfull = fullspace.hamiltonian_full(str(kind), n, spec.delta,
-                                               spec.epsilon, spec.omega0,
-                                               spec.omega1, spec.x)
-            full_t = fullspace.propagate_full(hfull, spec.t, full0)
-            psi = propagate(spec, n, angles)
-            worst_state = max(worst_state, float(np.max(np.abs(
-                fullspace.project_symmetric(full_t, n) - psi.amplitudes))))
-            worst_rho = max(worst_rho, float(np.max(np.abs(
-                fullspace.bus_density(full_t) - reduce_to_bus(psi).rho))))
-        params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0,
-                      x=1.0, t=1.0)
-        for sel in (Param.X, Param.OMEGA1, Param.OMEGA0):
-            point = evolve_point(ModelSpec(kind), 6, DEFAULT_ANGLES, sel)
-            full, dfull = fullspace.evolved_with_derivative_full(
-                str(kind), 6, params, sel.field, DEFAULT_ANGLES.alpha,
-                DEFAULT_ANGLES.phi, DEFAULT_ANGLES.beta, DEFAULT_ANGLES.varphi)
-            mine = read_global_qfi(point).value
-            ref = fullspace.pure_qfi(full, dfull)
-            worst_qfi = max(worst_qfi, abs(mine - ref) / max(abs(ref), 1e-12))
-            # the bus QFI and d<A>/d theta vanish exactly for omega1 in the
-            # commuting models, so below a floor the deviation is absolute
-            drho = fullspace.bus_density_derivative(full, dfull)
-            ref_bus = fullspace.mixed_qfi(fullspace.bus_density(full), drho)
-            worst_bus = max(worst_bus, abs(read_local_qfi(point).value - ref_bus)
-                            / max(abs(ref_bus), 1e-12))
-            ref_moment = float(np.trace(drho @ paulis.XZ_HALF).real)
-            mine_moment = read_first_moment(point, paulis.XZ_HALF).mean_derivative
-            worst_moment = max(worst_moment, abs(mine_moment - ref_moment)
-                               / max(abs(ref_moment), 1e-3))
-    assert worst_state < 1e-8
-    assert worst_rho < 1e-8
-    assert worst_qfi < RELATIVE
-    assert worst_bus < RELATIVE
-    assert worst_moment < RELATIVE
-    _report(2, f"full-Hilbert oracle: states {worst_state:.2e} < 1e-8, "
-               f"QFIs rel {worst_qfi:.2e} < 1e-6, bus QFIs {worst_bus:.2e} < 1e-6 "
-               f"(absolute below 1e-12), d<A>/dtheta {worst_moment:.2e} < 1e-6 "
-               f"(absolute below 1e-3)")
+    symmetric-sector pipeline for N <= 8: validate suite c."""
+    _report(2, _passed_summary(validate("c").checks))
 
 
 def _exact_qfi_rows(kind, sel, n_grid, **spec_kw):
@@ -227,21 +159,9 @@ def test_criterion_3_optional_weak_coupling_to_n2000():
 
 
 def test_criterion_4_perturbation_cubic_residual():
-    """|I_exact - I_pt| scales as the cube of the small parameter."""
-    grid = np.logspace(-3, -1, 7)
-    slopes = {}
-    for label, sel, fld, pt_fn in (("eps", Param.X, "epsilon", pt1_qfi_x),
-                                   ("delta", Param.OMEGA1, "delta", pt1_qfi_omega1)):
-        residuals = []
-        for v in grid:
-            spec = ModelSpec(ModelKind.ZZXX, **{fld: float(v)})
-            exact = global_qfi_fd(spec, 4, DEFAULT_ANGLES, sel).value
-            residuals.append(abs(exact - pt_fn(spec, 4, DEFAULT_ANGLES).value))
-        slope = float(np.polyfit(np.log(grid), np.log(residuals), 1)[0])
-        assert slope == pytest.approx(3.0, abs=0.2)
-        slopes[label] = slope
-    _report(4, f"residual slopes eps {slopes['eps']:.2f}, "
-               f"delta {slopes['delta']:.2f}, both within 3.0 +- 0.2")
+    """|I_exact - I_pt| scales as the cube of the small parameter: validate
+    suite a, both slopes within 3.0 +- 0.2."""
+    _report(4, _passed_summary(validate("a").checks))
 
 
 def test_criterion_5_special_state_identities():
@@ -320,7 +240,7 @@ def test_criterion_7_property_suite():
         spec = ModelSpec(kind, delta=rng.uniform(0.1, 2), epsilon=rng.uniform(0.1, 2),
                          t=rng.uniform(0.2, 1.5))
         sel = list(Param)[int(rng.integers(0, 3))]
-        angles = _random_angles(rng)
+        angles = random_angles(rng)
         n = int(rng.integers(1, 24))
         assert global_qfi_fd(spec, n, angles, sel).value >= 0.0
         assert local_qfi_fd(spec, n, angles, sel).value >= 0.0
@@ -358,7 +278,7 @@ def test_criterion_7_property_suite():
     details.append("I(2t) = 4 I(t)")
 
     # commuting probe coupling kills the N^2 channel for omega1
-    seeds_angles = [_random_angles(np.random.default_rng(s)) for s in (1, 2, 3)]
+    seeds_angles = [random_angles(np.random.default_rng(s)) for s in (1, 2, 3)]
     for angles in seeds_angles:
         res = pt1_qfi_omega1(ModelSpec(ModelKind.ZZZX), 4, angles)
         assert abs(res.quadratic_coefficient) < 1e-12

@@ -29,7 +29,7 @@ from spinbus.states import (
     build_product_state,
     m_values,
 )
-from spinbus.sweep import _discrepancy, _fd_global_qfi
+from spinbus.validate import _discrepancy, _fd_global_qfi
 from spinbus.zzzz_exact import global_qfi_closed
 
 ZZZZ = ModelSpec(ModelKind.ZZZZ)

@@ -1,5 +1,6 @@
 import importlib.resources
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,8 +21,8 @@ from spinbus.sweep import (
     parse_csv,
     parse_number,
     run_sweep,
-    validate,
 )
+from spinbus.validate import SUITES, validate
 from spinbus.zzzz_exact import global_qfi_closed
 
 
@@ -69,18 +70,20 @@ def test_parse_config_round_trip():
         # comment
         model = zzzz
         param = omega1
-        regime = weak: delta=100, epsilon=1
+        regime = weak: delta=100, epsilon=1,
         regime = strong: delta=0.001, epsilon=1
+        regime = plain
         nlist = 1 2 4 8
         alpha = pi/4
         quantities = global_qfi closed_form
         observable = x
         workers = 2
-        seed = 77
     """)
     assert cfg.kind is ModelKind.ZZZZ
     assert cfg.param is Param.OMEGA1
-    assert [r.name for r in cfg.regimes] == ["weak", "strong"]
+    assert [r.name for r in cfg.regimes] == ["weak", "strong", "plain"]
+    assert (cfg.regimes[0].delta, cfg.regimes[0].epsilon) == (100.0, 1.0)
+    assert (cfg.regimes[2].delta, cfg.regimes[2].epsilon) == (1.0, 1.0)  # the defaults
     assert cfg.n_list == (1, 2, 4, 8)
     assert cfg.angles.alpha == pytest.approx(math.pi / 4)
 
@@ -108,6 +111,13 @@ def test_config_rejects_bad_input():
     "regime = we,ak: delta=1",
     "regime = strong: epsilon=100\nregime = strong: epsilon=10",
     "alphas = linspace 0.5 0.5 3",
+    "seed = 77",
+    "quantites = pt1",
+    "nlsit = 4 8",
+    "regime = weak: delta=1, epsilom=0.001",
+    "regime = weak: delta",
+    "model = zzxx\nquantites = pt1\nregime = weak: delta=1, epsilom=0.001\nnlsit = 4 8\n",
+    "regime = weak: epsilon=0.001\nregime = strong: epsilon=100\nalphas = linspace 0.1 0.5 3",
 ])
 def test_config_errors_are_value_errors(text):
     with pytest.raises(ValueError):
@@ -346,6 +356,32 @@ def test_cli_validate_honours_seed_zero(capsys):
     assert seeded != validate(suites="d").checks  # seed 0 is not the default
 
 
+# `spinbus validate`'s output contract: each suite's check names in order, and
+# the label of the number each details string carries; tools parse these
+# lines and look a check's bound up by its name
+VALIDATE_OUTPUT = {  # suite: (label of its checks' number, its check names)
+    "a": ("slope", "cubic-residual-eps", "cubic-residual-delta"),
+    "b": ("discrepancy", "fd-two-step-agreement"),
+    "c": ("deviation", "full-hilbert-states", "full-hilbert-bus-density", "full-hilbert-qfi",
+          "full-hilbert-bus-qfi", "full-hilbert-first-moment"),
+    "d": ("deviation", "zzzz-global-closed-forms", "zzzz-reduced-density"),
+}
+
+
+@pytest.mark.parametrize("suite", VALIDATE_OUTPUT)
+def test_cli_validate_output_contract(suite, capsys):
+    assert tuple(SUITES) == tuple(VALIDATE_OUTPUT)
+    assert main(["validate", "--suite", suite]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    label, *names = VALIDATE_OUTPUT[suite]
+    assert len(lines) == len(names)
+    for line, name in zip(lines, names):
+        match = re.fullmatch(r"PASS \[(\w)\] ([\w-]+): (.+)", line)
+        assert match and match.group(1, 2) == (suite, name), line
+        number = re.search(rf"\b{label}=([^\s,;]+)", match.group(3))
+        assert number and math.isfinite(float(number.group(1))), line
+
+
 def test_cli_exact_closed_form(capsys):
     code = main(["exact", "zzzz", "x", "--n", "7", "--alpha", "0",
                  "--beta", "pi/4", "--phi", "0", "--varphi", "0"])
@@ -406,9 +442,14 @@ def test_cli_io_error_exit_code(tmp_path):
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("model = zzzz\nparam = bar\nquantities = closed_form\n")
-    assert main(["sweep", str(config), "--out", str(tmp_path / "bad.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for text, named in (("model = zzzz\nparam = bar\nquantities = closed_form\n", "'bar'"),
+                        ("model = zzzz\nquantites = closed_form\n", "'quantites'"),
+                        ("model = zzzz\nregime = weak: delta=1, epsilom=0.001\n",
+                         "'epsilom'")):
+        config.write_text(text)
+        assert main(["sweep", str(config), "--out", str(tmp_path / "bad.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
     out = str(tmp_path / "fig6.csv")
     for flag in ("--nmax", "--workers"):  # 0 is a value, not "not given"
         assert main(["fig", "6", "--out", out, flag, "0"]) == 2
