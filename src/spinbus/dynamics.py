@@ -17,18 +17,21 @@ diagonal with equal tridiagonal blocks (k = N/2 - m):
     ZZZZ: 2(N+1) blocks of size 1.
 
 `assemble` returns H or dH/dtheta in that form and `eigensystem`
-diagonalizes it block by block (`scipy.linalg.eigh_tridiagonal` on the
-chains), so propagation never forms a dense 2(N+1)-square matrix.  At even
-N the second ZZXX chain is the negated signed mirror of the first, so only
-the first is diagonalized.
+diagonalizes it block by block (LAPACK `dstevd` on the chains), so
+propagation never forms a dense 2(N+1)-square matrix.  At even N the second
+ZZXX chain is the negated signed mirror of the first, so only the first is
+diagonalized.
 `evolve_derivative` also returns the exact derivative of the evolved state
 from the same eigendecomposition (Daleckii-Krein formula), and certified
 error bounds on both.
 
-The chain solves are the package's only calls into scipy's BLAS/LAPACK, and
-they run with scipy's bundled OpenBLAS set to one thread (see
-`_one_scipy_blas_thread`); numpy's pool, which the kernel products and the
-full-space oracle use, keeps the caller's setting.
+`dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
+bundles, so numpy is the only runtime dependency.  The chain solves run
+with that BLAS pool set to one thread (see `_one_blas_thread`), which keeps
+them bit-reproducible; the kernel products keep the caller's setting.  Where
+numpy links another LAPACK (MKL, Accelerate), each chain is solved densely
+by `np.linalg.eigh` instead: the same results to rounding, certified by the
+same residual, but about three times slower.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigh_tridiagonal
 
 from .states import SymmetricState, StateAngles, _jx_ladder, build_product_state, m_values
 
@@ -224,37 +226,70 @@ def _mirrored(m: HamiltonianMatrix) -> bool:
             and np.array_equal(off[1], off[0][::-1]))
 
 
-def _scipy_blas_threads():
-    """(get, set) thread-count functions of the OpenBLAS scipy links, or None
-    when scipy links another BLAS (MKL, Accelerate)."""
+def _openblas():
+    """(dstevd, get_num_threads, set_num_threads) of the OpenBLAS bundled
+    with numpy's wheel (ILP64, names prefixed `scipy_` and suffixed `64_`),
+    or None where numpy links another LAPACK or the names differ."""
     try:
-        lib = ctypes.CDLL(cython_lapack.__file__)  # dlsym also searches its dependencies
-        return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym also searches its dependencies
+        stevd = lib.scipy_dstevd_64_
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (OSError, AttributeError):
         return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    # dstevd(JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(JOBZ)); the
+    # arrays must be writeable, so a read-only block row is refused, not overwritten
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    floats, ints = (np.ctypeslib.ndpointer(dtype, flags=("F_CONTIGUOUS", "WRITEABLE"))
+                    for dtype in (np.float64, np.int64))
+    stevd.argtypes = [ctypes.c_char_p, int64, floats, floats, floats, int64, floats, int64,
+                      ints, int64, int64, ctypes.c_size_t]
+    stevd.restype = None
+    return stevd, get, set_
 
 
-_SCIPY_BLAS_THREADS = _scipy_blas_threads()
+_OPENBLAS = _openblas()
 
 
 @contextmanager
-def _one_scipy_blas_thread():
-    """Run the block with scipy's OpenBLAS on one thread, then restore the
-    caller's count.  numpy bundles a second OpenBLAS; when the two pools
-    alternate, each keeps a worker spinning after its call and slows the
-    other's next call, and a chain solve gains almost nothing from threads.
-    The count is process-wide, so Python threads that solve at once may
-    restore each other's setting."""
-    if _SCIPY_BLAS_THREADS is None:
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    caller's count.  A chain solve gains almost nothing from threads, and
+    dstevd's threaded dgemm would change its last bits.  The count is
+    process-wide, so other Python threads that use numpy meanwhile run on
+    one thread too, and threads that solve at once may restore each other's
+    setting."""
+    if _OPENBLAS is None:
         yield
         return
-    get, set_ = _SCIPY_BLAS_THREADS
+    _, get, set_ = _OPENBLAS
     before = get()
     set_(1)
     try:
         yield
     finally:
         set_(before)
+
+
+def _solve_chain(d: np.ndarray, e: np.ndarray):
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
+    symmetric tridiagonal matrix with diagonal d and off-diagonal e: LAPACK
+    dstevd, as `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum,
+    or dense `np.linalg.eigh` without numpy's OpenBLAS.  dstevd overwrites D
+    and E, so it gets fresh copies."""
+    if _OPENBLAS is None:
+        return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    n = len(d)
+    w, off = np.array(d, dtype=np.float64), np.array(e, dtype=np.float64)
+    z = np.empty((n, n), order="F")
+    lwork, liwork, info = 1 + 4 * n + n * n, 3 + 5 * n, ctypes.c_int64()
+    _OPENBLAS[0](b"V", ctypes.c_int64(n), w, off, z, ctypes.c_int64(n),
+                 np.empty(lwork), ctypes.c_int64(lwork),
+                 np.empty(liwork, dtype=np.int64), ctypes.c_int64(liwork), info, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dstevd returned info = {info.value}")
+    return w, z
 
 
 def eigensystem(h: HamiltonianMatrix):
@@ -276,9 +311,9 @@ def eigensystem(h: HamiltonianMatrix):
             blocks[:, i, i] = diag
             blocks[:, i[:-1], i[1:]] = blocks[:, i[1:], i[:-1]] = off
             return np.linalg.eigh(blocks)
-        with _one_scipy_blas_thread():
-            pairs = [eigh_tridiagonal(d, e) for d, e in zip(diag[:chains], off)]
-    except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
+        with _one_blas_thread():
+            pairs = [_solve_chain(d, e) for d, e in zip(diag[:chains], off)]
+    except np.linalg.LinAlgError as err:
         raise RuntimeError(
             f"eigendecomposition failed to converge for dim={h.dim}: {err}") from err
     if chains < len(diag):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from spinbus.dynamics import (
     assemble,
     eigensystem,
     evolve,
+    evolve_derivative,
     propagate,
 )
 from spinbus.states import DEFAULT_ANGLES, UNFAVORABLE_ANGLES, StateAngles, build_product_state
@@ -110,18 +112,28 @@ def test_eigensystem_orthonormal_d50():
     assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)
 
 
-def test_chain_solves_run_on_one_scipy_blas_thread(monkeypatch):
-    if dynamics._SCIPY_BLAS_THREADS is None:
+def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
+    if dynamics._OPENBLAS is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    try:  # scipy's own OpenBLAS, capped for the reference solves
+        scipy_lib = ctypes.CDLL(scipy_linalg.cython_lapack.__file__)
+        scipy_get = scipy_lib.scipy_openblas_get_num_threads
+        scipy_set = scipy_lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
         pytest.skip("scipy does not link its bundled OpenBLAS")
-    get, set_ = dynamics._SCIPY_BLAS_THREADS
-    solve, seen = dynamics.eigh_tridiagonal, []
+    _, get, set_ = dynamics._OPENBLAS
+    solve, seen = dynamics._solve_chain, []
 
     def recording(d, e):
         seen.append(get())
         return solve(d, e)
 
-    monkeypatch.setattr(dynamics, "eigh_tridiagonal", recording)
-    caller = get()
+    def failing(*args):  # dstevd reporting no convergence through INFO
+        args[10].value = 1
+
+    monkeypatch.setattr(dynamics, "_solve_chain", recording)
+    caller, scipy_caller = get(), scipy_get()
     try:
         for count in (caller, 2):
             set_(count)
@@ -132,11 +144,48 @@ def test_chain_solves_run_on_one_scipy_blas_thread(monkeypatch):
                 w, v = eigensystem(h)
                 assert seen == [1] * (1 if n % 2 == 0 else 2)
                 assert get() == count
+                scipy_set(1)
                 for b, (d, e) in enumerate(zip(h.block_diag[:len(seen)], h.block_off)):
-                    w_ref, v_ref = solve(d, e)  # on the caller's thread count
+                    w_ref, v_ref = scipy_linalg.eigh_tridiagonal(d, e)
                     assert np.array_equal(w[b], w_ref) and np.array_equal(v[b], v_ref)
+                scipy_set(scipy_caller)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_OPENBLAS", (failing, get, set_))
+                with pytest.raises(RuntimeError, match="failed to converge"):
+                    eigensystem(assemble(ModelSpec(ModelKind.ZZXX), 301))
+            assert get() == count
     finally:
         set_(caller)
+        scipy_set(scipy_caller)
+
+
+def test_solves_leave_h_unchanged():
+    # dstevd overwrites its D and E; the frozen blocks of H must not be them
+    spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)
+    for n in (50, 51):
+        h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+        before = [m.copy() for m in (h.block_diag, h.block_off, g.block_diag, g.block_off)]
+        eigensystem(h)
+        evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
+        for a, b in zip((h.block_diag, h.block_off, g.block_diag, g.block_off), before):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 51])
+def test_dense_fallback_matches_lapack_path(monkeypatch, n):
+    spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)
+    h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
+    monkeypatch.setattr(dynamics, "_OPENBLAS", None)
+    w, v = eigensystem(h)
+    for vb in v:
+        np.testing.assert_allclose(vb.T @ vb, np.eye(n + 1), atol=1e-10)
+    residual = h.block_mul(v) - v * w[:, None, :]
+    assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)
+    psi_fb, dpsi_fb, psi_error, dpsi_error = evolve_derivative(h, g, spec.t, psi0)
+    assert np.linalg.norm(psi_fb.amplitudes - psi.amplitudes) <= psi_error
+    assert np.linalg.norm(dpsi_fb - dpsi) <= dpsi_error
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

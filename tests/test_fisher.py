@@ -350,13 +350,13 @@ def test_even_n_zzxx_point_solves_one_chain(monkeypatch, n, solves):
     # a point is one solve of H: one chain at even N, where chain 1 is chain
     # 0's signed mirror, two at odd N; N = 1 takes the batched 2x2 path
     calls = []
-    eigh_tridiagonal = dynamics.eigh_tridiagonal
+    solve = dynamics._solve_chain
 
     def counting(d, e):
         calls.append(len(d))
-        return eigh_tridiagonal(d, e)
+        return solve(d, e)
 
-    monkeypatch.setattr(dynamics, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(dynamics, "_solve_chain", counting)
     evolve_point(ModelSpec(ModelKind.ZZXX), n, DEFAULT_ANGLES, Param.X)
     assert calls == [n + 1] * solves
 

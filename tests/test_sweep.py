@@ -1,10 +1,15 @@
 import importlib.resources
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import spinbus
 from spinbus import dynamics, fisher, perturb
 from spinbus.cli import main
 from spinbus.dynamics import ModelKind, ModelSpec
@@ -424,6 +429,28 @@ def test_cli_sweep_and_fig(tmp_path, capsys):
     rows = parse_csv(str(fig_out))
     assert all(r.regime.startswith("alpha=") for r in rows)
     assert {r.quantity for r in rows} == {"local_qfi_closed"}
+
+
+def test_cli_needs_no_scipy(tmp_path):
+    # importing the CLI loads no scipy, and with scipy blocked `fig 2` writes
+    # the same files as in this process
+    script = (
+        "import sys\n"
+        "import spinbus.cli\n"
+        "assert 'scipy' not in sys.modules, 'importing spinbus.cli loaded scipy'\n"
+        "sys.modules['scipy'] = None\n"
+        "sys.exit(spinbus.cli.main(sys.argv[1:]))\n")
+    src = str(Path(spinbus.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    blocked, here = tmp_path / "blocked.csv", tmp_path / "here.csv"
+    proc = subprocess.run([sys.executable, "-c", script, "fig", "2", "--out", str(blocked)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["fig", "2", "--out", str(here)]) == 0
+    for suffix in ("", ".fits.csv"):
+        assert (Path(f"{blocked}{suffix}").read_bytes()
+                == Path(f"{here}{suffix}").read_bytes())
 
 
 def test_cli_io_error_exit_code(tmp_path):
