@@ -6,7 +6,12 @@ independent cross-check of the reduced pipeline.  Every Hamiltonian term is
 a real Pauli string, placed in a dense real symmetric matrix by index
 arithmetic on the basis bits.  A propagation splits the basis into the
 blocks that the matrix never couples, read off its nonzero pattern, and
-solves each group of equal-size blocks with one batched real `eigh`.
+solves each group of equal-size blocks with one batched real `eigh`.  A
+group that is exactly two blocks mirrored onto each other by the chiral map
+P|b, s> = (-1)^s |not b, not s> (every ZZXX matrix at even N: P flips all
+N+1 bits and anticommutes with Z_i, Z_bus and X_i X_bus) solves block 0
+only; the mirror is checked exactly on the matrix's own entries, never
+assumed.  Neither the Dicke basis nor the probe permutations are used.
 They scale exponentially and are only meant for N up to ~10.
 
 Qubit ordering: probes 1..N first (probe 1 most significant), bus last,
@@ -90,7 +95,7 @@ def _component_labels(h: np.ndarray) -> np.ndarray:
     """For each basis index, the smallest index of its connected component
     in the graph of h's nonzero entries (min-label propagation with pointer
     jumping: a label only ever falls to another index of its component)."""
-    rows, cols = np.nonzero(h)
+    rows, cols = np.divmod(np.flatnonzero(h != 0), len(h))  # ~6x faster than a 2-D nonzero
     label = np.arange(len(h))
     while True:
         previous = label.copy()
@@ -100,11 +105,27 @@ def _component_labels(h: np.ndarray) -> np.ndarray:
             return label
 
 
+def _mirror_signs(idx: np.ndarray, blocks: np.ndarray, dim: int):
+    """The bus signs s = (-1)^(idx[1] & 1) when the group is two blocks that
+    the chiral map P|b, s> = (-1)^s |not b, not s> sends onto each other with
+    P h P^T = -h, i.e. idx[1] = dim - 1 - reverse(idx[0]) and block 1 =
+    -(s s^T) * reverse(block 0) exactly; otherwise None."""
+    if len(idx) != 2 or not np.array_equal(idx[1], dim - 1 - idx[0][::-1]):
+        return None
+    s = 1.0 - 2.0 * (idx[1] & 1)
+    return s if np.array_equal(blocks[1], -np.outer(s, s) * blocks[0][::-1, ::-1]) else None
+
+
 def propagate_full(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
     """exp(-i h t) psi0 for a real symmetric h and psi0 a vector or a (dim, k)
     stack of columns, exactly: h couples no two connected components of its
     nonzero pattern, so each is propagated through its own eigendecomposition,
-    and components of equal size share one batched `eigh`."""
+    and components of equal size share one batched `eigh`.
+
+    A group of two components mirrored by the chiral map (see
+    `_mirror_signs`) solves component 0 only: component 1's eigenvalues are
+    -reverse(w0) and its eigenvectors s * v0 with rows and columns reversed.
+    """
     cols = np.asarray(psi0, dtype=complex).reshape(len(h), -1)
     out = np.empty_like(cols)
     label = _component_labels(h)
@@ -112,7 +133,14 @@ def propagate_full(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
     _, start, size = np.unique(label[order], return_index=True, return_counts=True)
     for s in np.unique(size):
         idx = order[start[size == s, None] + np.arange(s)]  # (blocks, s)
-        w, v = np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]])
+        blocks = h[idx[:, :, None], idx[:, None, :]]
+        sign = _mirror_signs(idx, blocks, len(h))
+        if sign is None:
+            w, v = np.linalg.eigh(blocks)
+        else:
+            w, v = np.linalg.eigh(blocks[:1])
+            w = np.concatenate([w, -w[:, ::-1]])
+            v = np.concatenate([v, sign[:, None] * v[:, ::-1, ::-1]])
         c = _real_matmul(v.transpose(0, 2, 1), cols[idx])
         out[idx] = _real_matmul(v, np.exp(-1j * w * t)[..., None] * c)
     return out.reshape(np.shape(psi0))

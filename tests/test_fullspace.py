@@ -70,9 +70,18 @@ def test_blocked_propagation_matches_dense_eigh(kind, n):
         assert np.max(np.abs(columns - _dense_propagation(h, t, stack))) < 1e-13
 
 
-@pytest.mark.parametrize("kind, sizes", [("ZZZZ", {1}), ("ZZZX", {1, 2}),
-                                         ("ZZXX", {64})])
-def test_each_group_of_decoupled_blocks_is_one_eigh(kind, sizes, monkeypatch):
+@pytest.mark.slow
+def test_blocked_propagation_matches_dense_eigh_at_n10():
+    rng = np.random.default_rng(10)
+    psi0 = fullspace.product_state_full(10, *rng.uniform(0.0, math.pi, 4))
+    for kind in sorted(INTERACTIONS):
+        h = fullspace.hamiltonian_full(kind, 10, *rng.uniform(-2.0, 2.0, 5))
+        psi = fullspace.propagate_full(h, 1.3, psi0)
+        assert np.max(np.abs(psi - _dense_propagation(h, 1.3, psi0)[:, 0])) < 1e-13
+
+
+def _recorded_solves(monkeypatch, h, psi0):
+    """The shapes handed to np.linalg.eigh by one propagate_full, and its result."""
     solved = []
 
     def recording_eigh(a):
@@ -81,11 +90,43 @@ def test_each_group_of_decoupled_blocks_is_one_eigh(kind, sizes, monkeypatch):
 
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    psi = fullspace.propagate_full(h, 1.0, psi0)
+    monkeypatch.undo()
+    return solved, psi
+
+
+@pytest.mark.parametrize("kind, sizes", [("ZZZZ", {1}), ("ZZZX", {1, 2}),
+                                         ("ZZXX", {64})])
+def test_each_group_of_decoupled_blocks_is_one_eigh(kind, sizes, monkeypatch):
     h = fullspace.hamiltonian_full(kind, 6, 0.8, 1.2, 0.9, 1.1, 1.3)
-    fullspace.propagate_full(h, 1.0, fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9))
+    solved, _ = _recorded_solves(monkeypatch, h,
+                                 fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9))
     assert {shape[-1] for shape in solved} == sizes
     assert len(solved) == len(sizes)  # one batched solve per block size
-    assert sum(blocks * size for blocks, size, _ in solved) == 2 ** 7  # ZZXX: 2 x 64
+    if kind == "ZZXX":  # even N: the chiral map mirrors half 1 onto half 0
+        assert solved == [(1, 64, 64)]
+    else:
+        assert sum(blocks * size for blocks, size, _ in solved) == 2 ** 7
+
+
+def test_odd_n_zzxx_solves_both_halves(monkeypatch):
+    # at odd N the chiral map sends each bus-parity half onto itself
+    h = fullspace.hamiltonian_full("ZZXX", 5, 0.8, 1.2, 0.9, 1.1, 1.3)
+    solved, _ = _recorded_solves(monkeypatch, h,
+                                 fullspace.product_state_full(5, 0.3, 0.5, 0.7, 0.9))
+    assert solved == [(2, 32, 32)]
+
+
+def test_broken_mirror_solves_both_halves(monkeypatch):
+    h = fullspace.hamiltonian_full("ZZXX", 6, 0.8, 1.2, 0.9, 1.1, 1.3)
+    # block 1 is the odd-parity half: the one without index 0
+    odd = np.array([bin(k).count("1") % 2 for k in range(len(h))], dtype=bool)
+    i, j = next((i, j) for i, j in zip(*np.nonzero(h)) if odd[i] and odd[j] and i < j)
+    h[i, j] = h[j, i] = np.nextafter(h[i, j], np.inf)  # one ulp off the mirror
+    psi0 = fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9)
+    solved, psi = _recorded_solves(monkeypatch, h, psi0)
+    assert solved == [(2, 64, 64)]
+    assert np.max(np.abs(psi - _dense_propagation(h, 1.0, psi0)[:, 0])) < 1e-13
 
 
 def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, override):
@@ -109,7 +150,7 @@ def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, overri
 
 
 @pytest.mark.parametrize("kind", sorted(INTERACTIONS))
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])  # even n: mirrored halves
 def test_thermal_density_matches_per_configuration_loop(kind, n):
     params = dict(delta=0.7, epsilon=1.3, omega0=0.9, omega1=1.1, x=0.8, t=1.7)
     for override in ({}, {"omega1": 1.1 + 1e-3}):
