@@ -4,15 +4,15 @@ Everything here is built directly on the computational basis, with no
 reliance on the symmetric-sector machinery, so these routines serve as an
 independent cross-check of the reduced pipeline.  Every Hamiltonian term is
 a real Pauli string, placed in a dense real symmetric matrix by index
-arithmetic on the basis bits.  A propagation splits the basis into the
-blocks that the matrix never couples, read off its nonzero pattern, and
-solves each group of equal-size blocks with one batched real `eigh`.  A
-group that is exactly two blocks mirrored onto each other by the chiral map
-P|b, s> = (-1)^s |not b, not s> (every ZZXX matrix at even N: P flips all
-N+1 bits and anticommutes with Z_i, Z_bus and X_i X_bus) solves block 0
-only; the mirror is checked exactly on the matrix's own entries, never
-assumed.  Neither the Dicke basis nor the probe permutations are used.
-They scale exponentially and are only meant for N up to ~10.
+arithmetic on the basis bits.  A propagation reads that matrix's nonzeros
+once into padded per-row column and value arrays and applies it only
+through them, in a Chebyshev expansion of exp(-iht) on the Gershgorin
+interval of h (Tal-Ezer & Kosloff 1984), whose degree is the smallest with
+a tail bound below unit roundoff.  Differentiating the same recurrence
+gives the exact parameter derivative of the evolved state.  No propagation
+uses an eigendecomposition, and nothing uses the Dicke basis or the probe
+permutations.  These routines scale exponentially and are only meant for N
+up to ~10.
 
 Qubit ordering: probes 1..N first (probe 1 most significant), bus last,
 so a basis index reads as the bit string b_1 b_2 ... b_N s.
@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-# relative step of the oracle's central differences
-FD_STEP = 1e-6
+# unit roundoff of float64: the Chebyshev tail bound must fall below it
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # (probe operator, bus operator) of the interaction term, per model
 _INTERACTIONS = {
@@ -86,64 +86,139 @@ def hamiltonian_full(kind, n, delta, epsilon, omega0, omega1, x) -> np.ndarray:
     return h
 
 
-def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real matrix m and a complex z, without a complex copy of m."""
-    return m @ z.real + 1j * (m @ z.imag)
+def _nonzeros(m: np.ndarray) -> tuple:
+    """m's nonzeros as padded per-row arrays (cols, vals), each (dim, width)
+    with width the most nonzeros of any row: (m @ x)[r] = sum_j vals[r, j]
+    x[cols[r, j]], the padding being column 0 with value 0."""
+    flat = np.flatnonzero(m != 0)  # ~5x faster than on the floats themselves
+    rows, cols = np.divmod(flat, len(m))
+    counts = np.bincount(rows, minlength=len(m))
+    slots = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded_cols = np.zeros((len(m), counts.max()), dtype=np.intp)
+    padded_vals = np.zeros(padded_cols.shape)
+    padded_cols[rows, slots] = cols
+    padded_vals[rows, slots] = m.ravel()[flat]
+    return padded_cols, padded_vals
 
 
-def _component_labels(h: np.ndarray) -> np.ndarray:
-    """For each basis index, the smallest index of its connected component
-    in the graph of h's nonzero entries (min-label propagation with pointer
-    jumping: a label only ever falls to another index of its component)."""
-    rows, cols = np.divmod(np.flatnonzero(h != 0), len(h))  # ~6x faster than a 2-D nonzero
-    label = np.arange(len(h))
-    while True:
-        previous = label.copy()
-        np.minimum.at(label, rows, label[cols])
-        label = label[label]
-        if np.array_equal(label, previous):
-            return label
+def _product(nonzeros: tuple, x: np.ndarray) -> np.ndarray:
+    """m @ x for a (dim, k) stack x, m given by its `_nonzeros`."""
+    cols, vals = nonzeros
+    return np.matmul(vals[:, None, :], x[cols])[:, 0]
 
 
-def _mirror_signs(idx: np.ndarray, blocks: np.ndarray, dim: int):
-    """The bus signs s = (-1)^(idx[1] & 1) when the group is two blocks that
-    the chiral map P|b, s> = (-1)^s |not b, not s> sends onto each other with
-    P h P^T = -h, i.e. idx[1] = dim - 1 - reverse(idx[0]) and block 1 =
-    -(s s^T) * reverse(block 0) exactly; otherwise None."""
-    if len(idx) != 2 or not np.array_equal(idx[1], dim - 1 - idx[0][::-1]):
-        return None
-    s = 1.0 - 2.0 * (idx[1] & 1)
-    return s if np.array_equal(blocks[1], -np.outer(s, s) * blocks[0][::-1, ::-1]) else None
+def _gershgorin(nonzeros: tuple) -> tuple:
+    """(mid, rad) of the union [mid - rad, mid + rad] of m's Gershgorin
+    discs, which holds the spectrum of a symmetric m."""
+    cols, vals = nonzeros
+    diag = np.where(cols == np.arange(len(cols))[:, None], vals, 0.0).sum(axis=1)
+    off = np.abs(vals).sum(axis=1) - np.abs(diag)
+    lo, hi = np.min(diag - off), np.max(diag + off)
+    return (hi + lo) / 2.0, (hi - lo) / 2.0
+
+
+def _degree(z: float, power: int) -> int:
+    """The smallest K >= |z| with 4 sum_{k>K} k^power (|z|/2)^k / k! below
+    unit roundoff (z != 0, power <= 2).  The sum is formed in logarithms, so
+    it cannot overflow; the terms it leaves out, k > 2|z| + 63, are each
+    below 1e-57."""
+    k = np.arange(1, 2 * math.ceil(abs(z)) + 64)
+    log_terms = power * np.log(k) + k * math.log(abs(z) / 2.0) - np.cumsum(np.log(k))
+    log_tail = np.logaddexp.accumulate(log_terms[::-1])[::-1]  # [i]: sum over k > i
+    below = (log_tail < math.log(_UNIT_ROUNDOFF / 4.0)) & (k - 1 >= abs(z))
+    return int(np.argmax(below))
+
+
+def _coefficients(z: float, degree: int) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_K of the degree-K interpolant of
+    exp(-izx) at the K + 1 Chebyshev points x_j = cos(pi j / K): the
+    discrete cosine transform of the samples, as the FFT of their even
+    extension (O(K) memory, where a K x K cosine matrix would need O(K^2)).
+    It transforms exp(-izx) - 1 = -2i sin(zx/2) exp(-izx/2) and adds the 1
+    to c_0, so the rounding of c_k (k >= 1), which the derivative amplifies
+    by up to k^2, scales with |z| rather than with 1."""
+    zx = z * np.cos(np.pi * np.arange(degree + 1) / degree)
+    samples = -2j * np.sin(zx / 2.0) * np.exp(-0.5j * zx)
+    coef = np.fft.fft(np.concatenate([samples, samples[-2:0:-1]]))[:degree + 1] / degree
+    coef[[0, -1]] /= 2.0
+    coef[0] += 1.0
+    return coef
+
+
+def _propagate(h: np.ndarray, t: float, psi0: np.ndarray, g=None) -> tuple:
+    """(exp(-iht) psi0, its derivative along g) for real symmetric h and g
+    and a (dim, k) stack psi0; the derivative is None when g is None.
+
+    With [mid - rad, mid + rad] the Gershgorin interval of h, H_s = (h - mid)
+    / rad has its spectrum in [-1, 1] and exp(-iht) = exp(-i mid t) f(H_s)
+    for f(x) = exp(-izx), z = rad t.  The degree-K interpolant p = sum_k c_k
+    T_k of f in the Chebyshev points (`_coefficients`) is applied through
+    the three-term recurrence T_{k+1} = 2 H_s T_k - T_{k-1}, T_0 = psi0,
+    T_1 = H_s psi0, so h only ever multiplies vectors, through its nonzeros.
+
+    Error: f's Chebyshev coefficients are a_k = 2 (-i)^k J_k(z) (k >= 1),
+    and |J_k(z)| <= (|z|/2)^k / k!.  By aliasing (Trefethen, Approximation
+    Theory and Approximation Practice, Thm 4.2) the interpolant's error is
+    at most 2 sum_{k>K} |a_k| <= 4 sum_{k>K} (|z|/2)^k / k!, and `_degree`
+    makes that fall below unit roundoff.
+
+    Derivative: h is linear in the parameter, d h / d theta = g, so
+    differentiating p(H_s) keeps mid and rad fixed: G_s = g / rad, dT_0 = 0,
+    dT_1 = G_s psi0 and dT_{k+1} = 2 G_s T_k + 2 H_s dT_k - dT_{k-1}.  That
+    is the same recurrence on the stack (T_k, dT_k) with the block operator
+    [[H_s, 0], [G_s, H_s]], whose T_k holds d T_k(H_s) below its diagonal.
+    The result is the exact derivative of p(H_s) psi0, which differs from
+    that of f(H_s) psi0 by at most ||G_s|| max |(f - p)'| on [-1, 1]
+    (Daleckii-Krein); T_k' is at most k^2 there (Markov), so that error is
+    at most 4 ||G_s|| sum_{k>K} k^2 (|z|/2)^k / k!, and with g the degree
+    is chosen to make that fall below unit roundoff too.
+
+    A zero-width interval (h = mid I) or t = 0 is exact: exp(-i mid t) psi0,
+    with derivative -it exp(-i mid t) g psi0, since then g commutes with h.
+    """
+    h_nz = _nonzeros(h)
+    g_nz = None if g is None else _nonzeros(g)
+    mid, rad = _gershgorin(h_nz)
+    phase = np.exp(-1j * mid * t)
+    z = rad * t
+    if z == 0.0:
+        return phase * psi0, (None if g is None else -1j * t * phase * _product(g_nz, psi0))
+
+    k = psi0.shape[1]
+    two_h = (h_nz[0], (2.0 / rad) * h_nz[1])
+    two_g = None if g is None else (g_nz[0], (2.0 / rad) * g_nz[1])
+
+    def step(x):  # 2 H_s x, or the block operator's 2 [[H_s, 0], [G_s, H_s]] x
+        out = _product(two_h, x) - (2.0 * mid / rad) * x
+        if g is not None:
+            out[:, k:] += _product(two_g, x[:, :k])
+        return out
+
+    coef = phase * _coefficients(z, _degree(z, 0 if g is None else 2))
+    prev = psi0 if g is None else np.hstack([psi0, np.zeros_like(psi0)])
+    cur = 0.5 * step(prev)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, step(cur) - prev
+        out += c * cur
+    return out[:, :k], (None if g is None else out[:, k:])
 
 
 def propagate_full(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
     """exp(-i h t) psi0 for a real symmetric h and psi0 a vector or a (dim, k)
-    stack of columns, exactly: h couples no two connected components of its
-    nonzero pattern, so each is propagated through its own eigendecomposition,
-    and components of equal size share one batched `eigh`.
+    stack of columns, to rounding, through h's nonzeros (see `_propagate`)."""
+    psi, _ = _propagate(h, t, np.asarray(psi0, dtype=complex).reshape(len(h), -1))
+    return psi.reshape(np.shape(psi0))
 
-    A group of two components mirrored by the chiral map (see
-    `_mirror_signs`) solves component 0 only: component 1's eigenvalues are
-    -reverse(w0) and its eigenvectors s * v0 with rows and columns reversed.
-    """
-    cols = np.asarray(psi0, dtype=complex).reshape(len(h), -1)
-    out = np.empty_like(cols)
-    label = _component_labels(h)
-    order = np.argsort(label, kind="stable")
-    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
-    for s in np.unique(size):
-        idx = order[start[size == s, None] + np.arange(s)]  # (blocks, s)
-        blocks = h[idx[:, :, None], idx[:, None, :]]
-        sign = _mirror_signs(idx, blocks, len(h))
-        if sign is None:
-            w, v = np.linalg.eigh(blocks)
-        else:
-            w, v = np.linalg.eigh(blocks[:1])
-            w = np.concatenate([w, -w[:, ::-1]])
-            v = np.concatenate([v, sign[:, None] * v[:, ::-1, ::-1]])
-        c = _real_matmul(v.transpose(0, 2, 1), cols[idx])
-        out[idx] = _real_matmul(v, np.exp(-1j * w * t)[..., None] * c)
-    return out.reshape(np.shape(psi0))
+
+def _generator(kind, n, params: dict, which: str) -> np.ndarray:
+    """d h / d theta for theta = x, omega0 or omega1: h is linear in each, so
+    this is h with theta's coefficient 1 and the other two 0."""
+    if which not in ("x", "omega0", "omega1"):
+        raise ValueError(f"cannot differentiate in {which!r}; use x, omega0 or omega1")
+    unit = {name: float(name == which) for name in ("omega0", "omega1", "x")}
+    return hamiltonian_full(kind, n, params["delta"], params["epsilon"],
+                            unit["omega0"], unit["omega1"], unit["x"])
 
 
 def bus_density(psi: np.ndarray) -> np.ndarray:
@@ -152,12 +227,16 @@ def bus_density(psi: np.ndarray) -> np.ndarray:
     return np.einsum("ps,pt->st", block, block.conj())
 
 
+def _excitations(n: int) -> np.ndarray:
+    """The number of set bits of each of 0 .. 2^N - 1: probe excitations per
+    configuration."""
+    return ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
 def dicke_matrix(n: int) -> np.ndarray:
     """Rows: normalized Dicke states in m-descending order (row a has a
     probe excitations, m = N/2 - a); columns: the 2^N probe basis."""
-    d = np.zeros((n + 1, 2 ** n))
-    for idx in range(2 ** n):
-        d[bin(idx).count("1"), idx] = 1.0
+    d = (_excitations(n) == np.arange(n + 1)[:, None]).astype(float)
     d /= np.sqrt(d.sum(axis=1, keepdims=True))
     return d
 
@@ -173,27 +252,17 @@ def pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
 
 
-def _central_difference(f, theta0: float) -> tuple:
-    """(f(theta0), the central difference of f at FD_STEP * max(1, |theta0|))."""
-    h = FD_STEP * max(1.0, abs(theta0))
-    return f(theta0), (f(theta0 + h) - f(theta0 - h)) / (2.0 * h)
-
-
 def evolved_with_derivative_full(kind, n, params: dict, which: str, alpha, phi, beta,
                                  varphi) -> tuple:
     """(psi, d psi/d theta) of the fully propagated pure state, the derivative
-    a central difference: three dense propagations.  `params` holds delta,
-    epsilon, omega0, omega1, x, t; `which` names the parameter (x, omega0 or
-    omega1)."""
+    exact, from one differentiated propagation (see `_propagate`).  `params`
+    holds delta, epsilon, omega0, omega1, x, t; `which` names the parameter
+    (x, omega0 or omega1)."""
     psi0 = product_state_full(n, alpha, phi, beta, varphi)
-
-    def state_at(theta):
-        p = dict(params, **{which: theta})
-        h = hamiltonian_full(kind, n, p["delta"], p["epsilon"], p["omega0"],
-                             p["omega1"], p["x"])
-        return propagate_full(h, p["t"], psi0)
-
-    return _central_difference(state_at, params[which])
+    h = hamiltonian_full(kind, n, params["delta"], params["epsilon"], params["omega0"],
+                         params["omega1"], params["x"])
+    psi, dpsi = _propagate(h, params["t"], psi0[:, None], _generator(kind, n, params, which))
+    return psi[:, 0], dpsi[:, 0]
 
 
 def bus_density_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -202,27 +271,49 @@ def bus_density_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return half + half.conj().T
 
 
-def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta,
-                            bus_varphi) -> np.ndarray:
-    """rho(t) for thermal probes: convex combination over the 2^N probe
-    configurations, each propagated as a pure state, all in one product."""
+def _thermal_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
+                     which=None) -> tuple:
+    """(rho(t), d rho/d theta) for thermal probes, the derivative None when
+    `which` is None: a convex combination over the 2^N probe configurations,
+    all propagated (and differentiated) as one stack of columns.
+
+    For which='omega1' the thermal weights move too.  With u = beta_th *
+    omega1 a probe is in |1> with p_1 = e^u / (e^-u + e^u), and dp_1/du =
+    2 p_0 p_1 = -dp_0/du, so a configuration with n_1 excited probes has
+    d log(weight)/du = 2 p_0 n_1 - 2 p_1 (N - n_1).
+    """
     u = beta_th * params["omega1"]
     pop = np.array([math.exp(-u), math.exp(u)])
     pop /= pop.sum()
 
-    weights = np.ones(1)
-    for _ in range(n):  # weight of each probe configuration
-        weights = np.kron(weights, pop)
+    excited = _excitations(n)
+    weights = pop[0] ** (n - excited) * pop[1] ** excited  # per probe configuration
 
     h = hamiltonian_full(kind, n, params["delta"], params["epsilon"],
                          params["omega0"], params["omega1"], params["x"])
+    g = None if which is None else _generator(kind, n, params, which)
     # column c is |config c> (x) |bus>, so psi_t[:, c] is that configuration
     # evolved to time t
     configs = np.arange(2 ** n)
     psi0 = np.zeros((2 ** n, 2, 2 ** n), dtype=complex)
     psi0[configs, :, configs] = qubit_state(bus_beta, bus_varphi)
-    psi_t = propagate_full(h, params["t"], psi0.reshape(2 ** (n + 1), 2 ** n))
-    return (psi_t * weights) @ psi_t.conj().T
+    psi_t, dpsi_t = _propagate(h, params["t"], psi0.reshape(2 ** (n + 1), 2 ** n), g)
+    rho = (psi_t * weights) @ psi_t.conj().T
+    if which is None:
+        return rho, None
+    half = (dpsi_t * weights) @ psi_t.conj().T
+    drho = half + half.conj().T
+    if which == "omega1":
+        dweights = 2.0 * beta_th * weights * (pop[0] * excited - pop[1] * (n - excited))
+        drho += (psi_t * dweights) @ psi_t.conj().T
+    return rho, drho
+
+
+def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta,
+                            bus_varphi) -> np.ndarray:
+    """rho(t) for thermal probes: convex combination over the 2^N probe
+    configurations, each propagated as a pure state, all in one product."""
+    return _thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi)[0]
 
 
 def mixed_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float = 1e-14) -> float:
@@ -237,13 +328,10 @@ def mixed_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float = 1e-14) -> float
 
 def thermal_global_qfi_full(kind, n, params: dict, which: str, beta_th,
                             bus_beta, bus_varphi) -> float:
-    """Finite-difference mixed-state QFI of the thermal-probe state.
+    """Mixed-state QFI of the thermal-probe state from its exact d rho/d theta.
 
-    For which='omega1' the parameter shift moves both the thermal
-    populations and the propagator, as it should.
+    For which='omega1' the parameter moves both the thermal populations and
+    the propagator, as it should.
     """
-    rho, drho = _central_difference(
-        lambda theta: thermal_evolved_density(kind, n, dict(params, **{which: theta}),
-                                              beta_th, bus_beta, bus_varphi),
-        params[which])
-    return mixed_qfi(rho, drho)
+    return mixed_qfi(*_thermal_density(kind, n, params, beta_th, bus_beta,
+                                       bus_varphi, which))

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from spinbus import fullspace
+from spinbus.dynamics import ModelKind, ModelSpec
+from spinbus.fisher import Param
+from spinbus.zzzz_exact import thermal_global_qfi
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,8 +48,8 @@ def _dense_propagation(h, t, psi0):
     return v @ (np.exp(-1j * w * t)[:, None] * (v.T @ psi0.reshape(len(h), -1)))
 
 
-# (delta, epsilon, omega0, omega1, x) of the cases that change the block
-# structure: x = 0, eps = 0 (no coupling) and omega0 = omega1 = 0 (no fields)
+# (delta, epsilon, omega0, omega1, x) of the cases that change h's nonzero
+# pattern: x = 0, eps = 0 (no coupling) and omega0 = omega1 = 0 (no fields)
 DEGENERATE = [(0.8, 1.2, 0.9, 1.1, 0.0), (0.8, 0.0, 0.9, 1.1, 1.3),
               (0.8, 1.2, 0.0, 0.0, 1.3)]
 
@@ -80,53 +83,86 @@ def test_blocked_propagation_matches_dense_eigh_at_n10():
         assert np.max(np.abs(psi - _dense_propagation(h, 1.3, psi0)[:, 0])) < 1e-13
 
 
-def _recorded_solves(monkeypatch, h, psi0):
-    """The shapes handed to np.linalg.eigh by one propagate_full, and its result."""
-    solved = []
-
-    def recording_eigh(a):
-        solved.append(a.shape)
-        return eigh(a)
-
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    psi = fullspace.propagate_full(h, 1.0, psi0)
-    monkeypatch.undo()
-    return solved, psi
-
-
-@pytest.mark.parametrize("kind, sizes", [("ZZZZ", {1}), ("ZZZX", {1, 2}),
-                                         ("ZZXX", {64})])
-def test_each_group_of_decoupled_blocks_is_one_eigh(kind, sizes, monkeypatch):
-    h = fullspace.hamiltonian_full(kind, 6, 0.8, 1.2, 0.9, 1.1, 1.3)
-    solved, _ = _recorded_solves(monkeypatch, h,
-                                 fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9))
-    assert {shape[-1] for shape in solved} == sizes
-    assert len(solved) == len(sizes)  # one batched solve per block size
-    if kind == "ZZXX":  # even N: the chiral map mirrors half 1 onto half 0
-        assert solved == [(1, 64, 64)]
-    else:
-        assert sum(blocks * size for blocks, size, _ in solved) == 2 ** 7
+@pytest.mark.parametrize("kind", sorted(INTERACTIONS))
+def test_propagation_at_strong_coupling_matches_dense_eigh(kind):
+    # eps = 100 puts z = rad t, and so the Chebyshev degree, in the hundreds
+    h = fullspace.hamiltonian_full(kind, 4, 1.0, 100.0, 0.9, 1.1, 1.3)
+    rng = np.random.default_rng(100)
+    psi0 = fullspace.product_state_full(4, *rng.uniform(0.0, math.pi, 4))
+    stack = rng.normal(size=(len(h), 3)) + 1j * rng.normal(size=(len(h), 3))
+    for t in (1.0, 2.0):
+        psi = fullspace.propagate_full(h, t, psi0)
+        assert np.max(np.abs(psi - _dense_propagation(h, t, psi0)[:, 0])) < 1e-12
+        columns = fullspace.propagate_full(h, t, stack)
+        assert np.max(np.abs(columns - _dense_propagation(h, t, stack))) < 1e-12
 
 
-def test_odd_n_zzxx_solves_both_halves(monkeypatch):
-    # at odd N the chiral map sends each bus-parity half onto itself
-    h = fullspace.hamiltonian_full("ZZXX", 5, 0.8, 1.2, 0.9, 1.1, 1.3)
-    solved, _ = _recorded_solves(monkeypatch, h,
-                                 fullspace.product_state_full(5, 0.3, 0.5, 0.7, 0.9))
-    assert solved == [(2, 32, 32)]
+PARAMS = ("delta", "epsilon", "omega0", "omega1", "x", "t")
 
 
-def test_broken_mirror_solves_both_halves(monkeypatch):
-    h = fullspace.hamiltonian_full("ZZXX", 6, 0.8, 1.2, 0.9, 1.1, 1.3)
-    # block 1 is the odd-parity half: the one without index 0
-    odd = np.array([bin(k).count("1") % 2 for k in range(len(h))], dtype=bool)
-    i, j = next((i, j) for i, j in zip(*np.nonzero(h)) if odd[i] and odd[j] and i < j)
-    h[i, j] = h[j, i] = np.nextafter(h[i, j], np.inf)  # one ulp off the mirror
-    psi0 = fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9)
-    solved, psi = _recorded_solves(monkeypatch, h, psi0)
-    assert solved == [(2, 64, 64)]
-    assert np.max(np.abs(psi - _dense_propagation(h, 1.0, psi0)[:, 0])) < 1e-13
+def _van_loan(kind, n, params, which, psi0):
+    """(psi, d psi/d theta) from the upper blocks of expm(-it [[h, g], [0, h]]),
+    g = dh/d theta (Van Loan 1978), h and g from Kronecker chains."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    coefs = [params[k] for k in PARAMS[:5]]
+    unit = [params["delta"], params["epsilon"]] + [float(k == which) for k in PARAMS[2:5]]
+    h = _kron_hamiltonian(kind, n, *coefs)
+    g = _kron_hamiltonian(kind, n, *unit)
+    dim = len(h)
+    u = scipy_linalg.expm(-1j * params["t"] * np.block([[h, g], [np.zeros_like(h), h]]))
+    return u[:dim, :dim] @ psi0, u[:dim, dim:] @ psi0
+
+
+@pytest.mark.parametrize("kind", sorted(INTERACTIONS))
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_derivative_matches_van_loan_block_exponential(kind, n):
+    rng = np.random.default_rng(n * 13 + len(kind))
+    for which in ("x", "omega0", "omega1"):
+        random = dict(zip(PARAMS, rng.uniform(-2.0, 2.0, 6)))
+        for override in ({}, {"t": 0.0}, {"x": 0.0}, {"epsilon": 0.0}):
+            params = dict(random, **override)
+            angles = rng.uniform(0.0, math.pi, 4)
+            psi, dpsi = fullspace.evolved_with_derivative_full(kind, n, params, which, *angles)
+            ref_psi, ref_dpsi = _van_loan(kind, n, params, which,
+                                          fullspace.product_state_full(n, *angles))
+            assert np.max(np.abs(psi - ref_psi)) <= 1e-12 * np.max(np.abs(ref_psi))
+            assert np.max(np.abs(dpsi - ref_dpsi)) <= 1e-12 * np.max(np.abs(ref_dpsi))
+
+
+def test_derivative_rejects_other_parameters():
+    with pytest.raises(ValueError, match="delta"):
+        fullspace.evolved_with_derivative_full(
+            "ZZXX", 2, dict(zip(PARAMS, [1.0] * 6)), "delta", 0.3, 0.5, 0.7, 0.9)
+
+
+def test_oracle_uses_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle propagated through an eigendecomposition")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    params = dict(delta=0.8, epsilon=1.2, omega0=0.9, omega1=1.1, x=1.3, t=1.7)
+    for kind in sorted(INTERACTIONS):
+        h = fullspace.hamiltonian_full(kind, 6, *[params[k] for k in PARAMS[:5]])
+        psi = fullspace.propagate_full(h, params["t"],
+                                       fullspace.product_state_full(6, 0.3, 0.5, 0.7, 0.9))
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        for which in ("x", "omega0", "omega1"):
+            psi, dpsi = fullspace.evolved_with_derivative_full(kind, 6, params, which,
+                                                               0.3, 0.5, 0.7, 0.9)
+            # d <psi|psi> = 0
+            assert abs(np.vdot(psi, dpsi).real) < 1e-13 * np.linalg.norm(dpsi)
+        rho = fullspace.thermal_evolved_density(kind, 6, params, 0.6, 0.4, 1.2)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+
+
+def test_dicke_matrix_matches_bit_count_loop():
+    for n in range(11):
+        d = np.zeros((n + 1, 2 ** n))
+        for idx in range(2 ** n):
+            d[bin(idx).count("1"), idx] = 1.0
+        d /= np.sqrt(d.sum(axis=1, keepdims=True))
+        assert np.array_equal(fullspace.dicke_matrix(n), d)
 
 
 def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, override):
@@ -150,7 +186,7 @@ def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, overri
 
 
 @pytest.mark.parametrize("kind", sorted(INTERACTIONS))
-@pytest.mark.parametrize("n", [1, 2, 3, 4])  # even n: mirrored halves
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_thermal_density_matches_per_configuration_loop(kind, n):
     params = dict(delta=0.7, epsilon=1.3, omega0=0.9, omega1=1.1, x=0.8, t=1.7)
     for override in ({}, {"omega1": 1.1 + 1e-3}):
@@ -161,3 +197,15 @@ def test_thermal_density_matches_per_configuration_loop(kind, n):
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-15
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert abs(np.trace(rho).imag) < 1e-15
+
+
+@pytest.mark.parametrize("n, beta_th", [(2, 0.0), (2, 1.3), (5, 0.7), (8, 0.4)])
+def test_thermal_qfi_matches_zzzz_closed_form(n, beta_th):
+    # the exact d rho of the thermal state, weights included for omega1
+    spec = ModelSpec(ModelKind.ZZZZ)
+    params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0, x=1.0, t=1.0)
+    for sel in Param:
+        closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
+        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+                                                   beta_th, 0.6, 0.3)
+        assert oracle == pytest.approx(closed, rel=1e-12, abs=1e-20)
