@@ -20,10 +20,12 @@ diagonal with equal tridiagonal blocks (k = N/2 - m):
 diagonalizes it block by block (LAPACK `dstevd` on the chains), so
 propagation never forms a dense 2(N+1)-square matrix.  At even N the second
 ZZXX chain is the negated signed mirror of the first, so only the first is
-diagonalized.
+diagonalized, and the second's eigenvectors are read through reversed views
+of the first's, never formed.
 `evolve_derivative` also returns the exact derivative of the evolved state
 from the same eigendecomposition (Daleckii-Krein formula), and certified
-error bounds on both.
+error bounds on both.  Past the solve it holds two (N+1)-square buffers
+besides the eigenvectors, and builds one chain's kernel at a time.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
 bundles, so numpy is the only runtime dependency.  The chain solves run
@@ -154,13 +156,23 @@ class HamiltonianMatrix:
     def block_mul(self, x: np.ndarray) -> np.ndarray:
         """T @ x block by block, for x of shape (k, size, ...) holding the
         first k blocks (all of them, or the chain a mirrored T solves)."""
-        extra = (1,) * (x.ndim - 2)
-        diag = self.block_diag[:len(x)].reshape((len(x), -1) + extra)
-        off = self.block_off[:len(x)].reshape((len(x), -1) + extra)
-        out = diag * x
-        out[:, :-1] += off * x[:, 1:]
-        out[:, 1:] += off * x[:, :-1]
-        return out
+        out = np.empty(x.shape, dtype=np.result_type(x, self.block_diag))
+        return _tri_mul(self.block_diag[:len(x)], self.block_off[:len(x)], x, out,
+                        np.empty_like(out))
+
+
+def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray, out: np.ndarray,
+             tmp: np.ndarray) -> np.ndarray:
+    """out = T @ x block by block for the tridiagonal blocks with rows of
+    `diag` and `off` and x of shape (blocks, size, ...); `tmp` is scratch of
+    out's shape.  An all-zero off-diagonal (the omega generators) is skipped."""
+    extra = (1,) * (x.ndim - 2)
+    np.multiply(diag.reshape(diag.shape + extra), x, out=out)
+    if off.any():
+        off = off.reshape(off.shape + extra)
+        out[:, :-1] += np.multiply(off, x[:, 1:], out=tmp[:, :-1])
+        out[:, 1:] += np.multiply(off, x[:, :-1], out=tmp[:, 1:])
+    return out
 
 
 PARAMETERS = ("x", "omega0", "omega1")
@@ -272,38 +284,40 @@ def _one_blas_thread():
         set_(before)
 
 
-def _solve_chain(d: np.ndarray, e: np.ndarray):
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
-    symmetric tridiagonal matrix with diagonal d and off-diagonal e: LAPACK
-    dstevd, as `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum,
-    or dense `np.linalg.eigh` without numpy's OpenBLAS.  dstevd overwrites D
-    and E, so it gets fresh copies."""
+def _solve_chain(d: np.ndarray, e: np.ndarray, w: np.ndarray, z: np.ndarray):
+    """Write the ascending eigenvalues into w and the orthonormal
+    eigenvectors (columns) into the Fortran-ordered z of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e: LAPACK dstevd, as
+    `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum, or dense
+    `np.linalg.eigh` without numpy's OpenBLAS.  dstevd overwrites D and E,
+    so D is w, filled with d, and E a fresh copy of e."""
     if _OPENBLAS is None:
-        return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        w[:], z[:] = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        return
     n = len(d)
-    w, off = np.array(d, dtype=np.float64), np.array(e, dtype=np.float64)
-    z = np.empty((n, n), order="F")
+    w[:] = d
+    off = np.array(e, dtype=np.float64)
     lwork, liwork, info = 1 + 4 * n + n * n, 3 + 5 * n, ctypes.c_int64()
     _OPENBLAS[0](b"V", ctypes.c_int64(n), w, off, z, ctypes.c_int64(n),
                  np.empty(lwork), ctypes.c_int64(lwork),
                  np.empty(liwork, dtype=np.int64), ctypes.c_int64(liwork), info, 1)
     if info.value:
         raise np.linalg.LinAlgError(f"dstevd returned info = {info.value}")
-    return w, z
 
 
 def eigensystem(h: HamiltonianMatrix):
-    """Eigenvalues (blocks, size), ascending within each block, and
-    orthonormal eigenvectors (blocks, size, size; columns) of every
-    tridiagonal block of H, in the permuted order.
+    """(w, v): the eigenvalues (blocks, size) of every tridiagonal block of
+    H, ascending within each block, and the orthonormal eigenvectors
+    (solved, size, size; columns) of the blocks it solved, in the permuted
+    order.
 
-    A mirrored H (see `_mirrored`) has one chain solved: chain 1's
-    eigenvalues are -reverse(w0) and its eigenvectors S V0 with the
-    columns reversed.
+    Every block is solved but one: chain 1 of a mirrored H (see
+    `_mirrored`), whose eigenvalues are -reverse(w0) and whose eigenvectors
+    S V0 R (R reversing the columns) are never formed; `_apply` reads them
+    through V0, so v holds chain 0 only.
     """
     diag, off = h.block_diag, h.block_off
     size = diag.shape[1]
-    chains = 1 if _mirrored(h) else len(diag)
     try:
         if size <= 2:  # many tiny blocks: one batched dense solve
             blocks = np.zeros(diag.shape + (size,))
@@ -311,16 +325,18 @@ def eigensystem(h: HamiltonianMatrix):
             blocks[:, i, i] = diag
             blocks[:, i[:-1], i[1:]] = blocks[:, i[1:], i[:-1]] = off
             return np.linalg.eigh(blocks)
+        chains = 1 if _mirrored(h) else len(diag)
+        w = np.empty(diag.shape)
+        v = np.empty((chains, size, size)).transpose(0, 2, 1)  # each v[b] as dstevd's Z
         with _one_blas_thread():
-            pairs = [_solve_chain(d, e) for d, e in zip(diag[:chains], off)]
+            for b in range(chains):
+                _solve_chain(diag[b], off[b], w[b], v[b])
     except np.linalg.LinAlgError as err:
         raise RuntimeError(
             f"eigendecomposition failed to converge for dim={h.dim}: {err}") from err
     if chains < len(diag):
-        w0, v0 = pairs[0]
-        sign = (1.0 - 2.0 * (np.arange(size) % 2))[:, None]
-        pairs.append((-w0[::-1], sign * v0[::-1, ::-1]))
-    return np.stack([w for w, _ in pairs]), np.stack([v for _, v in pairs])
+        w[1] = -w[0][::-1]
+    return w, v
 
 
 def _mul(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -328,6 +344,37 @@ def _mul(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     casting the matrices to complex."""
     parts = np.matmul(mats, np.stack([vecs.real, vecs.imag], axis=-1))
     return parts[..., 0] + 1j * parts[..., 1]
+
+
+def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """V_b x_b, or V_b^T x_b with `transpose`, on every block of x (blocks,
+    size).  A v of chain 0 only (see `eigensystem`) gives chain 1's V1 = S V0
+    R through reversed views: V1 x = S V0 x[::-1] and V1^T x = (V0^T S^T
+    x)[::-1], with (S u)_k = (-1)^k u_{size-1-k} and S^T u = reverse((-1)^k
+    u_k)."""
+    mats = v.transpose(0, 2, 1) if transpose else v
+    out = np.empty(x.shape, dtype=complex)
+    out[:len(v)] = _mul(mats, x[:len(v)])
+    if len(v) < len(x):
+        sign = 1.0 - 2.0 * (np.arange(x.shape[1]) % 2)
+        if transpose:
+            out[1] = _mul(mats[0], (sign * x[1])[::-1])[::-1]
+        else:
+            out[1] = sign * _mul(mats[0], x[1][::-1])[::-1]
+    return out
+
+
+def _kernel(v: np.ndarray, w: np.ndarray, g_diag: np.ndarray, g_off: np.ndarray,
+            t: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(V^T G V) o sinc((w_j - w_k) t / 2) on blocks v (k, size, size) with
+    eigenvalues w, G's blocks given by their rows g_diag and g_off, written
+    into `out`; `scratch` is a second buffer of out's shape."""
+    np.matmul(v.transpose(0, 2, 1), _tri_mul(g_diag, g_off, v, scratch, out), out=out)
+    x = np.subtract(w[:, :, None], w[:, None, :], out=scratch)
+    x *= 0.5 * t
+    nonzero = x != 0.0  # x = 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
+    np.divide(out, x, out=out, where=nonzero)
+    return np.multiply(out, np.sin(x, out=x), out=out, where=nonzero)
 
 
 def _check_dims(h: HamiltonianMatrix, psi0: SymmetricState):
@@ -342,8 +389,8 @@ def evolve(h: HamiltonianMatrix, t: float, psi0: SymmetricState) -> SymmetricSta
     if t == 0.0:
         return psi0
     w, v = eigensystem(h)
-    y = _mul(v.transpose(0, 2, 1), h.to_blocks(psi0.amplitudes))
-    amps = h.from_blocks(_mul(v, np.exp(-1j * t * w) * y))
+    y = _apply(v, h.to_blocks(psi0.amplitudes), transpose=True)
+    amps = h.from_blocks(_apply(v, np.exp(-1j * t * w) * y))
     # unitary up to rounding; renormalize so downstream invariants hold exactly
     return SymmetricState(psi0.n_probes, amps / np.linalg.norm(amps))
 
@@ -362,10 +409,19 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     the block structure of H (any `assemble(spec, n, wrt=...)` of the same
     model does).
 
+    Memory: besides the eigenvectors of the solved blocks (one size^2
+    matrix per solved chain), two size^2 buffers hold one chain's kernel
+    and its scratch (G V, the sinc argument, the residual), chain after
+    chain; the tiny blocks of ZZZX and ZZZZ go in one batch.  Chain 1 of a
+    mirrored H is read through chain 0's eigenvectors (`_apply`): its kernel
+    is R K' R, with K' the kernel of S^T G1 S on V0, and K' = -K0 when G is
+    mirrored too (every `assemble(..., wrt=...)` at even N), so the kernel
+    buffer is reused as it stands.
+
     The certificate is the solve's own backward error, O(size^2) per block
     (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3): the residual r = max
-    ||T_b V_b - V_b diag(w_b)||_F >= ||R||_2 over the solved chains (a
+    ||T_b V_b - V_b diag(w_b)||_F >= ||R||_2 over the solved blocks (a
     mirrored chain's is the solved one's, reflected) and the orthogonality
     defect d = ||V V^T psi0 - psi0|| = ||E c||, E = V^T V - I, c the
     propagated coefficients.  With V = Q P (polar), Q diag(w) Q^T is within
@@ -394,32 +450,34 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     if t == 0.0:
         return psi0, np.zeros(psi0.dim, dtype=complex), 0.0, 0.0
     w, v = eigensystem(h)
-    vt = v.transpose(0, 2, 1)
+    (blocks, size), u = w.shape, float(np.finfo(float).eps) / 2.0
     amps0 = h.to_blocks(psi0.amplitudes)
-    c = _mul(vt, amps0)
-    mirrored, u = _mirrored(h), float(np.finfo(float).eps) / 2.0
-    solved = 1 if mirrored else len(w)  # the certificate's residual, of the solved blocks
-    residual = np.linalg.norm(h.block_mul(v[:solved]) - v[:solved] * w[:solved, None, :],
-                              axis=(1, 2)).max()
-    eta = 2.0 * float(residual) + 2.0 * u * h.norm_bound
-    defect = float(np.linalg.norm(_mul(v, c) - amps0))
+    c = _apply(v, amps0, transpose=True)
+    defect = float(np.linalg.norm(_apply(v, c) - amps0))
     half = np.exp(-0.5j * t * w)
-    # (V^T G V) o sinc((w_j - w_k) t/2), in place and half the blocks at a time;
-    # with H and G mirrored, chain 1's is chain 0's negated, reversed on both axes
-    chains = 1 if mirrored and _mirrored(g) else len(w)
-    kernel = np.matmul(vt[:chains], g.block_mul(v[:chains]))
-    for part in (slice(None, (chains + 1) // 2), slice((chains + 1) // 2, chains)):
-        x = 0.5 * t * (w[part, :, None] - w[part, None, :])
-        sinc = np.sin(x)
-        np.divide(sinc, x, out=sinc, where=x != 0.0)
-        sinc[x == 0.0] = 1.0
-        kernel[part] *= sinc
-        del x, sinc
-    if chains < len(w):
-        kernel = np.concatenate([kernel, -kernel[:, ::-1, ::-1]])
-    psi = h.from_blocks(_mul(v, half * half * c))
-    dpsi = h.from_blocks(_mul(v, -1j * t * half * _mul(kernel, half * c)))
-    size, tau, g_norm = w.shape[1], abs(t), g.norm_bound
+    y = half * c
+    step = blocks if size <= 2 else 1  # all tiny blocks at once, or one chain
+    kernel, scratch = np.empty_like(v[:step]), np.empty_like(v[:step])
+    squared = 0.0  # the largest squared residual of a solved block
+    z = np.empty_like(y)
+    for b in range(0, blocks, step):
+        part = slice(b, b + step)
+        if b < len(v):
+            r = _tri_mul(h.block_diag[part], h.block_off[part], v[part], scratch, kernel)
+            r -= np.multiply(v[part], w[part, None, :], out=kernel)
+            squared = max(squared, float(np.einsum("bij,bij->b", r, r).max()))
+            _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, kernel, scratch)
+            z[part] = _mul(kernel, y[part])
+        elif _mirrored(g):  # chain 1 of a mirrored H and G: K' = -K0, still in the buffer
+            z[1] = -_mul(kernel[0], y[1][::-1])[::-1]
+        else:  # chain 1 of a mirrored H: S^T G1 S is G1 reversed, off-diagonal negated
+            _kernel(v, w[:1], g.block_diag[1:, ::-1], -g.block_off[1:, ::-1], t, kernel,
+                    scratch)
+            z[1] = _mul(kernel[0], y[1][::-1])[::-1]
+    psi = h.from_blocks(_apply(v, half * half * c))
+    dpsi = h.from_blocks(_apply(v, -1j * t * half * z))
+    eta = 2.0 * math.sqrt(squared) + 2.0 * u * h.norm_bound
+    tau, g_norm = abs(t), g.norm_bound
     gamma = (size + 4) * u / (1.0 - (size + 4) * u)
     tiny = float(np.finfo(float).smallest_subnormal)
     floor = 0.0 if g_norm == 0.0 else ((3 * size + 4) * math.sqrt(h.dim) * (1.0 + tau)

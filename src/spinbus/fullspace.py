@@ -3,10 +3,12 @@
 Everything here is built directly on the computational basis, with no
 reliance on the symmetric-sector machinery, so these routines serve as an
 independent cross-check of the reduced pipeline.  Every Hamiltonian term is
-a real Pauli string, placed in a dense real symmetric matrix by index
-arithmetic on the basis bits.  A propagation reads that matrix's nonzeros
-once into padded per-row column and value arrays and applies it only
-through them, in a Chebyshev expansion of exp(-iht) on the Gershgorin
+a real Pauli string, placed by index arithmetic on the basis bits: in a
+dense real symmetric matrix (`hamiltonian_full`), or straight into padded
+per-row column and value arrays of its nonzeros, which is all the oracle's
+propagations build (`propagate_full` reads a dense matrix's nonzeros into
+the same arrays).  A propagation applies h only through those arrays, in a
+Chebyshev expansion of exp(-iht) on the Gershgorin
 interval of h (Tal-Ezer & Kosloff 1984), whose degree is the smallest with
 a tail bound below unit roundoff.  Differentiating the same recurrence
 gives the exact parameter derivative of the evolved state.  No propagation
@@ -69,36 +71,71 @@ def product_state_full(n, alpha, phi, beta, varphi) -> np.ndarray:
     return np.kron(psi, qubit_state(beta, varphi))
 
 
-def hamiltonian_full(kind, n, delta, epsilon, omega0, omega1, x) -> np.ndarray:
-    """delta*(sum_i w1/2 Z_i + w0/2 Z_bus) + eps*x/2 * sum_i P_i B_bus, as a
-    dense real symmetric matrix."""
+def _terms(kind, n, delta, epsilon, omega0, omega1, x) -> list:
+    """(coefficient, {site: op}) of each Pauli string of h, in a fixed order."""
     probe_op, bus_op = _INTERACTIONS[str(kind)]
-    dim = 2 ** (n + 1)
-    h = np.zeros((dim, dim))
     bus = n  # bus is the last site
     terms = [(delta * omega0 / 2.0, {bus: "Z"})]
     for i in range(n):
         terms.append((delta * omega1 / 2.0, {i: "Z"}))
         terms.append((epsilon * x / 2.0, {i: probe_op, bus: bus_op}))
-    for coef, ops in terms:
+    return terms
+
+
+def hamiltonian_full(kind, n, delta, epsilon, omega0, omega1, x) -> np.ndarray:
+    """delta*(sum_i w1/2 Z_i + w0/2 Z_bus) + eps*x/2 * sum_i P_i B_bus, as a
+    dense real symmetric matrix."""
+    dim = 2 ** (n + 1)
+    h = np.zeros((dim, dim))
+    for coef, ops in _terms(kind, n, delta, epsilon, omega0, omega1, x):
         rows, cols, values = _pauli_string(ops, n + 1)
         h[rows, cols] += coef * values
     return h
 
 
-def _nonzeros(m: np.ndarray) -> tuple:
-    """m's nonzeros as padded per-row arrays (cols, vals), each (dim, width)
-    with width the most nonzeros of any row: (m @ x)[r] = sum_j vals[r, j]
-    x[cols[r, j]], the padding being column 0 with value 0."""
-    flat = np.flatnonzero(m != 0)  # ~5x faster than on the floats themselves
-    rows, cols = np.divmod(flat, len(m))
-    counts = np.bincount(rows, minlength=len(m))
-    slots = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    padded_cols = np.zeros((len(m), counts.max()), dtype=np.intp)
+def _hamiltonian_nonzeros(kind, n, delta, epsilon, omega0, omega1, x) -> tuple:
+    """`_nonzeros(hamiltonian_full(...))`, array for array, without the dense
+    matrix: straight from the Pauli strings, each of which puts one entry in
+    row r, at column r ^ xmask.  Strings of one xmask share that column and
+    are summed in `hamiltonian_full`'s order, so the entries round alike."""
+    dim = 2 ** (n + 1)
+    rows = np.arange(dim)
+    slots = {}  # xmask -> its column slot
+    cols, vals = [], []
+    for coef, ops in _terms(kind, n, delta, epsilon, omega0, omega1, x):
+        flipped, _, values = _pauli_string(ops, n + 1)
+        xmask = int(flipped[0])  # the row of column 0
+        if xmask not in slots:
+            slots[xmask] = len(cols)
+            cols.append(rows ^ xmask)
+            vals.append(np.zeros(dim))
+        # column c's entry sits in row c ^ xmask, so row r holds column r ^ xmask's
+        vals[slots[xmask]] += coef * values[rows ^ xmask]
+    cols, vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
+    order = np.argsort(cols, axis=1)  # ascending columns, as `_nonzeros` reads them
+    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+    row, slot = np.nonzero(vals != 0)
+    return _padded(row, cols[row, slot], vals[row, slot], dim)
+
+
+def _padded(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> tuple:
+    """Padded per-row arrays (cols, vals), each (dim, width) with width the
+    most nonzeros of any row, of nonzeros listed row by row: (m @ x)[r] =
+    sum_j vals[r, j] x[cols[r, j]], the padding being column 0 with value 0."""
+    counts = np.bincount(rows, minlength=dim)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded_cols = np.zeros((dim, counts.max()), dtype=np.intp)
     padded_vals = np.zeros(padded_cols.shape)
     padded_cols[rows, slots] = cols
-    padded_vals[rows, slots] = m.ravel()[flat]
+    padded_vals[rows, slots] = values
     return padded_cols, padded_vals
+
+
+def _nonzeros(m: np.ndarray) -> tuple:
+    """m's nonzeros as `_padded` arrays, columns ascending in each row."""
+    flat = np.flatnonzero(m != 0)  # ~5x faster than on the floats themselves
+    rows, cols = np.divmod(flat, len(m))
+    return _padded(rows, cols, m.ravel()[flat], len(m))
 
 
 def _product(nonzeros: tuple, x: np.ndarray) -> np.ndarray:
@@ -145,9 +182,10 @@ def _coefficients(z: float, degree: int) -> np.ndarray:
     return coef
 
 
-def _propagate(h: np.ndarray, t: float, psi0: np.ndarray, g=None) -> tuple:
-    """(exp(-iht) psi0, its derivative along g) for real symmetric h and g
-    and a (dim, k) stack psi0; the derivative is None when g is None.
+def _propagate(h_nz: tuple, t: float, psi0: np.ndarray, g_nz=None) -> tuple:
+    """(exp(-iht) psi0, its derivative along g) for real symmetric h and g,
+    given by their `_nonzeros`, and a (dim, k) stack psi0; the derivative is
+    None when g_nz is None.
 
     With [mid - rad, mid + rad] the Gershgorin interval of h, H_s = (h - mid)
     / rad has its spectrum in [-1, 1] and exp(-iht) = exp(-i mid t) f(H_s)
@@ -176,49 +214,48 @@ def _propagate(h: np.ndarray, t: float, psi0: np.ndarray, g=None) -> tuple:
     A zero-width interval (h = mid I) or t = 0 is exact: exp(-i mid t) psi0,
     with derivative -it exp(-i mid t) g psi0, since then g commutes with h.
     """
-    h_nz = _nonzeros(h)
-    g_nz = None if g is None else _nonzeros(g)
     mid, rad = _gershgorin(h_nz)
     phase = np.exp(-1j * mid * t)
     z = rad * t
     if z == 0.0:
-        return phase * psi0, (None if g is None else -1j * t * phase * _product(g_nz, psi0))
+        return phase * psi0, (None if g_nz is None else -1j * t * phase * _product(g_nz, psi0))
 
     k = psi0.shape[1]
     two_h = (h_nz[0], (2.0 / rad) * h_nz[1])
-    two_g = None if g is None else (g_nz[0], (2.0 / rad) * g_nz[1])
+    two_g = None if g_nz is None else (g_nz[0], (2.0 / rad) * g_nz[1])
 
     def step(x):  # 2 H_s x, or the block operator's 2 [[H_s, 0], [G_s, H_s]] x
         out = _product(two_h, x) - (2.0 * mid / rad) * x
-        if g is not None:
+        if g_nz is not None:
             out[:, k:] += _product(two_g, x[:, :k])
         return out
 
-    coef = phase * _coefficients(z, _degree(z, 0 if g is None else 2))
-    prev = psi0 if g is None else np.hstack([psi0, np.zeros_like(psi0)])
+    coef = phase * _coefficients(z, _degree(z, 0 if g_nz is None else 2))
+    prev = psi0 if g_nz is None else np.hstack([psi0, np.zeros_like(psi0)])
     cur = 0.5 * step(prev)
     out = coef[0] * prev + coef[1] * cur
     for c in coef[2:]:
         prev, cur = cur, step(cur) - prev
         out += c * cur
-    return out[:, :k], (None if g is None else out[:, k:])
+    return out[:, :k], (None if g_nz is None else out[:, k:])
 
 
 def propagate_full(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
     """exp(-i h t) psi0 for a real symmetric h and psi0 a vector or a (dim, k)
     stack of columns, to rounding, through h's nonzeros (see `_propagate`)."""
-    psi, _ = _propagate(h, t, np.asarray(psi0, dtype=complex).reshape(len(h), -1))
+    psi, _ = _propagate(_nonzeros(h), t, np.asarray(psi0, dtype=complex).reshape(len(h), -1))
     return psi.reshape(np.shape(psi0))
 
 
-def _generator(kind, n, params: dict, which: str) -> np.ndarray:
-    """d h / d theta for theta = x, omega0 or omega1: h is linear in each, so
-    this is h with theta's coefficient 1 and the other two 0."""
+def _generator(kind, n, params: dict, which: str) -> tuple:
+    """d h / d theta for theta = x, omega0 or omega1, as its `_nonzeros`: h is
+    linear in each, so this is h with theta's coefficient 1 and the other two
+    0."""
     if which not in ("x", "omega0", "omega1"):
         raise ValueError(f"cannot differentiate in {which!r}; use x, omega0 or omega1")
     unit = {name: float(name == which) for name in ("omega0", "omega1", "x")}
-    return hamiltonian_full(kind, n, params["delta"], params["epsilon"],
-                            unit["omega0"], unit["omega1"], unit["x"])
+    return _hamiltonian_nonzeros(kind, n, params["delta"], params["epsilon"],
+                                 unit["omega0"], unit["omega1"], unit["x"])
 
 
 def bus_density(psi: np.ndarray) -> np.ndarray:
@@ -259,8 +296,8 @@ def evolved_with_derivative_full(kind, n, params: dict, which: str, alpha, phi, 
     holds delta, epsilon, omega0, omega1, x, t; `which` names the parameter
     (x, omega0 or omega1)."""
     psi0 = product_state_full(n, alpha, phi, beta, varphi)
-    h = hamiltonian_full(kind, n, params["delta"], params["epsilon"], params["omega0"],
-                         params["omega1"], params["x"])
+    h = _hamiltonian_nonzeros(kind, n, params["delta"], params["epsilon"], params["omega0"],
+                              params["omega1"], params["x"])
     psi, dpsi = _propagate(h, params["t"], psi0[:, None], _generator(kind, n, params, which))
     return psi[:, 0], dpsi[:, 0]
 
@@ -289,8 +326,8 @@ def _thermal_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
     excited = _excitations(n)
     weights = pop[0] ** (n - excited) * pop[1] ** excited  # per probe configuration
 
-    h = hamiltonian_full(kind, n, params["delta"], params["epsilon"],
-                         params["omega0"], params["omega1"], params["x"])
+    h = _hamiltonian_nonzeros(kind, n, params["delta"], params["epsilon"],
+                              params["omega0"], params["omega1"], params["x"])
     g = None if which is None else _generator(kind, n, params, which)
     # column c is |config c> (x) |bus>, so psi_t[:, c] is that configuration
     # evolved to time t

@@ -6,6 +6,7 @@ import pytest
 
 from spinbus import dynamics, fullspace
 from spinbus.dynamics import (
+    PARAMETERS,
     HamiltonianMatrix,
     ModelKind,
     ModelSpec,
@@ -125,9 +126,9 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     _, get, set_ = dynamics._OPENBLAS
     solve, seen = dynamics._solve_chain, []
 
-    def recording(d, e):
+    def recording(*args):
         seen.append(get())
-        return solve(d, e)
+        return solve(*args)
 
     def failing(*args):  # dstevd reporting no convergence through INFO
         args[10].value = 1
@@ -172,13 +173,14 @@ def test_solves_leave_h_unchanged():
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 51])
-def test_dense_fallback_matches_lapack_path(monkeypatch, n):
+def test_dense_fallback_matches_lapack_path(monkeypatch, every_block, n):
     spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)
     h, g = assemble(spec, n), assemble(spec, n, wrt="x")
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
     monkeypatch.setattr(dynamics, "_OPENBLAS", None)
     w, v = eigensystem(h)
+    v = every_block(w, v)
     for vb in v:
         np.testing.assert_allclose(vb.T @ vb, np.eye(n + 1), atol=1e-10)
     residual = h.block_mul(v) - v * w[:, None, :]
@@ -186,6 +188,82 @@ def test_dense_fallback_matches_lapack_path(monkeypatch, n):
     psi_fb, dpsi_fb, psi_error, dpsi_error = evolve_derivative(h, g, spec.t, psi0)
     assert np.linalg.norm(psi_fb.amplitudes - psi.amplitudes) <= psi_error
     assert np.linalg.norm(dpsi_fb - dpsi) <= dpsi_error
+
+
+def _materialised(h, g, t, psi0, every_block):
+    """(psi, dpsi) by the Daleckii-Krein formula with every block's
+    eigenvectors formed and the kernels of all blocks built at once."""
+    w, v = eigensystem(h)
+    v = every_block(w, v)
+    vt = v.transpose(0, 2, 1)
+    c = vt @ h.to_blocks(psi0.amplitudes)[..., None]
+    half = np.exp(-0.5j * t * w)[..., None]
+    x = 0.5 * t * (w[:, :, None] - w[:, None, :])
+    sinc = np.ones_like(x)
+    np.divide(np.sin(x), x, out=sinc, where=x != 0.0)
+    kernel = (vt @ g.block_mul(v)) * sinc
+    psi = h.from_blocks((v @ (half * half * c))[..., 0])
+    dpsi = h.from_blocks((v @ (-1j * t * half * (kernel @ (half * c))))[..., 0])
+    return psi / np.linalg.norm(psi), dpsi
+
+
+def _unmirrored_generator(h, rng):
+    """A random G with H's block structure, not mirrored like H."""
+    blocks, size = h.block_diag.shape
+    return HamiltonianMatrix(h.n_probes, h.perm, rng.standard_normal((blocks, size)),
+                             rng.standard_normal((blocks, size - 1)))
+
+
+@pytest.mark.parametrize("kind, n", [(ModelKind.ZZXX, n) for n in (2, 50, 51, 400, 1000)]
+                         + [(ModelKind.ZZZX, 50), (ModelKind.ZZZZ, 50)])
+def test_view_path_matches_materialised_formula(every_block, kind, n):
+    # chain 1 of a mirrored H read through chain 0, one chain's kernel at a
+    # time, against every block formed and one kernel for all of them
+    rng = np.random.default_rng(n)
+    spec = ModelSpec(kind, *rng.uniform(0.3, 1.5, 6))
+    h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
+    assert dynamics._mirrored(h) == (kind is ModelKind.ZZXX and n % 2 == 0 and n > 1)
+    psi = evolve(h, spec.t, psi0).amplitudes
+    for g in [assemble(spec, n, wrt=p) for p in PARAMETERS] + [_unmirrored_generator(h, rng)]:
+        mine, dmine, _, _ = evolve_derivative(h, g, spec.t, psi0)
+        ref, dref = _materialised(h, g, spec.t, psi0, every_block)
+        assert np.linalg.norm(mine.amplitudes - ref) <= 1e-13
+        assert np.linalg.norm(psi - ref) <= 1e-13
+        assert np.linalg.norm(dmine - dref) <= 1e-13 * np.linalg.norm(dref)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_unmirrored_generator_of_a_mirrored_h_matches_van_loan(n):
+    # every assembled generator is mirrored with H at even N; the API takes
+    # any G of H's block structure, whose chain 1 gets its own kernel
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(n + 100)
+    spec = ModelSpec(ModelKind.ZZXX, *rng.uniform(0.3, 1.5, 6))
+    h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
+    g = _unmirrored_generator(h, rng)
+    assert dynamics._mirrored(h) and not dynamics._mirrored(g)
+    aug = np.block([[h.matrix, g.matrix], [np.zeros_like(h.matrix), h.matrix]])
+    reference = scipy_linalg.expm(-1j * spec.t * aug)[:h.dim, h.dim:] @ psi0.amplitudes
+    _, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
+    np.testing.assert_allclose(dpsi, reference, rtol=0, atol=1e-12)
+
+
+def test_block_mul_skips_a_zero_off_diagonal():
+    # the omega generators have no off-diagonal: T x is the diagonal product
+    # alone, equal to the full three-pass sum
+    rng = np.random.default_rng(3)
+    spec = ModelSpec(ModelKind.ZZXX)
+    for n in (6, 7):
+        for wrt in ("omega0", "omega1"):
+            g = assemble(spec, n, wrt=wrt)
+            assert not g.block_off.any()
+            x = rng.standard_normal((2, n + 1, 3)) + 1j * rng.standard_normal((2, n + 1, 3))
+            diag, off = g.block_diag[:, :, None], g.block_off[:, :, None]
+            summed = diag * x
+            summed[:, :-1] += off * x[:, 1:]
+            summed[:, 1:] += off * x[:, :-1]
+            np.testing.assert_array_equal(g.block_mul(x), summed)
+            np.testing.assert_array_equal(g.block_mul(x), diag * x)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

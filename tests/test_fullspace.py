@@ -55,6 +55,21 @@ DEGENERATE = [(0.8, 1.2, 0.9, 1.1, 0.0), (0.8, 0.0, 0.9, 1.1, 1.3),
 
 
 @pytest.mark.parametrize("kind", sorted(INTERACTIONS))
+def test_nonzeros_from_pauli_strings_match_the_dense_matrix(kind):
+    # the oracle's padded (cols, vals) arrays, built without the dense h, are
+    # the dense h's row by row, also where entries cancel or vanish
+    rng = np.random.default_rng(len(kind))
+    for n in range(1, 7):
+        for params in [tuple(rng.uniform(-2.0, 2.0, 5)), (1.0, 1.0, 1.0, 1.0, 1.0),
+                       (0.0, 0.0, 0.0, 0.0, 0.0), *DEGENERATE]:
+            mine = fullspace._hamiltonian_nonzeros(kind, n, *params)
+            dense = fullspace._nonzeros(fullspace.hamiltonian_full(kind, n, *params))
+            for a, b in zip(mine, dense):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(INTERACTIONS))
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_blocked_propagation_matches_dense_eigh(kind, n):
     rng = np.random.default_rng(n * 11 + len(kind))
