@@ -29,11 +29,13 @@ besides the eigenvectors, and builds one chain's kernel at a time.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
 bundles, so numpy is the only runtime dependency.  The chain solves run
-with that BLAS pool set to one thread (see `_one_blas_thread`), which keeps
-them bit-reproducible; the kernel products keep the caller's setting.  Where
-numpy links another LAPACK (MKL, Accelerate), each chain is solved densely
-by `np.linalg.eigh` instead: the same results to rounding, certified by the
-same residual, but about three times slower.
+with that BLAS pool set to one thread, which keeps them bit-reproducible.
+So does the rest of `evolve` and `evolve_derivative` for chains shorter
+than THREADED_SIZE, whose results then do not depend on the caller's thread
+count; longer chains' products keep the caller's setting (see
+`_blas_threads`).  Where numpy links another LAPACK (MKL, Accelerate), each
+chain is solved densely by `np.linalg.eigh` instead: the same results to
+rounding, certified by the same residual, but about three times slower.
 """
 
 from __future__ import annotations
@@ -264,15 +266,29 @@ def _openblas():
 _OPENBLAS = _openblas()
 
 
+# The chain size from which the products in `evolve` and `evolve_derivative`
+# keep the caller's BLAS thread count.  One ZZXX omega1 `evolve_derivative`
+# (delta = 100, median of 15, three alternating process pairs on a 2-core
+# x86-64 machine, numpy 2.4.6 with OpenBLAS 0.3.31), one thread against two:
+# size 501 22-24 against 22-23 ms; size 751 55-63 against 47-54 ms; size
+# 1001 101-121 against 83-100 ms.  On two threads the process spends about
+# twice the wall time in CPU, as the pool's second thread spins after every
+# threaded call.  So threads save nothing up to fig 3's largest chain (501)
+# and pay for their second core only where the large-N runs spend their time.
+THREADED_SIZE = 1000
+
+
 @contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the
-    caller's count.  A chain solve gains almost nothing from threads, and
-    dstevd's threaded dgemm would change its last bits.  The count is
+def _blas_threads(size: int = 0):
+    """Run the block with numpy's OpenBLAS on one thread, or on the caller's
+    count where `size`, the chain size it works on, is at least
+    THREADED_SIZE; then restore the caller's count, also on an exception.
+    The chain solves pass no size: a solve gains almost nothing from threads,
+    and dstevd's threaded dgemm would change its last bits.  The count is
     process-wide, so other Python threads that use numpy meanwhile run on
-    one thread too, and threads that solve at once may restore each other's
+    one thread too, and threads that evolve at once may restore each other's
     setting."""
-    if _OPENBLAS is None:
+    if _OPENBLAS is None or size >= THREADED_SIZE:
         yield
         return
     _, get, set_ = _OPENBLAS
@@ -328,7 +344,7 @@ def eigensystem(h: HamiltonianMatrix):
         chains = 1 if _mirrored(h) else len(diag)
         w = np.empty(diag.shape)
         v = np.empty((chains, size, size)).transpose(0, 2, 1)  # each v[b] as dstevd's Z
-        with _one_blas_thread():
+        with _blas_threads():
             for b in range(chains):
                 _solve_chain(diag[b], off[b], w[b], v[b])
     except np.linalg.LinAlgError as err:
@@ -388,11 +404,12 @@ def evolve(h: HamiltonianMatrix, t: float, psi0: SymmetricState) -> SymmetricSta
     _check_dims(h, psi0)
     if t == 0.0:
         return psi0
-    w, v = eigensystem(h)
-    y = _apply(v, h.to_blocks(psi0.amplitudes), transpose=True)
-    amps = h.from_blocks(_apply(v, np.exp(-1j * t * w) * y))
-    # unitary up to rounding; renormalize so downstream invariants hold exactly
-    return SymmetricState(psi0.n_probes, amps / np.linalg.norm(amps))
+    with _blas_threads(h.block_diag.shape[1]):
+        w, v = eigensystem(h)
+        y = _apply(v, h.to_blocks(psi0.amplitudes), transpose=True)
+        amps = h.from_blocks(_apply(v, np.exp(-1j * t * w) * y))
+        # unitary up to rounding; renormalize so downstream invariants hold exactly
+        return SymmetricState(psi0.n_probes, amps / np.linalg.norm(amps))
 
 
 def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
@@ -449,41 +466,43 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         raise ValueError("G must share the block structure of H")
     if t == 0.0:
         return psi0, np.zeros(psi0.dim, dtype=complex), 0.0, 0.0
-    w, v = eigensystem(h)
-    (blocks, size), u = w.shape, float(np.finfo(float).eps) / 2.0
-    amps0 = h.to_blocks(psi0.amplitudes)
-    c = _apply(v, amps0, transpose=True)
-    defect = float(np.linalg.norm(_apply(v, c) - amps0))
-    half = np.exp(-0.5j * t * w)
-    y = half * c
-    step = blocks if size <= 2 else 1  # all tiny blocks at once, or one chain
-    kernel, scratch = np.empty_like(v[:step]), np.empty_like(v[:step])
-    squared = 0.0  # the largest squared residual of a solved block
-    z = np.empty_like(y)
-    for b in range(0, blocks, step):
-        part = slice(b, b + step)
-        if b < len(v):
-            r = _tri_mul(h.block_diag[part], h.block_off[part], v[part], scratch, kernel)
-            r -= np.multiply(v[part], w[part, None, :], out=kernel)
-            squared = max(squared, float(np.einsum("bij,bij->b", r, r).max()))
-            _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, kernel, scratch)
-            z[part] = _mul(kernel, y[part])
-        elif _mirrored(g):  # chain 1 of a mirrored H and G: K' = -K0, still in the buffer
-            z[1] = -_mul(kernel[0], y[1][::-1])[::-1]
-        else:  # chain 1 of a mirrored H: S^T G1 S is G1 reversed, off-diagonal negated
-            _kernel(v, w[:1], g.block_diag[1:, ::-1], -g.block_off[1:, ::-1], t, kernel,
-                    scratch)
-            z[1] = _mul(kernel[0], y[1][::-1])[::-1]
-    psi = h.from_blocks(_apply(v, half * half * c))
-    dpsi = h.from_blocks(_apply(v, -1j * t * half * z))
+    with _blas_threads(h.block_diag.shape[1]):
+        w, v = eigensystem(h)
+        (blocks, size), u = w.shape, float(np.finfo(float).eps) / 2.0
+        amps0 = h.to_blocks(psi0.amplitudes)
+        c = _apply(v, amps0, transpose=True)
+        defect = float(np.linalg.norm(_apply(v, c) - amps0))
+        half = np.exp(-0.5j * t * w)
+        y = half * c
+        step = blocks if size <= 2 else 1  # all tiny blocks at once, or one chain
+        kernel, scratch = np.empty_like(v[:step]), np.empty_like(v[:step])
+        squared = 0.0  # the largest squared residual of a solved block
+        z = np.empty_like(y)
+        for b in range(0, blocks, step):
+            part = slice(b, b + step)
+            if b < len(v):
+                r = _tri_mul(h.block_diag[part], h.block_off[part], v[part], scratch, kernel)
+                r -= np.multiply(v[part], w[part, None, :], out=kernel)
+                squared = max(squared, float(np.einsum("bij,bij->b", r, r).max()))
+                _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, kernel,
+                        scratch)
+                z[part] = _mul(kernel, y[part])
+            elif _mirrored(g):  # chain 1 of a mirrored H and G: K' = -K0, still in the buffer
+                z[1] = -_mul(kernel[0], y[1][::-1])[::-1]
+            else:  # chain 1 of a mirrored H: S^T G1 S is G1 reversed, off-diagonal negated
+                _kernel(v, w[:1], g.block_diag[1:, ::-1], -g.block_off[1:, ::-1], t, kernel,
+                        scratch)
+                z[1] = _mul(kernel[0], y[1][::-1])[::-1]
+        psi = h.from_blocks(_apply(v, half * half * c))
+        psi = SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi))
+        dpsi = h.from_blocks(_apply(v, -1j * t * half * z))
     eta = 2.0 * math.sqrt(squared) + 2.0 * u * h.norm_bound
     tau, g_norm = abs(t), g.norm_bound
     gamma = (size + 4) * u / (1.0 - (size + 4) * u)
     tiny = float(np.finfo(float).smallest_subnormal)
     floor = 0.0 if g_norm == 0.0 else ((3 * size + 4) * math.sqrt(h.dim) * (1.0 + tau)
                                        * (1.0 + tau * g_norm) * tiny)
-    return (SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi)), dpsi,
-            2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma) + floor,
+    return (psi, dpsi, 2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma) + floor,
             tau * g_norm * (2.0 * defect + tau * eta
                             + (size + 3.0 * math.sqrt(size)) * gamma) + floor)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spinbus import dynamics
+
 
 def _every_block(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The eigenvectors of every block from `dynamics.eigensystem`'s (w, v):
@@ -16,3 +18,18 @@ def _every_block(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def every_block():
     return _every_block
+
+
+@pytest.fixture(autouse=True)
+def _numpy_blas_threads_unchanged():
+    """Fail a test that leaves numpy's OpenBLAS thread count other than it
+    found it: the count is process-wide, so every later test would run on it."""
+    if dynamics._OPENBLAS is None:
+        yield
+        return
+    _, get, set_ = dynamics._OPENBLAS
+    before = get()
+    yield
+    after = get()
+    set_(before)  # so that one failure does not spread to the tests after it
+    assert after == before, f"numpy's BLAS thread count left at {after}, found at {before}"

@@ -114,6 +114,8 @@ def test_eigensystem_orthonormal_d50():
 
 
 def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
+    # the chain solves always run on one numpy BLAS thread, the products below
+    # THREADED_SIZE too, and at or above it the products keep the caller's count
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -124,40 +126,81 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     except (OSError, AttributeError):
         pytest.skip("scipy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
-    solve, seen = dynamics._solve_chain, []
+    seen = {}
 
-    def recording(*args):
-        seen.append(get())
-        return solve(*args)
+    def recording(name, fn):
+        def wrapped(*args):
+            seen.setdefault(name, []).append(get())
+            return fn(*args)
+        return wrapped
 
     def failing(*args):  # dstevd reporting no convergence through INFO
         args[10].value = 1
 
-    monkeypatch.setattr(dynamics, "_solve_chain", recording)
+    for name in ("_solve_chain", "_kernel", "_mul"):
+        monkeypatch.setattr(dynamics, name, recording(name, getattr(dynamics, name)))
+    big = dynamics.THREADED_SIZE  # its chains have THREADED_SIZE + 1 states
     caller, scipy_caller = get(), scipy_get()
     try:
-        for count in (caller, 2):
+        for count in (1, 2):
             set_(count)
             count = get()
-            for n in (300, 301):  # one mirrored chain, then two chains
-                h = assemble(ModelSpec(ModelKind.ZZXX), n)
+            for n in (300, 301, big):  # one mirrored chain, two chains, one at the size
+                spec = ModelSpec(ModelKind.ZZXX)
+                h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+                products = 1 if n < big else count
                 seen.clear()
                 w, v = eigensystem(h)
-                assert seen == [1] * (1 if n % 2 == 0 else 2)
+                assert seen == {"_solve_chain": [1] * (1 if n % 2 == 0 else 2)}
                 assert get() == count
-                scipy_set(1)
-                for b, (d, e) in enumerate(zip(h.block_diag[:len(seen)], h.block_off)):
-                    w_ref, v_ref = scipy_linalg.eigh_tridiagonal(d, e)
-                    assert np.array_equal(w[b], w_ref) and np.array_equal(v[b], v_ref)
-                scipy_set(scipy_caller)
-            with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_OPENBLAS", (failing, get, set_))
-                with pytest.raises(RuntimeError, match="failed to converge"):
-                    eigensystem(assemble(ModelSpec(ModelKind.ZZXX), 301))
-            assert get() == count
+                if n < big:
+                    scipy_set(1)
+                    for b, (d, e) in enumerate(zip(h.block_diag[:len(v)], h.block_off)):
+                        w_ref, v_ref = scipy_linalg.eigh_tridiagonal(d, e)
+                        assert np.array_equal(w[b], w_ref) and np.array_equal(v[b], v_ref)
+                    scipy_set(scipy_caller)
+                psi0 = build_product_state(n, DEFAULT_ANGLES)
+                for call in (lambda: evolve(h, spec.t, psi0),
+                             lambda: evolve_derivative(h, g, spec.t, psi0)):
+                    seen.clear()
+                    call()
+                    assert set(seen.pop("_solve_chain")) == {1}
+                    assert seen and all(c == [products] * len(c) for c in seen.values())
+                    assert get() == count
+                with monkeypatch.context() as patch:
+                    patch.setattr(dynamics, "_OPENBLAS", (failing, get, set_))
+                    for call in (lambda: eigensystem(h), lambda: evolve(h, spec.t, psi0),
+                                 lambda: evolve_derivative(h, g, spec.t, psi0)):
+                        with pytest.raises(RuntimeError, match="failed to converge"):
+                            call()
+                        assert get() == count
     finally:
         set_(caller)
         scipy_set(scipy_caller)
+
+
+@pytest.mark.parametrize("wrt", ["x", "omega1"])
+@pytest.mark.parametrize("n", [300, 500])
+def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
+    # chains below THREADED_SIZE run every BLAS call on one thread, so the
+    # caller's count cannot change a bit of the result
+    if dynamics._OPENBLAS is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    _, get, set_ = dynamics._OPENBLAS
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    caller, results = get(), []
+    try:
+        for count in (1, 2):
+            set_(count)
+            results.append(evolve_derivative(h, g, spec.t, psi0))
+    finally:
+        set_(caller)
+    (psi1, dpsi1, *bounds1), (psi2, dpsi2, *bounds2) = results
+    assert np.array_equal(psi1.amplitudes, psi2.amplitudes)
+    assert np.array_equal(dpsi1, dpsi2)
+    assert bounds1 == bounds2
 
 
 def test_solves_leave_h_unchanged():

@@ -300,8 +300,9 @@ def test_sweep_deterministic_across_workers(tmp_path):
         nlist = 1 2 4 8 16
         quantities = global_qfi closed_form local_qfi first_moment pt1 pt2 hl_condition
     """)
-    # fig 3's regimes at N = 500: chains long enough that the kernel gemm
-    # rounds differently on another BLAS thread count
+    # fig 3's regimes at N = 500, the longest chains (501 states) any figure
+    # solves: below dynamics.THREADED_SIZE they run on one BLAS thread in the
+    # parent process and in the workers alike, so both write the same bytes
     text = importlib.resources.files("spinbus").joinpath("configs", "fig3.cfg").read_text()
     fig3 = replace(parse_config(text), n_list=(500,), quantities=("global_qfi",))
     for name, cfg in (("small", small), ("fig3", fig3)):
