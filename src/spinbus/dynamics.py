@@ -19,9 +19,10 @@ diagonal with equal tridiagonal blocks (k = N/2 - m):
 `assemble` returns H or dH/dtheta in that form and `eigensystem`
 diagonalizes it block by block (LAPACK `dstevd` on the chains), so
 propagation never forms a dense 2(N+1)-square matrix.  At even N the second
-ZZXX chain is the negated signed mirror of the first, so only the first is
-diagonalized, and the second's eigenvectors are read through reversed views
-of the first's, never formed.
+ZZXX chain is the negated signed mirror of the first, T1 = -S T0 S^T with
+(S u)_k = (-1)^k u_{size-1-k}, so only the first is diagonalized: chain 1's
+eigenvectors are V1 = S V0, read through a reversed view of V0 and never
+formed, and its eigenvalues w1 = -w0, in chain 0's order (descending).
 `evolve_derivative` also returns the exact derivative of the evolved state
 from the same eigendecomposition (Daleckii-Krein formula), and certified
 error bounds on both.  Past the solve it holds two (N+1)-square buffers
@@ -155,13 +156,6 @@ class HamiltonianMatrix:
         vec[self.perm] = blocks.reshape(-1)
         return vec
 
-    def block_mul(self, x: np.ndarray) -> np.ndarray:
-        """T @ x block by block, for x of shape (k, size, ...) holding the
-        first k blocks (all of them, or the chain a mirrored T solves)."""
-        out = np.empty(x.shape, dtype=np.result_type(x, self.block_diag))
-        return _tri_mul(self.block_diag[:len(x)], self.block_off[:len(x)], x, out,
-                        np.empty_like(out))
-
 
 def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray, out: np.ndarray,
              tmp: np.ndarray) -> np.ndarray:
@@ -230,12 +224,15 @@ def assemble(spec: ModelSpec, n: int, wrt: str | None = None) -> HamiltonianMatr
 
 
 def _mirrored(m: HamiltonianMatrix) -> bool:
-    """Whether m is two chains of size > 2 with chain 1 = -S (chain 0) S,
+    """Whether m is two chains of odd size > 2 with chain 1 = -S (chain 0) S,
     (S u)_k = (-1)^k u_{size-1-k}: chain 1's diagonal is chain 0's negated
     and reversed, its off-diagonal chain 0's reversed, exactly.  Every ZZXX
-    operator at even N is (the bus spin flips under k -> N - k there)."""
+    operator at even N is (the bus spin flips under k -> N - k there).  At
+    odd N that flip maps each chain to itself, and H's chains agree only
+    where delta*omega0 = 0, which dH/domega0 does not, so even sizes never
+    count: then every `assemble(spec, n, wrt=...)` is mirrored where H is."""
     diag, off = m.block_diag, m.block_off
-    return (diag.shape[0] == 2 and diag.shape[1] > 2
+    return (diag.shape[0] == 2 and diag.shape[1] > 2 and diag.shape[1] % 2 == 1
             and np.array_equal(diag[1], -diag[0][::-1])
             and np.array_equal(off[1], off[0][::-1]))
 
@@ -323,14 +320,13 @@ def _solve_chain(d: np.ndarray, e: np.ndarray, w: np.ndarray, z: np.ndarray):
 
 def eigensystem(h: HamiltonianMatrix):
     """(w, v): the eigenvalues (blocks, size) of every tridiagonal block of
-    H, ascending within each block, and the orthonormal eigenvectors
-    (solved, size, size; columns) of the blocks it solved, in the permuted
-    order.
+    H and the orthonormal eigenvectors (solved, size, size; columns) of the
+    blocks it solved, in the permuted order.
 
-    Every block is solved but one: chain 1 of a mirrored H (see
-    `_mirrored`), whose eigenvalues are -reverse(w0) and whose eigenvectors
-    S V0 R (R reversing the columns) are never formed; `_apply` reads them
-    through V0, so v holds chain 0 only.
+    Every block is solved, its eigenvalues ascending, but one: chain 1 of a
+    mirrored H (see `_mirrored`), whose eigenvectors V1 = S V0 are never
+    formed and whose eigenvalues w1 = -w0 keep chain 0's order, so descend;
+    `_apply` reads V1 through V0, so v holds chain 0 only.
     """
     diag, off = h.block_diag, h.block_off
     size = diag.shape[1]
@@ -351,7 +347,7 @@ def eigensystem(h: HamiltonianMatrix):
         raise RuntimeError(
             f"eigendecomposition failed to converge for dim={h.dim}: {err}") from err
     if chains < len(diag):
-        w[1] = -w[0][::-1]
+        w[1] = -w[0]
     return w, v
 
 
@@ -365,18 +361,17 @@ def _mul(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """V_b x_b, or V_b^T x_b with `transpose`, on every block of x (blocks,
     size).  A v of chain 0 only (see `eigensystem`) gives chain 1's V1 = S V0
-    R through reversed views: V1 x = S V0 x[::-1] and V1^T x = (V0^T S^T
-    x)[::-1], with (S u)_k = (-1)^k u_{size-1-k} and S^T u = reverse((-1)^k
-    u_k)."""
+    through a reversed view: V1 x = S (V0 x) and V1^T x = V0^T S^T x, with
+    (S u)_k = (-1)^k u_{size-1-k} and S^T u = reverse((-1)^k u_k)."""
     mats = v.transpose(0, 2, 1) if transpose else v
     out = np.empty(x.shape, dtype=complex)
     out[:len(v)] = _mul(mats, x[:len(v)])
     if len(v) < len(x):
         sign = 1.0 - 2.0 * (np.arange(x.shape[1]) % 2)
         if transpose:
-            out[1] = _mul(mats[0], (sign * x[1])[::-1])[::-1]
+            out[1] = _mul(mats[0], (sign * x[1])[::-1])
         else:
-            out[1] = sign * _mul(mats[0], x[1][::-1])[::-1]
+            out[1] = sign * _mul(mats[0], x[1])[::-1]
     return out
 
 
@@ -423,16 +418,15 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     F_jk = (e^{-i w_j t} - e^{-i w_k t}) / (w_j - w_k) is evaluated as
     -i t e^{-i (w_j + w_k) t / 2} sinc((w_j - w_k) t / 2), which takes the
     degenerate limit -i t e^{-i w_j t} without cancellation.  G must have
-    the block structure of H (any `assemble(spec, n, wrt=...)` of the same
-    model does).
+    the block structure of H and be mirrored wherever H is (see `_mirrored`;
+    any `assemble(spec, n, wrt=...)` of the same model is), else ValueError.
 
     Memory: besides the eigenvectors of the solved blocks (one size^2
     matrix per solved chain), two size^2 buffers hold one chain's kernel
     and its scratch (G V, the sinc argument, the residual), chain after
     chain; the tiny blocks of ZZZX and ZZZZ go in one batch.  Chain 1 of a
-    mirrored H is read through chain 0's eigenvectors (`_apply`): its kernel
-    is R K' R, with K' the kernel of S^T G1 S on V0, and K' = -K0 when G is
-    mirrored too (every `assemble(..., wrt=...)` at even N), so the kernel
+    mirrored H is read through chain 0's eigenvectors (`_apply`): with V1 =
+    S V0, w1 = -w0 and S^T G1 S = -G0, its kernel is -K0, so the kernel
     buffer is reused as it stands.
 
     The certificate is the solve's own backward error, O(size^2) per block
@@ -462,8 +456,9 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         dpsi_error = t ||G|| (2 d + t eta + (size + 3 sqrt(size)) gamma) + f.
     """
     _check_dims(h, psi0)
-    if not (np.array_equal(g.perm, h.perm) and g.block_diag.shape == h.block_diag.shape):
-        raise ValueError("G must share the block structure of H")
+    if not (np.array_equal(g.perm, h.perm) and g.block_diag.shape == h.block_diag.shape
+            and (_mirrored(g) or not _mirrored(h))):
+        raise ValueError("G must share the block structure of H and its mirror")
     if t == 0.0:
         return psi0, np.zeros(psi0.dim, dtype=complex), 0.0, 0.0
     with _blas_threads(h.block_diag.shape[1]):
@@ -487,12 +482,8 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
                 _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, kernel,
                         scratch)
                 z[part] = _mul(kernel, y[part])
-            elif _mirrored(g):  # chain 1 of a mirrored H and G: K' = -K0, still in the buffer
-                z[1] = -_mul(kernel[0], y[1][::-1])[::-1]
-            else:  # chain 1 of a mirrored H: S^T G1 S is G1 reversed, off-diagonal negated
-                _kernel(v, w[:1], g.block_diag[1:, ::-1], -g.block_off[1:, ::-1], t, kernel,
-                        scratch)
-                z[1] = _mul(kernel[0], y[1][::-1])[::-1]
+            else:  # chain 1 of a mirrored H and G: its kernel is -K0, still in the buffer
+                z[1] = -_mul(kernel[0], y[1])
         psi = h.from_blocks(_apply(v, half * half * c))
         psi = SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi))
         dpsi = h.from_blocks(_apply(v, -1j * t * half * z))

@@ -320,7 +320,7 @@ def _thermal_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
     d log(weight)/du = 2 p_0 n_1 - 2 p_1 (N - n_1).
     """
     u = beta_th * params["omega1"]
-    pop = np.array([math.exp(-u), math.exp(u)])
+    pop = np.exp(np.array([-u, u]) - abs(u))  # e^{-+u}, scaled so neither overflows
     pop /= pop.sum()
 
     excited = _excitations(n)
@@ -344,13 +344,6 @@ def _thermal_density(kind, n, params: dict, beta_th, bus_beta, bus_varphi,
         dweights = 2.0 * beta_th * weights * (pop[0] * excited - pop[1] * (n - excited))
         drho += (psi_t * dweights) @ psi_t.conj().T
     return rho, drho
-
-
-def thermal_evolved_density(kind, n, params: dict, beta_th, bus_beta,
-                            bus_varphi) -> np.ndarray:
-    """rho(t) for thermal probes: convex combination over the 2^N probe
-    configurations, each propagated as a pure state, all in one product."""
-    return _thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi)[0]
 
 
 def mixed_qfi(rho: np.ndarray, drho: np.ndarray, cutoff: float = 1e-14) -> float:

@@ -14,17 +14,16 @@ overflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dynamics import ModelKind, ModelSpec
 from .fisher import BusDensity, Param
-from .states import (StateAngles, ThermalProbeSpec, _log_binomial, m_values,
-                     thermal_equivalent_alpha)
+from .states import (UNFAVORABLE_ANGLES, StateAngles, ThermalProbeSpec, _log_binomial,
+                     m_values, thermal_equivalent_alpha)
 
-WORST_STATE_ANGLES = (math.pi / 4, 0.0, math.pi / 4, 0.0)
 PURE_DOME_TOL = 1e-12
 
 
@@ -175,10 +174,9 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
     dw0t = spec.delta * spec.omega0 * t
 
     if variant in (XReadoutVariant.EXACT_WORST, XReadoutVariant.PT_WORST):
-        got = (angles.alpha, angles.phi, angles.beta, angles.varphi)
-        if any(abs(g - w) > 1e-12 for g, w in zip(got, WORST_STATE_ANGLES)):
-            raise ValueError(
-                f"variant {variant.value} is defined at angles {WORST_STATE_ANGLES}")
+        worst = astuple(UNFAVORABLE_ANGLES)
+        if any(abs(g - w) > 1e-12 for g, w in zip(astuple(angles), worst)):
+            raise ValueError(f"variant {variant.value} is defined at angles {worst}")
 
     if variant is XReadoutVariant.PT_WORST:
         inv_sq = (n ** 2 * t ** 4 * eps ** 4 * x ** 2
@@ -264,7 +262,8 @@ def thermal_local_equivalence_check(spec: ModelSpec, n: int, beta_th: float,
         spec, n, StateAngles(alpha, 0.0, bus_beta, bus_varphi)).rho
 
     u = beta_th * spec.omega1
-    p0 = 1.0 / (1.0 + math.exp(2.0 * u))
+    # p0 = 1 / (1 + e^{2u}), which is e^{-2u} to rounding before e^{2u} overflows
+    p0 = 1.0 / (1.0 + math.exp(2.0 * u)) if u < 350.0 else math.exp(-2.0 * u)
     weights = _binomial_weights(n, p0)
     # k probes in |0> (population p0 each) leave sum_i z_i = 2k - N, so the
     # configuration contributes e^{-i eps x t (2k - N)} to the coherence

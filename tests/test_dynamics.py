@@ -215,6 +215,11 @@ def test_solves_leave_h_unchanged():
             assert np.array_equal(a, b)
 
 
+def _block_mul(m, x):
+    """T @ x on every block of m, for x of shape (blocks, size, ...)."""
+    return dynamics._tri_mul(m.block_diag, m.block_off, x, np.empty_like(x), np.empty_like(x))
+
+
 @pytest.mark.parametrize("n", [2, 3, 50, 51])
 def test_dense_fallback_matches_lapack_path(monkeypatch, every_block, n):
     spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)
@@ -226,7 +231,7 @@ def test_dense_fallback_matches_lapack_path(monkeypatch, every_block, n):
     v = every_block(w, v)
     for vb in v:
         np.testing.assert_allclose(vb.T @ vb, np.eye(n + 1), atol=1e-10)
-    residual = h.block_mul(v) - v * w[:, None, :]
+    residual = _block_mul(h, v) - v * w[:, None, :]
     assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)
     psi_fb, dpsi_fb, psi_error, dpsi_error = evolve_derivative(h, g, spec.t, psi0)
     assert np.linalg.norm(psi_fb.amplitudes - psi.amplitudes) <= psi_error
@@ -244,30 +249,36 @@ def _materialised(h, g, t, psi0, every_block):
     x = 0.5 * t * (w[:, :, None] - w[:, None, :])
     sinc = np.ones_like(x)
     np.divide(np.sin(x), x, out=sinc, where=x != 0.0)
-    kernel = (vt @ g.block_mul(v)) * sinc
+    kernel = (vt @ _block_mul(g, v)) * sinc
     psi = h.from_blocks((v @ (half * half * c))[..., 0])
     dpsi = h.from_blocks((v @ (-1j * t * half * (kernel @ (half * c))))[..., 0])
     return psi / np.linalg.norm(psi), dpsi
 
 
-def _unmirrored_generator(h, rng):
-    """A random G with H's block structure, not mirrored like H."""
+def _random_generator(h, rng, mirrored):
+    """A random G with H's block structure, with `mirrored` its chain 1 made
+    -S (chain 0) S (see `dynamics._mirrored`)."""
     blocks, size = h.block_diag.shape
-    return HamiltonianMatrix(h.n_probes, h.perm, rng.standard_normal((blocks, size)),
-                             rng.standard_normal((blocks, size - 1)))
+    diag, off = rng.standard_normal((blocks, size)), rng.standard_normal((blocks, size - 1))
+    if mirrored:
+        diag[1], off[1] = -diag[0][::-1], off[0][::-1]
+    return HamiltonianMatrix(h.n_probes, h.perm, diag, off)
 
 
 @pytest.mark.parametrize("kind, n", [(ModelKind.ZZXX, n) for n in (2, 50, 51, 400, 1000)]
                          + [(ModelKind.ZZZX, 50), (ModelKind.ZZZZ, 50)])
 def test_view_path_matches_materialised_formula(every_block, kind, n):
     # chain 1 of a mirrored H read through chain 0, one chain's kernel at a
-    # time, against every block formed and one kernel for all of them
+    # time, against every block formed and one kernel for all of them; the
+    # random G is mirrored where H is, as evolve_derivative requires
     rng = np.random.default_rng(n)
     spec = ModelSpec(kind, *rng.uniform(0.3, 1.5, 6))
     h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
-    assert dynamics._mirrored(h) == (kind is ModelKind.ZZXX and n % 2 == 0 and n > 1)
+    mirrored = dynamics._mirrored(h)
+    assert mirrored == (kind is ModelKind.ZZXX and n % 2 == 0 and n > 1)
     psi = evolve(h, spec.t, psi0).amplitudes
-    for g in [assemble(spec, n, wrt=p) for p in PARAMETERS] + [_unmirrored_generator(h, rng)]:
+    generators = [assemble(spec, n, wrt=p) for p in PARAMETERS]
+    for g in generators + [_random_generator(h, rng, mirrored)]:
         mine, dmine, _, _ = evolve_derivative(h, g, spec.t, psi0)
         ref, dref = _materialised(h, g, spec.t, psi0, every_block)
         assert np.linalg.norm(mine.amplitudes - ref) <= 1e-13
@@ -275,38 +286,53 @@ def test_view_path_matches_materialised_formula(every_block, kind, n):
         assert np.linalg.norm(dmine - dref) <= 1e-13 * np.linalg.norm(dref)
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_unmirrored_generator_of_a_mirrored_h_matches_van_loan(n):
-    # every assembled generator is mirrored with H at even N; the API takes
-    # any G of H's block structure, whose chain 1 gets its own kernel
+@pytest.mark.parametrize("n", [3, 5])
+def test_random_generator_of_an_unmirrored_h_matches_van_loan(n):
+    # at odd N both ZZXX chains are solved, and any G of H's block
+    # structure is taken, each chain with its own kernel
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(n + 100)
     spec = ModelSpec(ModelKind.ZZXX, *rng.uniform(0.3, 1.5, 6))
     h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
-    g = _unmirrored_generator(h, rng)
-    assert dynamics._mirrored(h) and not dynamics._mirrored(g)
+    g = _random_generator(h, rng, mirrored=False)
+    assert not dynamics._mirrored(h)
     aug = np.block([[h.matrix, g.matrix], [np.zeros_like(h.matrix), h.matrix]])
     reference = scipy_linalg.expm(-1j * spec.t * aug)[:h.dim, h.dim:] @ psi0.amplitudes
     _, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
     np.testing.assert_allclose(dpsi, reference, rtol=0, atol=1e-12)
 
 
-def test_block_mul_skips_a_zero_off_diagonal():
+@pytest.mark.parametrize("n", [2, 4])
+def test_unmirrored_generator_of_a_mirrored_h_rejected(n):
+    # chain 1 of a mirrored H reuses chain 0's kernel, which needs G mirrored too
+    rng = np.random.default_rng(n + 100)
+    spec = ModelSpec(ModelKind.ZZXX, *rng.uniform(0.3, 1.5, 6))
+    h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
+    assert dynamics._mirrored(h)
+    evolve_derivative(h, _random_generator(h, rng, mirrored=True), spec.t, psi0)
+    with pytest.raises(ValueError, match="mirror"):
+        evolve_derivative(h, _random_generator(h, rng, mirrored=False), spec.t, psi0)
+
+
+def test_tri_mul_skips_a_zero_off_diagonal():
     # the omega generators have no off-diagonal: T x is the diagonal product
-    # alone, equal to the full three-pass sum
+    # alone, equal to the full three-pass sum, and the scratch goes unwritten
     rng = np.random.default_rng(3)
     spec = ModelSpec(ModelKind.ZZXX)
     for n in (6, 7):
-        for wrt in ("omega0", "omega1"):
+        for wrt in ("omega0", "omega1", "x"):
             g = assemble(spec, n, wrt=wrt)
-            assert not g.block_off.any()
             x = rng.standard_normal((2, n + 1, 3)) + 1j * rng.standard_normal((2, n + 1, 3))
             diag, off = g.block_diag[:, :, None], g.block_off[:, :, None]
             summed = diag * x
             summed[:, :-1] += off * x[:, 1:]
             summed[:, 1:] += off * x[:, :-1]
-            np.testing.assert_array_equal(g.block_mul(x), summed)
-            np.testing.assert_array_equal(g.block_mul(x), diag * x)
+            tmp = np.full_like(x, np.nan)
+            out = dynamics._tri_mul(g.block_diag, g.block_off, x, np.empty_like(x), tmp)
+            np.testing.assert_array_equal(out, summed)
+            assert np.isnan(tmp).all() == (wrt != "x")
+            if wrt != "x":
+                np.testing.assert_array_equal(out, diag * x)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -9,7 +9,8 @@ import pytest
 from spinbus import fullspace
 from spinbus.dynamics import ModelKind, ModelSpec
 from spinbus.fisher import Param
-from spinbus.zzzz_exact import thermal_global_qfi
+from spinbus.states import ThermalProbeSpec, thermal_equivalent_alpha
+from spinbus.zzzz_exact import thermal_global_qfi, thermal_local_equivalence_check
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -167,7 +168,7 @@ def test_oracle_uses_no_eigendecomposition(monkeypatch):
                                                                0.3, 0.5, 0.7, 0.9)
             # d <psi|psi> = 0
             assert abs(np.vdot(psi, dpsi).real) < 1e-13 * np.linalg.norm(dpsi)
-        rho = fullspace.thermal_evolved_density(kind, 6, params, 0.6, 0.4, 1.2)
+        rho = fullspace._thermal_density(kind, 6, params, 0.6, 0.4, 1.2)[0]
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
 
 
@@ -205,8 +206,8 @@ def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, overri
 def test_thermal_density_matches_per_configuration_loop(kind, n):
     params = dict(delta=0.7, epsilon=1.3, omega0=0.9, omega1=1.1, x=0.8, t=1.7)
     for override in ({}, {"omega1": 1.1 + 1e-3}):
-        rho = fullspace.thermal_evolved_density(kind, n, dict(params, **override),
-                                                0.6, 0.4, 1.2)
+        rho = fullspace._thermal_density(kind, n, dict(params, **override),
+                                         0.6, 0.4, 1.2)[0]
         reference = _loop_thermal_density(kind, n, params, 0.6, 0.4, 1.2, override)
         assert np.max(np.abs(rho - reference)) < 1e-13
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-15
@@ -224,3 +225,24 @@ def test_thermal_qfi_matches_zzzz_closed_form(n, beta_th):
         oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
                                                    beta_th, 0.6, 0.3)
         assert oracle == pytest.approx(closed, rel=1e-12, abs=1e-20)
+
+
+@pytest.mark.parametrize("u", [-800.0, -400.0, 400.0, 800.0])
+def test_thermal_probes_at_large_u(u):
+    # populations e^{-+u}/Z at |u| where e^{2|u|} overflows: both the oracle
+    # and the closed form reach the pure state the populations freeze into
+    n, beta_th, omega1 = 3, abs(u), math.copysign(1.0, u)
+    spec = ModelSpec(ModelKind.ZZZZ, omega1=omega1)
+    params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=omega1, x=1.0, t=1.0)
+    for sel in Param:
+        closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
+        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+                                                   beta_th, 0.6, 0.3)
+        assert oracle == pytest.approx(closed, rel=1e-12, abs=1e-20)
+    passed, dev = thermal_local_equivalence_check(spec, n, beta_th, 0.6, 0.3)
+    assert passed, f"deviation {dev}"
+    alpha = thermal_equivalent_alpha(ThermalProbeSpec(beta_th, omega1))
+    psi, _ = fullspace.evolved_with_derivative_full("ZZZZ", n, params, "x", alpha, 0.0,
+                                                    0.6, 0.3)
+    rho = fullspace._thermal_density("ZZZZ", n, params, beta_th, 0.6, 0.3)[0]
+    assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-14

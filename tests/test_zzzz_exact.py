@@ -213,8 +213,8 @@ def test_thermal_pure_partner_shares_local_sensitivity():
     params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=0.8, x=1.0, t=1.0)
     step = 1e-6
     def bus_rho(x_val):
-        rho = fullspace.thermal_evolved_density("ZZZZ", n, dict(params, x=x_val),
-                                                beta_th, 0.6, 0.0)
+        rho = fullspace._thermal_density("ZZZZ", n, dict(params, x=x_val),
+                                         beta_th, 0.6, 0.0)[0]
         block = rho.reshape(2 ** n, 2, 2 ** n, 2)
         return np.einsum("pspt->st", block)
     drho = (bus_rho(1.0 + step) - bus_rho(1.0 - step)) / (2 * step)
