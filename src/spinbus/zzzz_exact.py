@@ -223,24 +223,26 @@ def thermal_global_qfi(spec: ModelSpec, n: int, beta_th: float,
                        beta_angle: float, sel: Param) -> float:
     """Global QFIs for thermal probes and a pure bus at angle beta:
 
-        I_x      = sin^2(2b) eps^2 t^2 (N^2 tanh^2(u) + N (1 - tanh^2(u)))
-        I_omega1 = N beta_th^2 (1 - tanh^2(u))
+        I_x      = sin^2(2b) eps^2 t^2 (N^2 tanh^2(u) + N sech^2(u))
+        I_omega1 = N beta_th^2 sech^2(u)
         I_omega0 = delta^2 t^2 sin^2(2b)
 
     with u = beta_th * omega1.  I_omega1 carries no explicit t: the level
-    spacing enters only through the initial populations here.
+    spacing enters only through the initial populations here.  sech^2(u) =
+    4 e^{-2|u|} / (1 + e^{-2|u|})^2 neither overflows nor cancels.
     """
     _require_zzzz(spec, n)
     if beta_th < 0:
         raise ValueError("beta_th must be >= 0")
     u = beta_th * spec.omega1
-    tanh_sq = math.tanh(u) ** 2
+    decay = math.exp(-2.0 * abs(u))
+    sech_sq = 4.0 * decay / (1.0 + decay) ** 2
     sin2b_sq = math.sin(2 * beta_angle) ** 2
     if sel is Param.X:
         return (sin2b_sq * spec.epsilon ** 2 * spec.t ** 2
-                * (n ** 2 * tanh_sq + n * (1.0 - tanh_sq)))
+                * (n ** 2 * math.tanh(u) ** 2 + n * sech_sq))
     if sel is Param.OMEGA1:
-        return n * beta_th ** 2 * (1.0 - tanh_sq)
+        return n * beta_th ** 2 * sech_sq
     if sel is Param.OMEGA0:
         return spec.delta ** 2 * spec.t ** 2 * sin2b_sq
     raise ValueError(f"unknown parameter selector {sel!r}")

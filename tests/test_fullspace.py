@@ -31,16 +31,24 @@ def _kron_hamiltonian(kind, n, delta, epsilon, omega0, omega1, x):
     return h
 
 
+# (delta, epsilon, omega0, omega1, x) of the cases that change h's nonzero
+# pattern: x = 0, eps = 0 (no coupling) and omega0 = omega1 = 0 (no fields)
+DEGENERATE = [(0.8, 1.2, 0.9, 1.1, 0.0), (0.8, 0.0, 0.9, 1.1, 1.3),
+              (0.8, 1.2, 0.0, 0.0, 1.3)]
+
+
 @pytest.mark.parametrize("kind", sorted(INTERACTIONS))
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_hamiltonian_matches_kron_chains(kind, n):
+    # the one check of the Pauli-string builder that does not go through it,
+    # also where a mask's column vanishes and the form drops it
     rng = np.random.default_rng(n * 7 + len(kind))
-    params = rng.uniform(-2.0, 2.0, 5)
-    h = fullspace.hamiltonian_full(kind, n, *params)
-    assert h.dtype == np.float64
-    assert h.shape == (2 ** (n + 1),) * 2
-    assert np.array_equal(h, h.T)
-    assert np.max(np.abs(h - _kron_hamiltonian(kind, n, *params))) < 1e-14
+    for params in [tuple(rng.uniform(-2.0, 2.0, 5)), *DEGENERATE]:
+        h = fullspace.hamiltonian_full(kind, n, *params)
+        assert h.dtype == np.float64
+        assert h.shape == (2 ** (n + 1),) * 2
+        assert np.array_equal(h, h.T)
+        assert np.max(np.abs(h - _kron_hamiltonian(kind, n, *params))) < 1e-14
 
 
 def _dense_propagation(h, t, psi0):
@@ -49,16 +57,10 @@ def _dense_propagation(h, t, psi0):
     return v @ (np.exp(-1j * w * t)[:, None] * (v.T @ psi0.reshape(len(h), -1)))
 
 
-# (delta, epsilon, omega0, omega1, x) of the cases that change h's nonzero
-# pattern: x = 0, eps = 0 (no coupling) and omega0 = omega1 = 0 (no fields)
-DEGENERATE = [(0.8, 1.2, 0.9, 1.1, 0.0), (0.8, 0.0, 0.9, 1.1, 1.3),
-              (0.8, 1.2, 0.0, 0.0, 1.3)]
-
-
 @pytest.mark.parametrize("kind", sorted(INTERACTIONS))
 def test_nonzeros_from_pauli_strings_match_the_dense_matrix(kind):
-    # the oracle's padded (cols, vals) arrays, built without the dense h, are
-    # the dense h's row by row, also where entries cancel or vanish
+    # `_nonzeros` reads the dense h, which scatters the builder's mask form,
+    # back into that form array for array, also where entries cancel or vanish
     rng = np.random.default_rng(len(kind))
     for n in range(1, 7):
         for params in [tuple(rng.uniform(-2.0, 2.0, 5)), (1.0, 1.0, 1.0, 1.0, 1.0),
@@ -68,6 +70,13 @@ def test_nonzeros_from_pauli_strings_match_the_dense_matrix(kind):
             for a, b in zip(mine, dense):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
+    # and any dense matrix survives the round trip
+    m = rng.normal(size=(16, 16)) * (rng.uniform(size=(16, 16)) < 0.2)
+    cols, vals = fullspace._nonzeros(m)
+    assert np.all(cols == np.arange(16)[:, None] ^ cols[0])
+    back = np.zeros_like(m)
+    np.put_along_axis(back, cols, vals, axis=1)
+    np.testing.assert_array_equal(back, m)
 
 
 @pytest.mark.parametrize("kind", sorted(INTERACTIONS))
@@ -168,8 +177,10 @@ def test_oracle_uses_no_eigendecomposition(monkeypatch):
                                                                0.3, 0.5, 0.7, 0.9)
             # d <psi|psi> = 0
             assert abs(np.vdot(psi, dpsi).real) < 1e-13 * np.linalg.norm(dpsi)
-        rho = fullspace._thermal_density(kind, 6, params, 0.6, 0.4, 1.2)[0]
+        rho = _thermal_density(kind, 6, params, 0.6, 0.4, 1.2)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        for which in ("x", "omega0", "omega1"):
+            assert fullspace.thermal_global_qfi_full(kind, 4, params, which, 0.6, 0.4, 1.2) > 0
 
 
 def test_dicke_matrix_matches_bit_count_loop():
@@ -179,6 +190,13 @@ def test_dicke_matrix_matches_bit_count_loop():
             d[bin(idx).count("1"), idx] = 1.0
         d /= np.sqrt(d.sum(axis=1, keepdims=True))
         assert np.array_equal(fullspace.dicke_matrix(n), d)
+
+
+def _thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi):
+    """rho(t) = sum_c w_c |psi_c><psi_c| from the oracle's thermal states."""
+    weights, _, psi, _ = fullspace._thermal_states(kind, n, params, beta_th, bus_beta,
+                                                   bus_varphi)
+    return (psi * weights) @ psi.conj().T
 
 
 def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, override):
@@ -206,8 +224,7 @@ def _loop_thermal_density(kind, n, params, beta_th, bus_beta, bus_varphi, overri
 def test_thermal_density_matches_per_configuration_loop(kind, n):
     params = dict(delta=0.7, epsilon=1.3, omega0=0.9, omega1=1.1, x=0.8, t=1.7)
     for override in ({}, {"omega1": 1.1 + 1e-3}):
-        rho = fullspace._thermal_density(kind, n, dict(params, **override),
-                                         0.6, 0.4, 1.2)[0]
+        rho = _thermal_density(kind, n, dict(params, **override), 0.6, 0.4, 1.2)
         reference = _loop_thermal_density(kind, n, params, 0.6, 0.4, 1.2, override)
         assert np.max(np.abs(rho - reference)) < 1e-13
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-15
@@ -227,6 +244,20 @@ def test_thermal_qfi_matches_zzzz_closed_form(n, beta_th):
         assert oracle == pytest.approx(closed, rel=1e-12, abs=1e-20)
 
 
+@pytest.mark.parametrize("beta_th", [5.0, 10.0, 17.0, 19.0])
+def test_thermal_qfi_keeps_relative_precision_at_large_u(beta_th):
+    # the omega1 QFI falls like e^{-2u}; the spectral form keeps each
+    # configuration's share however small its weight, with no cutoff
+    n = 3
+    spec = ModelSpec(ModelKind.ZZZZ)
+    params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0, x=1.0, t=1.0)
+    for sel in Param:
+        closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
+        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+                                                   beta_th, 0.6, 0.3)
+        assert oracle == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("u", [-800.0, -400.0, 400.0, 800.0])
 def test_thermal_probes_at_large_u(u):
     # populations e^{-+u}/Z at |u| where e^{2|u|} overflows: both the oracle
@@ -244,5 +275,5 @@ def test_thermal_probes_at_large_u(u):
     alpha = thermal_equivalent_alpha(ThermalProbeSpec(beta_th, omega1))
     psi, _ = fullspace.evolved_with_derivative_full("ZZZZ", n, params, "x", alpha, 0.0,
                                                     0.6, 0.3)
-    rho = fullspace._thermal_density("ZZZZ", n, params, beta_th, 0.6, 0.3)[0]
+    rho = _thermal_density("ZZZZ", n, params, beta_th, 0.6, 0.3)
     assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-14

@@ -185,6 +185,22 @@ def test_thermal_omega1_value():
     assert got == pytest.approx(10 * (1 - math.tanh(1.0) ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta_th", [5.0, 10.0, 17.0, 19.0, 30.0])
+def test_thermal_qfi_matches_mpmath_at_large_u(beta_th):
+    # sech^2(u) taken directly, not as 1 - tanh^2(u), which cancels as u grows
+    mpmath = pytest.importorskip("mpmath")
+    n, beta = 3, 0.6
+    with mpmath.workdps(40):
+        u = mpmath.mpf(beta_th)
+        sech_sq = mpmath.sech(u) ** 2
+        expected = {Param.X: mpmath.sin(2 * mpmath.mpf(beta)) ** 2
+                    * (n ** 2 * mpmath.tanh(u) ** 2 + n * sech_sq),
+                    Param.OMEGA1: n * u ** 2 * sech_sq}
+    for sel, ref in expected.items():
+        got = thermal_global_qfi(ZZZZ, n, beta_th, beta, sel)
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
 def test_thermal_equivalence_fully_mixed():
     passed, dev = thermal_local_equivalence_check(ZZZZ, 5, 0.0, math.pi / 4)
     assert passed and dev < 1e-12
@@ -213,9 +229,9 @@ def test_thermal_pure_partner_shares_local_sensitivity():
     params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=0.8, x=1.0, t=1.0)
     step = 1e-6
     def bus_rho(x_val):
-        rho = fullspace._thermal_density("ZZZZ", n, dict(params, x=x_val),
-                                         beta_th, 0.6, 0.0)[0]
-        block = rho.reshape(2 ** n, 2, 2 ** n, 2)
+        weights, _, psi, _ = fullspace._thermal_states("ZZZZ", n, dict(params, x=x_val),
+                                                       beta_th, 0.6, 0.0)
+        block = ((psi * weights) @ psi.conj().T).reshape(2 ** n, 2, 2 ** n, 2)
         return np.einsum("pspt->st", block)
     drho = (bus_rho(1.0 + step) - bus_rho(1.0 - step)) / (2 * step)
     thermal_local = fullspace.mixed_qfi(bus_rho(1.0), drho)
