@@ -29,14 +29,16 @@ error bounds on both.  Past the solve it holds two (N+1)-square buffers
 besides the eigenvectors, and builds one chain's kernel at a time.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
-bundles, so numpy is the only runtime dependency.  The chain solves run
-with that BLAS pool set to one thread, which keeps them bit-reproducible.
-So does the rest of `evolve` and `evolve_derivative` for chains shorter
-than THREADED_SIZE, whose results then do not depend on the caller's thread
-count; longer chains' products keep the caller's setting (see
-`_blas_threads`).  Where numpy links another LAPACK (MKL, Accelerate), each
-chain is solved densely by `np.linalg.eigh` instead: the same results to
-rounding, certified by the same residual, but about three times slower.
+bundles, so numpy is the only runtime dependency.  Every BLAS call of
+`eigensystem`, `evolve` and `evolve_derivative` runs with that BLAS pool set
+to one thread, which keeps them bit-reproducible and their results
+independent of the caller's thread count (see `_blas_threads`).  From
+THREADED_SIZE states on, `evolve_derivative` builds each chain's residual
+and kernel as two column halves on two Python threads, each of whose BLAS
+calls runs on one thread too.  Where numpy links another LAPACK (MKL,
+Accelerate), each chain is solved densely by `np.linalg.eigh` instead: the
+same results to rounding, certified by the same residual, but about three
+times slower.
 """
 
 from __future__ import annotations
@@ -263,29 +265,34 @@ def _openblas():
 _OPENBLAS = _openblas()
 
 
-# The chain size from which the products in `evolve` and `evolve_derivative`
-# keep the caller's BLAS thread count.  One ZZXX omega1 `evolve_derivative`
-# (delta = 100, median of 15, three alternating process pairs on a 2-core
-# x86-64 machine, numpy 2.4.6 with OpenBLAS 0.3.31), one thread against two:
-# size 501 22-24 against 22-23 ms; size 751 55-63 against 47-54 ms; size
-# 1001 101-121 against 83-100 ms.  On two threads the process spends about
-# twice the wall time in CPU, as the pool's second thread spins after every
-# threaded call.  So threads save nothing up to fig 3's largest chain (501)
-# and pay for their second core only where the large-N runs spend their time.
+# The chain size from which `evolve_derivative` builds each chain's residual
+# and kernel as two column halves on two Python threads (see `_blas_threads`).
+# One ZZXX omega1 `evolve_derivative` (delta = 100, median of 15, three
+# alternating process triples on a 2-core x86-64 machine, numpy 2.4.6 with
+# OpenBLAS 0.3.31), one slab against two halves against one slab on two BLAS
+# threads, wall time (CPU time) in ms: size 501 22-24 (22-24) against 14-22
+# (20-24) against 20-22 (40-42); size 751 61-63 (61-63) against 45-61 (63-67)
+# against 47-52 (92-102); size 1001 104-121 (104-120) against 75-93 (108-123)
+# against 87-94 (170-185).  The halves save wall time from about size 500 on
+# for a few per cent more CPU time, but the size stays above fig 3's longest
+# chain (501), so every figure and oracle point keeps one slab on one core,
+# with the bits it had before.
 THREADED_SIZE = 1000
 
 
 @contextmanager
-def _blas_threads(size: int = 0):
-    """Run the block with numpy's OpenBLAS on one thread, or on the caller's
-    count where `size`, the chain size it works on, is at least
-    THREADED_SIZE; then restore the caller's count, also on an exception.
-    The chain solves pass no size: a solve gains almost nothing from threads,
-    and dstevd's threaded dgemm would change its last bits.  The count is
-    process-wide, so other Python threads that use numpy meanwhile run on
-    one thread too, and threads that evolve at once may restore each other's
-    setting."""
-    if _OPENBLAS is None or size >= THREADED_SIZE:
+def _blas_threads():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    caller's count, also on an exception.  A chain solve gains almost nothing
+    from threads, and dstevd's threaded dgemm would change its last bits.  A
+    threaded product saves some wall time on long chains, but after every
+    threaded call the pool's idle worker spins for ~0.1 s, so the process
+    spends about twice its wall time in CPU; `evolve_derivative` splits its
+    longest products over two Python threads instead, which sleep while they
+    wait.  The count is process-wide, so other Python threads that use numpy
+    meanwhile run on one thread too, and threads that evolve at once may
+    restore each other's setting."""
+    if _OPENBLAS is None:
         yield
         return
     _, get, set_ = _OPENBLAS
@@ -376,12 +383,15 @@ def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 
 def _kernel(v: np.ndarray, w: np.ndarray, g_diag: np.ndarray, g_off: np.ndarray,
-            t: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(V^T G V) o sinc((w_j - w_k) t / 2) on blocks v (k, size, size) with
-    eigenvalues w, G's blocks given by their rows g_diag and g_off, written
-    into `out`; `scratch` is a second buffer of out's shape."""
-    np.matmul(v.transpose(0, 2, 1), _tri_mul(g_diag, g_off, v, scratch, out), out=out)
-    x = np.subtract(w[:, :, None], w[:, None, :], out=scratch)
+            t: float, cols: slice, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Columns `cols` of (V^T G V) o sinc((w_j - w_k) t / 2) on blocks v (k,
+    size, size) with eigenvalues w, G's blocks given by their rows g_diag and
+    g_off, written into those columns of `out`; `scratch` is a second buffer
+    of out's shape, of which only those columns are used."""
+    out, scratch = out[..., cols], scratch[..., cols]
+    np.matmul(v.transpose(0, 2, 1), _tri_mul(g_diag, g_off, v[..., cols], scratch, out),
+              out=out)
+    x = np.subtract(w[:, :, None], w[:, None, cols], out=scratch)
     x *= 0.5 * t
     nonzero = x != 0.0  # x = 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
     np.divide(out, x, out=out, where=nonzero)
@@ -399,7 +409,7 @@ def evolve(h: HamiltonianMatrix, t: float, psi0: SymmetricState) -> SymmetricSta
     _check_dims(h, psi0)
     if t == 0.0:
         return psi0
-    with _blas_threads(h.block_diag.shape[1]):
+    with _blas_threads():
         w, v = eigensystem(h)
         y = _apply(v, h.to_blocks(psi0.amplitudes), transpose=True)
         amps = h.from_blocks(_apply(v, np.exp(-1j * t * w) * y))
@@ -424,7 +434,9 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     Memory: besides the eigenvectors of the solved blocks (one size^2
     matrix per solved chain), two size^2 buffers hold one chain's kernel
     and its scratch (G V, the sinc argument, the residual), chain after
-    chain; the tiny blocks of ZZZX and ZZZZ go in one batch.  Chain 1 of a
+    chain; the tiny blocks of ZZZX and ZZZZ go in one batch.  From
+    THREADED_SIZE states on, two threads fill disjoint column halves of both
+    buffers, and the residual's squared norm is the sum of theirs.  Chain 1 of a
     mirrored H is read through chain 0's eigenvectors (`_apply`): with V1 =
     S V0, w1 = -w0 and S^T G1 S = -G0, its kernel is -K0, so the kernel
     buffer is reused as it stands.
@@ -461,7 +473,7 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         raise ValueError("G must share the block structure of H and its mirror")
     if t == 0.0:
         return psi0, np.zeros(psi0.dim, dtype=complex), 0.0, 0.0
-    with _blas_threads(h.block_diag.shape[1]):
+    with _blas_threads():
         w, v = eigensystem(h)
         (blocks, size), u = w.shape, float(np.finfo(float).eps) / 2.0
         amps0 = h.to_blocks(psi0.amplitudes)
@@ -473,17 +485,33 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         kernel, scratch = np.empty_like(v[:step]), np.empty_like(v[:step])
         squared = 0.0  # the largest squared residual of a solved block
         z = np.empty_like(y)
+
+        def slab(part, cols):
+            """Columns `cols` of blocks `part`'s residual T V - V diag(w) and
+            kernel; the residual's squared norm over those columns, per block."""
+            vc = v[part][..., cols]
+            r = _tri_mul(h.block_diag[part], h.block_off[part], vc, scratch[..., cols],
+                         kernel[..., cols])
+            r -= np.multiply(vc, w[part, None, cols], out=kernel[..., cols])
+            sums = np.einsum("bij,bij->b", r, r)
+            _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, cols,
+                    kernel, scratch)
+            return sums
+
         for b in range(0, blocks, step):
             part = slice(b, b + step)
-            if b < len(v):
-                r = _tri_mul(h.block_diag[part], h.block_off[part], v[part], scratch, kernel)
-                r -= np.multiply(v[part], w[part, None, :], out=kernel)
-                squared = max(squared, float(np.einsum("bij,bij->b", r, r).max()))
-                _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, kernel,
-                        scratch)
-                z[part] = _mul(kernel, y[part])
-            else:  # chain 1 of a mirrored H and G: its kernel is -K0, still in the buffer
+            if b >= len(v):  # chain 1 of a mirrored H: its kernel is -K0, still in the buffer
                 z[1] = -_mul(kernel[0], y[1])
+                continue
+            if size < THREADED_SIZE:
+                sums = slab(part, slice(None))
+            else:  # two column halves on two threads, writing disjoint columns
+                from concurrent.futures import ThreadPoolExecutor  # ~2 ms to import
+                with ThreadPoolExecutor(1) as pool:
+                    first = pool.submit(slab, part, slice(0, size // 2))
+                    sums = slab(part, slice(size // 2, size)) + first.result()
+            squared = max(squared, float(sums.max()))
+            z[part] = _mul(kernel, y[part])
         psi = h.from_blocks(_apply(v, half * half * c))
         psi = SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi))
         dpsi = h.from_blocks(_apply(v, -1j * t * half * z))

@@ -323,9 +323,9 @@ def _parse_n_list(text: str):
         lo, hi, count = int(parts[1]), int(parts[2]), int(parts[3])
         if lo < 1 or hi < 1:
             raise ValueError("nlist log bounds must be positive integers")
-        grid = np.unique(np.round(np.logspace(math.log10(lo), math.log10(hi),
-                                              count)).astype(int))
-        return tuple(int(n) for n in grid if n >= 1)
+        # sorted(set()), not np.unique, whose first call imports numpy.ma (~10 ms)
+        grid = np.round(np.logspace(math.log10(lo), math.log10(hi), count)).astype(int)
+        return tuple(n for n in sorted(set(grid.tolist())) if n >= 1)
     return tuple(int(p) for p in parts)
 
 

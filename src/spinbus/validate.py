@@ -133,7 +133,7 @@ _ORACLE_CHECKS = (("full-hilbert-qfi", 1e-30, 1e-12),
 
 
 def _suite_full_hilbert(_seed: int) -> list:
-    """Symmetric-sector pipeline against dense full-space computations.
+    """Symmetric-sector pipeline against full-space computations.
 
     States and bus densities: every model at N = 3, 6, 8 in the default
     state, and at N = 2, 5, 8 in a random state at a random time (a fixed
@@ -148,10 +148,10 @@ def _suite_full_hilbert(_seed: int) -> list:
     rho_dev = 0.0
     for n, a, spec in inputs:
         psi = propagate(spec, n, a)
-        psi_full = fullspace.propagate_full(
-            fullspace.hamiltonian_full(str(spec.kind), n, spec.delta, spec.epsilon,
-                                       spec.omega0, spec.omega1, spec.x),
-            spec.t, fullspace.product_state_full(n, a.alpha, a.phi, a.beta, a.varphi))
+        h_nz = fullspace._hamiltonian_nonzeros(str(spec.kind), n, spec.delta, spec.epsilon,
+                                               spec.omega0, spec.omega1, spec.x)
+        psi0 = fullspace.product_state_full(n, a.alpha, a.phi, a.beta, a.varphi)
+        psi_full = fullspace._propagate(h_nz, spec.t, psi0[:, None])[0][:, 0]
         state_dev = max(state_dev, float(np.max(np.abs(
             fullspace.project_symmetric(psi_full, n) - psi.amplitudes))))
         rho_dev = max(rho_dev, float(np.max(np.abs(

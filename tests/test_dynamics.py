@@ -1,5 +1,6 @@
 import ctypes
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ def test_eigensystem_orthonormal_d50():
 
 
 def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
-    # the chain solves always run on one numpy BLAS thread, the products below
-    # THREADED_SIZE too, and at or above it the products keep the caller's count
+    # every BLAS call runs on one numpy BLAS thread at every size; from
+    # THREADED_SIZE on, the kernel's two column halves run on two Python threads
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -126,11 +127,13 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     except (OSError, AttributeError):
         pytest.skip("scipy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
-    seen = {}
+    seen, kernel_threads = {}, set()
 
     def recording(name, fn):
         def wrapped(*args):
             seen.setdefault(name, []).append(get())
+            if name == "_kernel":
+                kernel_threads.add(threading.get_ident())
             return fn(*args)
         return wrapped
 
@@ -148,7 +151,6 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
             for n in (300, 301, big):  # one mirrored chain, two chains, one at the size
                 spec = ModelSpec(ModelKind.ZZXX)
                 h, g = assemble(spec, n), assemble(spec, n, wrt="x")
-                products = 1 if n < big else count
                 seen.clear()
                 w, v = eigensystem(h)
                 assert seen == {"_solve_chain": [1] * (1 if n % 2 == 0 else 2)}
@@ -163,10 +165,13 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
                 for call in (lambda: evolve(h, spec.t, psi0),
                              lambda: evolve_derivative(h, g, spec.t, psi0)):
                     seen.clear()
+                    kernel_threads.clear()
                     call()
-                    assert set(seen.pop("_solve_chain")) == {1}
-                    assert seen and all(c == [products] * len(c) for c in seen.values())
+                    assert seen and all(set(c) == {1} for c in seen.values())
                     assert get() == count
+                # evolve_derivative's kernel: the caller's thread, or it and one more
+                assert threading.get_ident() in kernel_threads
+                assert len(kernel_threads) == (1 if n < big else 2)
                 with monkeypatch.context() as patch:
                     patch.setattr(dynamics, "_OPENBLAS", (failing, get, set_))
                     for call in (lambda: eigensystem(h), lambda: evolve(h, spec.t, psi0),
@@ -180,10 +185,11 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("wrt", ["x", "omega1"])
-@pytest.mark.parametrize("n", [300, 500])
+@pytest.mark.parametrize("n", [300, 500, 1000, 1001])
 def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
-    # chains below THREADED_SIZE run every BLAS call on one thread, so the
-    # caller's count cannot change a bit of the result
+    # every BLAS call runs on one thread at every size, the column halves of
+    # chains from THREADED_SIZE on too, so the caller's count cannot change a
+    # bit of the result
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
@@ -201,6 +207,40 @@ def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
     assert np.array_equal(psi1.amplitudes, psi2.amplitudes)
     assert np.array_equal(dpsi1, dpsi2)
     assert bounds1 == bounds2
+
+
+@pytest.mark.parametrize("wrt", ["x", "omega1"])
+@pytest.mark.parametrize("n", [1000, 1001])  # one mirrored chain, two chains
+def test_column_halves_match_one_slab(monkeypatch, n, wrt):
+    # the halves compute every column as one slab does; the residual's squared
+    # Frobenius norm is the sum of the halves', and the bounds read from it
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
+    assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    psi, dpsi, *bounds = evolve_derivative(h, g, spec.t, psi0)
+    monkeypatch.setattr(dynamics, "THREADED_SIZE", n + 2)
+    psi_one, dpsi_one, *bounds_one = evolve_derivative(h, g, spec.t, psi0)
+    np.testing.assert_allclose(psi.amplitudes, psi_one.amplitudes, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dpsi, dpsi_one, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(bounds, bounds_one, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("first", [True, False])  # the new thread's half, or the caller's
+def test_exception_in_a_column_half_propagates(monkeypatch, first):
+    n = dynamics.THREADED_SIZE
+    spec = ModelSpec(ModelKind.ZZXX)
+    h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+    kernel = dynamics._kernel
+
+    def failing(v, w, g_diag, g_off, t, cols, out, scratch):
+        if (cols.start == 0) == first:
+            raise FloatingPointError("half failed")
+        return kernel(v, w, g_diag, g_off, t, cols, out, scratch)
+
+    monkeypatch.setattr(dynamics, "_kernel", failing)
+    with pytest.raises(FloatingPointError, match="half failed"):
+        evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
 
 
 def test_solves_leave_h_unchanged():

@@ -93,6 +93,40 @@ def test_parse_config_round_trip():
     assert cfg.angles.alpha == pytest.approx(math.pi / 4)
 
 
+def _bundled_config(fig: str) -> str:
+    return importlib.resources.files("spinbus").joinpath("configs", f"fig{fig}.cfg").read_text()
+
+
+def test_bundled_n_grids_unchanged():
+    # each `nlist = log lo hi count`: the rounded logspace, deduplicated, ascending
+    grids = {
+        "2": (1, 2, 3, 5, 8, 12, 17, 26, 39, 59, 89, 133, 200),
+        "3": (1, 2, 3, 4, 7, 11, 18, 28, 46, 74, 119, 192, 310, 500),
+        "4": (1, 2, 3, 4, 7, 11, 18, 29, 47, 76, 124, 200),
+        "5": (1, 2, 3, 5, 8, 13, 22, 36, 60, 100),
+        "6": (1, 2, 3, 5, 7, 10, 14, 21, 31, 45, 65, 96, 140, 205, 299, 437, 640, 935,
+              1368, 2000),
+    }
+    for fig, grid in grids.items():
+        assert parse_config(_bundled_config(fig)).n_list == grid, fig
+
+
+def test_parse_config_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma (~10 ms), which a log N grid
+    # does not need; a fresh process shows whether parsing pulled it in
+    script = (
+        "import sys\n"
+        "from spinbus.sweep import parse_config\n"
+        "parse_config(sys.stdin.read())\n"
+        "assert 'numpy.ma' not in sys.modules, 'parse_config imported numpy.ma'\n")
+    src = str(Path(spinbus.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], input=_bundled_config("2"),
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_config("model = zzzz\nnlist = 4 2 8\n")
@@ -301,10 +335,9 @@ def test_sweep_deterministic_across_workers(tmp_path):
         quantities = global_qfi closed_form local_qfi first_moment pt1 pt2 hl_condition
     """)
     # fig 3's regimes at N = 500, the longest chains (501 states) any figure
-    # solves: below dynamics.THREADED_SIZE they run on one BLAS thread in the
-    # parent process and in the workers alike, so both write the same bytes
-    text = importlib.resources.files("spinbus").joinpath("configs", "fig3.cfg").read_text()
-    fig3 = replace(parse_config(text), n_list=(500,), quantities=("global_qfi",))
+    # solves: every BLAS call runs on one thread in the parent process and in
+    # the workers alike, so both write the same bytes
+    fig3 = replace(parse_config(_bundled_config("3")), n_list=(500,), quantities=("global_qfi",))
     for name, cfg in (("small", small), ("fig3", fig3)):
         p1, p2 = tmp_path / f"{name}_serial.csv", tmp_path / f"{name}_parallel.csv"
         emit_csv(run_sweep(cfg), str(p1))
