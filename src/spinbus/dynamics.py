@@ -25,20 +25,20 @@ eigenvectors are V1 = S V0, read through a reversed view of V0 and never
 formed, and its eigenvalues w1 = -w0, in chain 0's order (descending).
 `evolve_derivative` also returns the exact derivative of the evolved state
 from the same eigendecomposition (Daleckii-Krein formula), and certified
-error bounds on both.  Past the solve it holds two (N+1)-square buffers
-besides the eigenvectors, and builds one chain's kernel at a time.
+error bounds on both.  It builds each chain's kernel, which is symmetric,
+from its lower triangle in column tiles, so past the solve it holds no
+(N+1)-square buffer besides the eigenvectors.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
 bundles, so numpy is the only runtime dependency.  Every BLAS call of
 `eigensystem`, `evolve` and `evolve_derivative` runs with that BLAS pool set
 to one thread, which keeps them bit-reproducible and their results
 independent of the caller's thread count (see `_blas_threads`).  From
-THREADED_SIZE states on, `evolve_derivative` builds each chain's residual
-and kernel as two column halves on two Python threads, each of whose BLAS
-calls runs on one thread too.  Where numpy links another LAPACK (MKL,
-Accelerate), each chain is solved densely by `np.linalg.eigh` instead: the
-same results to rounding, certified by the same residual, but about three
-times slower.
+THREADED_SIZE states on, `evolve_derivative` runs every other column tile
+of a chain on a second Python thread, whose BLAS calls run on one thread
+too.  Where numpy links another LAPACK (MKL, Accelerate), each chain is
+solved densely by `np.linalg.eigh` instead: the same results to rounding,
+certified by the same residual, but about three times slower.
 """
 
 from __future__ import annotations
@@ -265,18 +265,20 @@ def _openblas():
 _OPENBLAS = _openblas()
 
 
-# The chain size from which `evolve_derivative` builds each chain's residual
-# and kernel as two column halves on two Python threads (see `_blas_threads`).
-# One ZZXX omega1 `evolve_derivative` (delta = 100, median of 15, three
-# alternating process triples on a 2-core x86-64 machine, numpy 2.4.6 with
-# OpenBLAS 0.3.31), one slab against two halves against one slab on two BLAS
-# threads, wall time (CPU time) in ms: size 501 22-24 (22-24) against 14-22
-# (20-24) against 20-22 (40-42); size 751 61-63 (61-63) against 45-61 (63-67)
-# against 47-52 (92-102); size 1001 104-121 (104-120) against 75-93 (108-123)
-# against 87-94 (170-185).  The halves save wall time from about size 500 on
-# for a few per cent more CPU time, but the size stays above fig 3's longest
-# chain (501), so every figure and oracle point keeps one slab on one core,
-# with the bits it had before.
+# The chain size from which `evolve_derivative` runs every other column tile
+# on a helper thread (see `_blas_threads`).  One ZZXX omega1
+# `evolve_derivative` (delta = 100, medians of 15 alternating calls, same
+# machine), all tiles on the caller's thread against the odd ones on the
+# helper, wall time (CPU time) in ms over two runs: size 501 14-16 (14-16)
+# against 11-14 (15-19); size 751 32-43 (32-43) against 25-32 (37-44); size
+# 1001 59-73 (59-73) against 43-51 (63-70); size 2001 298-347 (298-347)
+# against 201-252 (315-395).  In a third run the helper saved nothing below
+# size 2001; in such runs not even two np.sin calls overlap, so the second
+# core was presumably busy.  The helper saves a quarter to a third of the
+# wall time from size 751 on, for up to a fifth more CPU time, but the size
+# stays above fig 3's longest chain (501), so every figure and oracle point
+# runs on one core.  Even and odd tiles sum apart, so the thread changes no
+# bit of the results.
 THREADED_SIZE = 1000
 
 
@@ -287,11 +289,11 @@ def _blas_threads():
     from threads, and dstevd's threaded dgemm would change its last bits.  A
     threaded product saves some wall time on long chains, but after every
     threaded call the pool's idle worker spins for ~0.1 s, so the process
-    spends about twice its wall time in CPU; `evolve_derivative` splits its
-    longest products over two Python threads instead, which sleep while they
-    wait.  The count is process-wide, so other Python threads that use numpy
-    meanwhile run on one thread too, and threads that evolve at once may
-    restore each other's setting."""
+    spends about twice its wall time in CPU; `evolve_derivative` runs every
+    other column tile of its longest chains on a second Python thread
+    instead, which sleeps while it waits.  The count is process-wide, so
+    other Python threads that use numpy meanwhile run on one thread too, and
+    threads that evolve at once may restore each other's setting."""
     if _OPENBLAS is None:
         yield
         return
@@ -359,22 +361,24 @@ def eigensystem(h: HamiltonianMatrix):
 
 
 def _mul(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats[b] @ vecs[b] for real matrices and complex vectors, without
-    casting the matrices to complex."""
-    parts = np.matmul(mats, np.stack([vecs.real, vecs.imag], axis=-1))
-    return parts[..., 0] + 1j * parts[..., 1]
+    """mats[b] @ vecs[b] for real matrices and complex column stacks vecs[b]
+    (size, k), without casting the matrices to complex."""
+    k = vecs.shape[-1]
+    parts = np.matmul(mats, np.concatenate([vecs.real, vecs.imag], axis=-1))
+    return parts[..., :k] + 1j * parts[..., k:]
 
 
 def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """V_b x_b, or V_b^T x_b with `transpose`, on every block of x (blocks,
-    size).  A v of chain 0 only (see `eigensystem`) gives chain 1's V1 = S V0
-    through a reversed view: V1 x = S (V0 x) and V1^T x = V0^T S^T x, with
-    (S u)_k = (-1)^k u_{size-1-k} and S^T u = reverse((-1)^k u_k)."""
+    """V_b x_b, or V_b^T x_b with `transpose`, on every block of the column
+    stacks x (blocks, size, k).  A v of chain 0 only (see `eigensystem`)
+    gives chain 1's V1 = S V0 through a reversed view: V1 x = S (V0 x) and
+    V1^T x = V0^T S^T x, with (S u)_k = (-1)^k u_{size-1-k} and S^T u =
+    reverse((-1)^k u_k)."""
     mats = v.transpose(0, 2, 1) if transpose else v
     out = np.empty(x.shape, dtype=complex)
     out[:len(v)] = _mul(mats, x[:len(v)])
     if len(v) < len(x):
-        sign = 1.0 - 2.0 * (np.arange(x.shape[1]) % 2)
+        sign = (1.0 - 2.0 * (np.arange(x.shape[1]) % 2))[:, None]
         if transpose:
             out[1] = _mul(mats[0], (sign * x[1])[::-1])
         else:
@@ -382,20 +386,56 @@ def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     return out
 
 
-def _kernel(v: np.ndarray, w: np.ndarray, g_diag: np.ndarray, g_off: np.ndarray,
-            t: float, cols: slice, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Columns `cols` of (V^T G V) o sinc((w_j - w_k) t / 2) on blocks v (k,
-    size, size) with eigenvalues w, G's blocks given by their rows g_diag and
-    g_off, written into those columns of `out`; `scratch` is a second buffer
-    of out's shape, of which only those columns are used."""
-    out, scratch = out[..., cols], scratch[..., cols]
-    np.matmul(v.transpose(0, 2, 1), _tri_mul(g_diag, g_off, v[..., cols], scratch, out),
-              out=out)
-    x = np.subtract(w[:, :, None], w[:, None, cols], out=scratch)
-    x *= 0.5 * t
-    nonzero = x != 0.0  # x = 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
-    np.divide(out, x, out=out, where=nonzero)
-    return np.multiply(out, np.sin(x, out=x), out=out, where=nonzero)
+# The narrowest column tile of `evolve_derivative`'s kernel: a chain of size
+# states is cut into max(1, size // TILE) tiles of equal widths (to one
+# column), TILE to 2 TILE - 1 wide, so a chain below 2 TILE is one tile.
+# Wider tiles recompute more of the upper triangle; narrower ones run the
+# product V^T (G V) less efficiently and add per-tile Python steps.  One ZZXX
+# omega1 `evolve_derivative` on one thread (delta = 100, medians of 15-31
+# interleaved calls on a 2-core x86-64 machine, numpy 2.4.6 with OpenBLAS
+# 0.3.31), TILE = 32 / 64 / 128 / one tile per chain, in ms: size 129 1.66 /
+# 1.54 / 1.47 / 1.51; size 251 3.5 / 3.2 / 3.6 / 3.5; size 501 13.0 / 12.3 /
+# 12.6 / 15.8; size 1001 59 / 56 / 56 / 72; size 2001 324 / 300 / 295 / 449.
+TILE = 64
+
+
+def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndarray,
+           t: float, ys: np.ndarray, tiles, acc: np.ndarray) -> np.ndarray:
+    """For the k solved blocks of H (eigenvalues w, eigenvectors v, k =
+    len(v)), the residual and the kernel K = (V^T G V) o sinc((w_j - w_k) t
+    / 2), column tile by column tile.  K is symmetric, so a tile [c0, c1) of
+    `tiles` forms only its rows from c0 on, A = K[c0:, c0:c1], and adds
+    A ys[c0:c1] to acc[c0:] and A[c1 - c0:]^T ys[c1:] to acc[c0:c1]: over all
+    the tiles, acc gains K ys, for the real ys and acc (k, size, m).  Returns
+    the squared Frobenius norm of the residual T V - V diag(w) over the
+    tiles' columns, per block.  Besides the eigenvectors it holds two
+    buffers of size x (widest tile) per block."""
+    if not tiles:
+        return 0.0
+    w, h_diag, h_off, g_diag, g_off = (m[:len(v)] for m in (w, h.block_diag, h.block_off,
+                                                            g.block_diag, g.block_off))
+    size = w.shape[1]
+    width = max(c1 - c0 for c0, c1 in tiles)
+    # laid out like v: the operands' layout decides how BLAS rounds the products
+    bufs = [np.empty_like(v[..., :width]) for _ in range(2)]
+    sums = 0.0
+    for c0, c1 in tiles:
+        vc = v[..., c0:c1]
+        b0, b1 = (buf[..., :c1 - c0] for buf in bufs)
+        r = _tri_mul(h_diag, h_off, vc, b0, b1)
+        r -= np.multiply(vc, w[:, None, c0:c1], out=b1)
+        sums = sums + np.einsum("bij,bij->b", r, r)
+        a = np.matmul(v[..., c0:].transpose(0, 2, 1), _tri_mul(g_diag, g_off, vc, b0, b1),
+                      out=b1[:, :size - c0])  # G V in b0, b1 its scratch until here
+        x = np.subtract(w[:, c0:, None], w[:, None, c0:c1], out=b0[:, :size - c0])
+        x *= 0.5 * t
+        nonzero = x != 0.0  # x = 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
+        np.divide(a, x, out=a, where=nonzero)
+        np.multiply(a, np.sin(x, out=x), out=a, where=nonzero)
+        acc[:, c0:] += np.matmul(a, ys[:, c0:c1])
+        if c1 < size:
+            acc[:, c0:c1] += np.matmul(a[:, c1 - c0:].transpose(0, 2, 1), ys[:, c1:])
+    return sums
 
 
 def _check_dims(h: HamiltonianMatrix, psi0: SymmetricState):
@@ -411,8 +451,8 @@ def evolve(h: HamiltonianMatrix, t: float, psi0: SymmetricState) -> SymmetricSta
         return psi0
     with _blas_threads():
         w, v = eigensystem(h)
-        y = _apply(v, h.to_blocks(psi0.amplitudes), transpose=True)
-        amps = h.from_blocks(_apply(v, np.exp(-1j * t * w) * y))
+        y = _apply(v, h.to_blocks(psi0.amplitudes)[..., None], transpose=True)
+        amps = h.from_blocks(_apply(v, np.exp(-1j * t * w)[..., None] * y)[..., 0])
         # unitary up to rounding; renormalize so downstream invariants hold exactly
         return SymmetricState(psi0.n_probes, amps / np.linalg.norm(amps))
 
@@ -431,15 +471,21 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     the block structure of H and be mirrored wherever H is (see `_mirrored`;
     any `assemble(spec, n, wrt=...)` of the same model is), else ValueError.
 
-    Memory: besides the eigenvectors of the solved blocks (one size^2
-    matrix per solved chain), two size^2 buffers hold one chain's kernel
-    and its scratch (G V, the sinc argument, the residual), chain after
-    chain; the tiny blocks of ZZZX and ZZZZ go in one batch.  From
-    THREADED_SIZE states on, two threads fill disjoint column halves of both
-    buffers, and the residual's squared norm is the sum of theirs.  Chain 1 of a
-    mirrored H is read through chain 0's eigenvectors (`_apply`): with V1 =
-    S V0, w1 = -w0 and S^T G1 S = -G0, its kernel is -K0, so the kernel
-    buffer is reused as it stands.
+    Memory and work: `_tiles` cuts the solved chains into column tiles of
+    TILE to 2 TILE - 1 columns, all chains at once (the tiny blocks of ZZZX
+    and ZZZZ go as one batched tile).  A tile [c0, c1) forms the kernel K =
+    (V^T G V) o sinc only in its rows from c0 on, and K's symmetry gives the
+    rest of K y, so of T tiles' products and sines only (T + 1) / 2T of the
+    whole kernel's are computed.  Besides the eigenvectors of the solved
+    blocks (one size^2 matrix per solved chain) it holds two size x tile
+    buffers per chain and thread, so the peak is the chain solve's (V and
+    dstevd's workspace).
+    Even and odd tiles sum into their own accumulators and residual norms,
+    added in one order; from THREADED_SIZE states on the odd tiles run on a
+    helper thread, which changes no bit.  Chain 1 of a mirrored H is read
+    through chain 0's eigenvectors (`_apply`): with V1 = S V0, w1 = -w0 and
+    S^T G1 S = -G0, its kernel is -K0, so its y rides as more columns of
+    chain 0's and their product is negated.
 
     The certificate is the solve's own backward error, O(size^2) per block
     (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Higham, Accuracy and
@@ -454,7 +500,8 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     moves psi by about d and dpsi by about 2 t ||G|| d (E on each side of c
     and of the kernel, of norm <= t ||G||); d samples E along c only, so
     these terms are estimates.  Products with V (||V||_F = sqrt(size)) and
-    V^T G V round by gamma = (size + 4) u / (1 - (size + 4) u) each.
+    V^T G V (an entry from either triangle alike) round by gamma = (size +
+    4) u / (1 - (size + 4) u) each.
     Normalizing psi at most doubles its error.  With gradual underflow an
     operation may also err absolutely, by at most the smallest subnormal
     number s (Higham, eq. 2.8); a component of dpsi is about 3 size + 4
@@ -476,45 +523,36 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     with _blas_threads():
         w, v = eigensystem(h)
         (blocks, size), u = w.shape, float(np.finfo(float).eps) / 2.0
-        amps0 = h.to_blocks(psi0.amplitudes)
+        amps0 = h.to_blocks(psi0.amplitudes)[..., None]
         c = _apply(v, amps0, transpose=True)
-        defect = float(np.linalg.norm(_apply(v, c) - amps0))
-        half = np.exp(-0.5j * t * w)
+        half = np.exp(-0.5j * t * w)[..., None]
         y = half * c
-        step = blocks if size <= 2 else 1  # all tiny blocks at once, or one chain
-        kernel, scratch = np.empty_like(v[:step]), np.empty_like(v[:step])
-        squared = 0.0  # the largest squared residual of a solved block
-        z = np.empty_like(y)
-
-        def slab(part, cols):
-            """Columns `cols` of blocks `part`'s residual T V - V diag(w) and
-            kernel; the residual's squared norm over those columns, per block."""
-            vc = v[part][..., cols]
-            r = _tri_mul(h.block_diag[part], h.block_off[part], vc, scratch[..., cols],
-                         kernel[..., cols])
-            r -= np.multiply(vc, w[part, None, cols], out=kernel[..., cols])
-            sums = np.einsum("bij,bij->b", r, r)
-            _kernel(v[part], w[part], g.block_diag[part], g.block_off[part], t, cols,
-                    kernel, scratch)
-            return sums
-
-        for b in range(0, blocks, step):
-            part = slice(b, b + step)
-            if b >= len(v):  # chain 1 of a mirrored H: its kernel is -K0, still in the buffer
-                z[1] = -_mul(kernel[0], y[1])
-                continue
-            if size < THREADED_SIZE:
-                sums = slab(part, slice(None))
-            else:  # two column halves on two threads, writing disjoint columns
-                from concurrent.futures import ThreadPoolExecutor  # ~2 ms to import
-                with ThreadPoolExecutor(1) as pool:
-                    first = pool.submit(slab, part, slice(0, size // 2))
-                    sums = slab(part, slice(size // 2, size)) + first.result()
-            squared = max(squared, float(sums.max()))
-            z[part] = _mul(kernel, y[part])
-        psi = h.from_blocks(_apply(v, half * half * c))
+        mirrored = len(v) < blocks
+        if mirrored:  # chain 1's kernel is -K0, so its y rides as a second column of chain 0's
+            y = y.transpose(2, 1, 0)
+        ys = np.concatenate([y.real, y.imag], axis=-1)
+        acc = np.zeros((2,) + ys.shape)  # K ys summed over the even tiles and over the odd
+        count = max(1, size // TILE)
+        tiles = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+        args = (h, g, w, v, t, ys)
+        if size < THREADED_SIZE:
+            sums = [_tiles(*args, tiles[i::2], acc[i]) for i in (0, 1)]
+        else:  # the odd tiles on a helper thread
+            from concurrent.futures import ThreadPoolExecutor  # ~2 ms to import
+            with ThreadPoolExecutor(1) as pool:
+                odd = pool.submit(_tiles, *args, tiles[1::2], acc[1])
+                sums = [_tiles(*args, tiles[0::2], acc[0]), odd.result()]
+        squared = float((sums[0] + sums[1]).max())  # the largest squared residual of a block
+        zs = acc[0] + acc[1]
+        m = y.shape[-1]
+        z = zs[..., :m] + 1j * zs[..., m:]
+        if mirrored:
+            z = np.stack([z[0, :, :1], -z[0, :, 1:]])
+        out = _apply(v, np.concatenate([c, half * half * c, -1j * t * half * z], axis=-1))
+        defect = float(np.linalg.norm(out[..., :1] - amps0))
+        psi = h.from_blocks(out[..., 1])
         psi = SymmetricState(psi0.n_probes, psi / np.linalg.norm(psi))
-        dpsi = h.from_blocks(_apply(v, -1j * t * half * z))
+        dpsi = h.from_blocks(out[..., 2])
     eta = 2.0 * math.sqrt(squared) + 2.0 * u * h.norm_bound
     tau, g_norm = abs(t), g.norm_bound
     gamma = (size + 4) * u / (1.0 - (size + 4) * u)

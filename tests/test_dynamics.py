@@ -1,6 +1,7 @@
 import ctypes
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_eigensystem_orthonormal_d50():
 
 def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     # every BLAS call runs on one numpy BLAS thread at every size; from
-    # THREADED_SIZE on, the kernel's two column halves run on two Python threads
+    # THREADED_SIZE on, the kernel's odd column tiles run on a second Python thread
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -132,7 +133,7 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     def recording(name, fn):
         def wrapped(*args):
             seen.setdefault(name, []).append(get())
-            if name == "_kernel":
+            if name == "_tiles":
                 kernel_threads.add(threading.get_ident())
             return fn(*args)
         return wrapped
@@ -140,7 +141,7 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     def failing(*args):  # dstevd reporting no convergence through INFO
         args[10].value = 1
 
-    for name in ("_solve_chain", "_kernel", "_mul"):
+    for name in ("_solve_chain", "_tiles", "_mul"):
         monkeypatch.setattr(dynamics, name, recording(name, getattr(dynamics, name)))
     big = dynamics.THREADED_SIZE  # its chains have THREADED_SIZE + 1 states
     caller, scipy_caller = get(), scipy_get()
@@ -187,7 +188,7 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
 @pytest.mark.parametrize("wrt", ["x", "omega1"])
 @pytest.mark.parametrize("n", [300, 500, 1000, 1001])
 def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
-    # every BLAS call runs on one thread at every size, the column halves of
+    # every BLAS call runs on one thread at every size, on the helper thread of
     # chains from THREADED_SIZE on too, so the caller's count cannot change a
     # bit of the result
     if dynamics._OPENBLAS is None:
@@ -212,8 +213,9 @@ def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
 @pytest.mark.parametrize("wrt", ["x", "omega1"])
 @pytest.mark.parametrize("n", [1000, 1001])  # one mirrored chain, two chains
 def test_column_halves_match_one_slab(monkeypatch, n, wrt):
-    # the halves compute every column as one slab does; the residual's squared
-    # Frobenius norm is the sum of the halves', and the bounds read from it
+    # the odd column tiles on the helper thread give the same bits as all
+    # tiles on the caller's: even and odd tiles sum into their own
+    # accumulators and residual norms either way, added in one order
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
     h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
     assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE
@@ -221,25 +223,25 @@ def test_column_halves_match_one_slab(monkeypatch, n, wrt):
     psi, dpsi, *bounds = evolve_derivative(h, g, spec.t, psi0)
     monkeypatch.setattr(dynamics, "THREADED_SIZE", n + 2)
     psi_one, dpsi_one, *bounds_one = evolve_derivative(h, g, spec.t, psi0)
-    np.testing.assert_allclose(psi.amplitudes, psi_one.amplitudes, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(dpsi, dpsi_one, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(bounds, bounds_one, rtol=1e-12, atol=0)
+    assert np.array_equal(psi.amplitudes, psi_one.amplitudes)
+    assert np.array_equal(dpsi, dpsi_one)
+    assert bounds == bounds_one
 
 
-@pytest.mark.parametrize("first", [True, False])  # the new thread's half, or the caller's
+@pytest.mark.parametrize("first", [True, False])  # the caller's tiles, or the helper thread's
 def test_exception_in_a_column_half_propagates(monkeypatch, first):
     n = dynamics.THREADED_SIZE
     spec = ModelSpec(ModelKind.ZZXX)
     h, g = assemble(spec, n), assemble(spec, n, wrt="x")
-    kernel = dynamics._kernel
+    tiles = dynamics._tiles
 
-    def failing(v, w, g_diag, g_off, t, cols, out, scratch):
-        if (cols.start == 0) == first:
-            raise FloatingPointError("half failed")
-        return kernel(v, w, g_diag, g_off, t, cols, out, scratch)
+    def failing(*args):
+        if (args[-2][0][0] == 0) == first:  # the even tiles start at column 0
+            raise FloatingPointError("tiles failed")
+        return tiles(*args)
 
-    monkeypatch.setattr(dynamics, "_kernel", failing)
-    with pytest.raises(FloatingPointError, match="half failed"):
+    monkeypatch.setattr(dynamics, "_tiles", failing)
+    with pytest.raises(FloatingPointError, match="tiles failed"):
         evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
 
 
@@ -324,6 +326,43 @@ def test_view_path_matches_materialised_formula(every_block, kind, n):
         assert np.linalg.norm(mine.amplitudes - ref) <= 1e-13
         assert np.linalg.norm(psi - ref) <= 1e-13
         assert np.linalg.norm(dmine - dref) <= 1e-13 * np.linalg.norm(dref)
+
+
+@pytest.mark.parametrize("t", [0.7, 2.0])
+@pytest.mark.parametrize("n", [2 * dynamics.TILE + d for d in (-2, -1, 0, 1)]
+                         + [3 * dynamics.TILE - 1, 3 * dynamics.TILE + 1])
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_tiles_match_the_dense_formula(every_block, kind, n, t):
+    # chains of N + 1 states on both sides of the one-to-two and two-to-three
+    # tile edges, one mirrored chain at even N and two chains at odd N,
+    # against V((V^T G V) o F) V^T psi0 with every kernel formed whole
+    rng = np.random.default_rng(n)
+    spec = ModelSpec(kind, *rng.uniform(0.3, 1.5, 5), t=t)
+    h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
+    assert dynamics._mirrored(h) == (kind is ModelKind.ZZXX and n % 2 == 0)
+    for g in (assemble(spec, n, wrt=p) for p in PARAMETERS):
+        psi, dpsi, _, _ = evolve_derivative(h, g, t, psi0)
+        ref, dref = _materialised(h, g, t, psi0, every_block)
+        assert np.linalg.norm(psi.amplitudes - ref) <= 1e-13
+        assert np.linalg.norm(dpsi - dref) <= 1e-13 * np.linalg.norm(dref)
+
+
+def test_derivative_holds_no_size_squared_buffer_after_the_solve():
+    # the peak is the chain solve's: V and dstevd's size^2 workspace, while
+    # the kernel needs only size x tile buffers besides V
+    if dynamics._OPENBLAS is None:
+        pytest.skip("the dense fallback solve forms the chain as a dense matrix")
+    n = 1000
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    h, g = assemble(spec, n), assemble(spec, n, wrt="omega1")
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    tracemalloc.start()
+    try:
+        evolve_derivative(h, g, spec.t, psi0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * (n + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("n", [3, 5])
