@@ -27,7 +27,12 @@ formed, and its eigenvalues w1 = -w0, in chain 0's order (descending).
 from the same eigendecomposition (Daleckii-Krein formula), and certified
 error bounds on both.  It builds each chain's kernel, which is symmetric,
 from its lower triangle in column tiles, so past the solve it holds no
-(N+1)-square buffer besides the eigenvectors.
+(N+1)-square buffer besides the eigenvectors, and evaluates the kernel's
+sinc(2h) as (tan h / h) / (1 + tan^2 h), since numpy's tan is much cheaper
+than its sine (see `_tiles`).  dstevd's size^2 workspace and then the
+tiles' buffers, the helper thread's included, are slices of one grow-only
+scratch arena per calling thread (`_scratch`), so a repeated call at one
+size allocates no (N+1)-square buffer but the eigenvectors it returns.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
 bundles, so numpy is the only runtime dependency.  Every BLAS call of
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -159,17 +165,35 @@ class HamiltonianMatrix:
         return vec
 
 
+def _columns(flat: np.ndarray, blocks: int, size: int, k: int) -> np.ndarray:
+    """The head of the flat buffer as a (blocks, size, k) array laid out in
+    contiguous columns, one after the other, block after block: dstevd's
+    layout of the eigenvectors, packed."""
+    return flat[:blocks * size * k].reshape(blocks, k, size).transpose(0, 2, 1)
+
+
 def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray, out: np.ndarray,
              tmp: np.ndarray) -> np.ndarray:
-    """out = T @ x block by block for the tridiagonal blocks with rows of
-    `diag` and `off` and x of shape (blocks, size, ...); `tmp` is scratch of
-    out's shape.  An all-zero off-diagonal (the omega generators) is skipped."""
-    extra = (1,) * (x.ndim - 2)
-    np.multiply(diag.reshape(diag.shape + extra), x, out=out)
+    """out = T @ x block by block, for x of shape (blocks, size, k) and the
+    tridiagonal blocks with off-diagonal rows `off` and diagonal `diag`,
+    broadcast to x's shape: a matrix's diagonal as diag[..., None], or the
+    whole array, which may be out itself.  out and tmp are laid out as
+    `_columns` makes them, so a product with a neighbour in the column is a
+    contiguous product shifted by one element, with a zero coefficient where
+    it would cross into the next column.  An all-zero off-diagonal (the
+    omega generators) is skipped and tmp left unwritten."""
+    np.multiply(diag, x, out=out)
     if off.any():
-        off = off.reshape(off.shape + extra)
-        out[:, :-1] += np.multiply(off, x[:, 1:], out=tmp[:, :-1])
-        out[:, 1:] += np.multiply(off, x[:, :-1], out=tmp[:, 1:])
+        columns = [a.transpose(0, 2, 1) for a in (out, tmp)]
+        if not all(c.flags.c_contiguous for c in columns):
+            raise ValueError("out and tmp must be laid out in contiguous columns")
+        flat, products = (c.reshape(-1) for c in columns)
+        end = np.zeros((len(off), 1))
+        # row i gains T[i, i+1] x[i+1], then T[i, i-1] x[i-1]
+        np.multiply(np.concatenate([end, off], axis=1)[..., None], x, out=tmp)
+        flat[:-1] += products[1:]
+        np.multiply(np.concatenate([off, end], axis=1)[..., None], x, out=tmp)
+        flat[1:] += products[:-1]
     return out
 
 
@@ -267,18 +291,18 @@ _OPENBLAS = _openblas()
 
 # The chain size from which `evolve_derivative` runs every other column tile
 # on a helper thread (see `_blas_threads`).  One ZZXX omega1
-# `evolve_derivative` (delta = 100, medians of 15 alternating calls, same
-# machine), all tiles on the caller's thread against the odd ones on the
-# helper, wall time (CPU time) in ms over two runs: size 501 14-16 (14-16)
-# against 11-14 (15-19); size 751 32-43 (32-43) against 25-32 (37-44); size
-# 1001 59-73 (59-73) against 43-51 (63-70); size 2001 298-347 (298-347)
-# against 201-252 (315-395).  In a third run the helper saved nothing below
-# size 2001; in such runs not even two np.sin calls overlap, so the second
-# core was presumably busy.  The helper saves a quarter to a third of the
-# wall time from size 751 on, for up to a fifth more CPU time, but the size
-# stays above fig 3's longest chain (501), so every figure and oracle point
-# runs on one core.  Even and odd tiles sum apart, so the thread changes no
-# bit of the results.
+# `evolve_derivative` (delta = 100, medians of 9-15 alternating calls, same
+# machine, tan sinc), all tiles on the caller's thread against the odd ones
+# on the helper, wall time (CPU time) in ms over two runs: size 501 13.3-13.5
+# (13.3-13.4) against 11.3 (14.9-15.1); size 751 29-32 (29-32) against 24
+# (34); size 1001 59-61 (59-61) against 42 (61-63); size 2001 321-387
+# (320-387) against 208-230 (335-349).  In two earlier runs, with the
+# machine's second core busy, the helper saved nothing at any size and cost
+# up to 8 % more time.  With the core free it saves 15 % of the wall time at
+# size 501 for 12 % more CPU time, and 30-40 % from size 1001 on for at most
+# 5 % more, but the size stays above fig 3's longest chain (501), so every
+# figure and oracle point runs on one core.  Even and odd tiles sum apart, so
+# the thread changes no bit of the results.
 THREADED_SIZE = 1000
 
 
@@ -306,23 +330,43 @@ def _blas_threads():
         set_(before)
 
 
+_ARENA = threading.local()
+
+
+def _scratch(count: int) -> np.ndarray:
+    """The first `count` float64s of the calling thread's scratch arena: one
+    grow-only buffer per thread that serves dstevd's workspace and then
+    `evolve_derivative`'s tile buffers, its helper thread's included.  A
+    fresh size^2 workspace per call is faulted in again on every call once
+    it passes glibc's mmap or trim threshold; the arena's pages stay mapped.
+    Nothing a caller keeps may be a view of it."""
+    buf = getattr(_ARENA, "buf", None)
+    if buf is None or len(buf) < count:
+        _ARENA.buf = buf = None  # drop the smaller arena before allocating the larger
+        buf = _ARENA.buf = np.empty(count)
+    return buf[:count]
+
+
 def _solve_chain(d: np.ndarray, e: np.ndarray, w: np.ndarray, z: np.ndarray):
     """Write the ascending eigenvalues into w and the orthonormal
     eigenvectors (columns) into the Fortran-ordered z of the symmetric
     tridiagonal matrix with diagonal d and off-diagonal e: LAPACK dstevd, as
     `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum, or dense
     `np.linalg.eigh` without numpy's OpenBLAS.  dstevd overwrites D and E,
-    so D is w, filled with d, and E a fresh copy of e."""
+    so D is w, filled with d, and E a copy of e; E and the workspaces are
+    the head of the thread's arena (`_scratch`)."""
     if _OPENBLAS is None:
         w[:], z[:] = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         return
     n = len(d)
     w[:] = d
-    off = np.array(e, dtype=np.float64)
     lwork, liwork, info = 1 + 4 * n + n * n, 3 + 5 * n, ctypes.c_int64()
+    scratch = _scratch(lwork + liwork + n - 1)
+    off = scratch[lwork + liwork:]
+    off[:] = e
     _OPENBLAS[0](b"V", ctypes.c_int64(n), w, off, z, ctypes.c_int64(n),
-                 np.empty(lwork), ctypes.c_int64(lwork),
-                 np.empty(liwork, dtype=np.int64), ctypes.c_int64(liwork), info, 1)
+                 scratch[:lwork], ctypes.c_int64(lwork),
+                 scratch[lwork:lwork + liwork].view(np.int64), ctypes.c_int64(liwork), info, 1)
     if info.value:
         raise np.linalg.LinAlgError(f"dstevd returned info = {info.value}")
 
@@ -373,17 +417,16 @@ def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     stacks x (blocks, size, k).  A v of chain 0 only (see `eigensystem`)
     gives chain 1's V1 = S V0 through a reversed view: V1 x = S (V0 x) and
     V1^T x = V0^T S^T x, with (S u)_k = (-1)^k u_{size-1-k} and S^T u =
-    reverse((-1)^k u_k)."""
+    reverse((-1)^k u_k).  Chain 1's columns ride with chain 0's, so V0 is
+    read once."""
     mats = v.transpose(0, 2, 1) if transpose else v
-    out = np.empty(x.shape, dtype=complex)
-    out[:len(v)] = _mul(mats, x[:len(v)])
-    if len(v) < len(x):
-        sign = (1.0 - 2.0 * (np.arange(x.shape[1]) % 2))[:, None]
-        if transpose:
-            out[1] = _mul(mats[0], (sign * x[1])[::-1])
-        else:
-            out[1] = sign * _mul(mats[0], x[1])[::-1]
-    return out
+    if len(v) == len(x):
+        return _mul(mats, x)
+    k = x.shape[-1]
+    sign = (1.0 - 2.0 * (np.arange(x.shape[1]) % 2))[:, None]
+    x1 = (sign * x[1])[::-1] if transpose else x[1]
+    both = _mul(mats[0], np.concatenate([x[0], x1], axis=-1))
+    return np.stack([both[:, :k], both[:, k:] if transpose else sign * both[::-1, k:]])
 
 
 # The narrowest column tile of `evolve_derivative`'s kernel: a chain of size
@@ -391,47 +434,69 @@ def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
 # column), TILE to 2 TILE - 1 wide, so a chain below 2 TILE is one tile.
 # Wider tiles recompute more of the upper triangle; narrower ones run the
 # product V^T (G V) less efficiently and add per-tile Python steps.  One ZZXX
-# omega1 `evolve_derivative` on one thread (delta = 100, medians of 15-31
+# omega1 `evolve_derivative` on one thread (delta = 100, medians of 9-31
 # interleaved calls on a 2-core x86-64 machine, numpy 2.4.6 with OpenBLAS
-# 0.3.31), TILE = 32 / 64 / 128 / one tile per chain, in ms: size 129 1.66 /
-# 1.54 / 1.47 / 1.51; size 251 3.5 / 3.2 / 3.6 / 3.5; size 501 13.0 / 12.3 /
-# 12.6 / 15.8; size 1001 59 / 56 / 56 / 72; size 2001 324 / 300 / 295 / 449.
+# 0.3.31, tan sinc), TILE = 32 / 64 / 128 / one tile per chain, in ms: size
+# 129 1.06 / 0.97 / 0.93 / 0.92; size 251 3.5 / 3.2 / 3.4 / 3.3; size 501
+# 9.7 / 9.0 / 9.3 / 11.7; size 1001 57 / 53 / 51 / 76; size 2001 404 / 343 /
+# 321 / 495.  64 is best up to fig 3's longest chain (501); 128 gains 3-6 %
+# from size 1001 on.
 TILE = 64
 
 
+def _tile_floats(v: np.ndarray, width: int) -> int:
+    """The float64s of scratch one `_tiles` call takes for tiles of up to
+    `width` columns: two buffers and a byte mask of v[..., :width]'s size."""
+    n = v[..., :width].size
+    return 2 * n + -(-n // 8)
+
+
 def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndarray,
-           t: float, ys: np.ndarray, tiles, acc: np.ndarray) -> np.ndarray:
+           t: float, ys: np.ndarray, scratch: np.ndarray, tiles, acc: np.ndarray) -> np.ndarray:
     """For the k solved blocks of H (eigenvalues w, eigenvectors v, k =
     len(v)), the residual and the kernel K = (V^T G V) o sinc((w_j - w_k) t
     / 2), column tile by column tile.  K is symmetric, so a tile [c0, c1) of
     `tiles` forms only its rows from c0 on, A = K[c0:, c0:c1], and adds
     A ys[c0:c1] to acc[c0:] and A[c1 - c0:]^T ys[c1:] to acc[c0:c1]: over all
     the tiles, acc gains K ys, for the real ys and acc (k, size, m).  Returns
-    the squared Frobenius norm of the residual T V - V diag(w) over the
-    tiles' columns, per block.  Besides the eigenvectors it holds two
-    buffers of size x (widest tile) per block."""
+    the squared Frobenius norm of the residual T V - V diag(w) = (d - w) o V
+    + T's off-diagonal terms over the tiles' columns, per block.
+
+    Every buffer is carved from the flat `scratch` (`_tile_floats` long) by
+    `_columns`, packed to the tile's shape, so every elementwise pass runs
+    over contiguous memory, and laid out like dstevd's V, whose layout
+    decides how BLAS rounds the products.  With h = (w_j - w_k) t / 4,
+    sinc(2h) = (tan h / h) / (1 + tan^2 h): numpy 2.4's tan takes ~3 ns an
+    element on AVX-512 against ~25 ns for its sine, and no double lies within
+    1e-20 of a pole of tan, so tan^2 h cannot overflow."""
     if not tiles:
         return 0.0
     w, h_diag, h_off, g_diag, g_off = (m[:len(v)] for m in (w, h.block_diag, h.block_off,
                                                             g.block_diag, g.block_off))
-    size = w.shape[1]
-    width = max(c1 - c0 for c0, c1 in tiles)
-    # laid out like v: the operands' layout decides how BLAS rounds the products
-    bufs = [np.empty_like(v[..., :width]) for _ in range(2)]
+    blocks, size = w.shape
+    n = v[..., :max(c1 - c0 for c0, c1 in tiles)].size
+    first, second, mask = scratch[:n], scratch[n:2 * n], scratch[2 * n:].view(np.bool_)
     sums = 0.0
     for c0, c1 in tiles:
-        vc = v[..., c0:c1]
-        b0, b1 = (buf[..., :c1 - c0] for buf in bufs)
-        r = _tri_mul(h_diag, h_off, vc, b0, b1)
-        r -= np.multiply(vc, w[:, None, c0:c1], out=b1)
+        vc, rows, cols = v[..., c0:c1], size - c0, c1 - c0
+        r = np.subtract(h_diag[..., None], w[:, None, c0:c1],
+                        out=_columns(first, blocks, size, cols))
+        r = _tri_mul(r, h_off, vc, r, _columns(second, blocks, size, cols))
         sums = sums + np.einsum("bij,bij->b", r, r)
-        a = np.matmul(v[..., c0:].transpose(0, 2, 1), _tri_mul(g_diag, g_off, vc, b0, b1),
-                      out=b1[:, :size - c0])  # G V in b0, b1 its scratch until here
-        x = np.subtract(w[:, c0:, None], w[:, None, c0:c1], out=b0[:, :size - c0])
-        x *= 0.5 * t
-        nonzero = x != 0.0  # x = 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
+        gv = _tri_mul(g_diag[..., None], g_off, vc, _columns(first, blocks, size, cols),
+                      _columns(second, blocks, size, cols))  # the residual is spent
+        a = np.matmul(v[..., c0:].transpose(0, 2, 1), gv,
+                      out=_columns(second, blocks, rows, cols))
+        x = np.subtract(w[:, c0:, None], w[:, None, c0:c1],
+                        out=_columns(first, blocks, rows, cols))  # G V is spent
+        x *= 0.25 * t
+        # x = h is 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
+        nonzero = np.not_equal(x, 0.0, out=_columns(mask, blocks, rows, cols))
         np.divide(a, x, out=a, where=nonzero)
-        np.multiply(a, np.sin(x, out=x), out=a, where=nonzero)
+        np.multiply(a, np.tan(x, out=x), out=a, where=nonzero)
+        x *= x
+        x += 1.0
+        a /= x
         acc[:, c0:] += np.matmul(a, ys[:, c0:c1])
         if c1 < size:
             acc[:, c0:c1] += np.matmul(a[:, c1 - c0:].transpose(0, 2, 1), ys[:, c1:])
@@ -475,11 +540,13 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     TILE to 2 TILE - 1 columns, all chains at once (the tiny blocks of ZZZX
     and ZZZZ go as one batched tile).  A tile [c0, c1) forms the kernel K =
     (V^T G V) o sinc only in its rows from c0 on, and K's symmetry gives the
-    rest of K y, so of T tiles' products and sines only (T + 1) / 2T of the
-    whole kernel's are computed.  Besides the eigenvectors of the solved
+    rest of K y, so of T tiles' products and tangents only (T + 1) / 2T of
+    the whole kernel's are computed.  Besides the eigenvectors of the solved
     blocks (one size^2 matrix per solved chain) it holds two size x tile
-    buffers per chain and thread, so the peak is the chain solve's (V and
-    dstevd's workspace).
+    buffers and a byte mask per chain and thread, carved from the calling
+    thread's scratch arena (`_scratch`), whose dstevd workspace is spent by
+    then, so the peak is the chain solve's (V and that workspace), and a
+    repeated call at one size allocates nothing of size^2 but V.
     Even and odd tiles sum into their own accumulators and residual norms,
     added in one order; from THREADED_SIZE states on the odd tiles run on a
     helper thread, which changes no bit.  Chain 1 of a mirrored H is read
@@ -500,14 +567,21 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     moves psi by about d and dpsi by about 2 t ||G|| d (E on each side of c
     and of the kernel, of norm <= t ||G||); d samples E along c only, so
     these terms are estimates.  Products with V (||V||_F = sqrt(size)) and
-    V^T G V (an entry from either triangle alike) round by gamma = (size +
-    4) u / (1 - (size + 4) u) each.
+    with the kernel K = (V^T G V) o sinc (an entry from either triangle
+    alike) round by gamma = (size + 10) u / (1 - (size + 10) u) each: an
+    entry of K gathers size + 10 roundings, 3 in G V (a diagonal product and
+    two sums), size in V^T (G V) and 7 in the sinc, (tan h / h) / (1 +
+    tan^2 h) applied as a division by h, tan h (within one ulp, so two), the
+    product with it, its square, the sum with 1 and the division by that;
+    the relative error of tan h passes to the sinc at most once, as
+    |d log sinc / d log tan h| = |1 - tan^2 h| / (1 + tan^2 h) <= 1.  A
+    product with V gathers size.
     Normalizing psi at most doubles its error.  With gradual underflow an
     operation may also err absolutely, by at most the smallest subnormal
-    number s (Higham, eq. 2.8); a component of dpsi is about 3 size + 4
+    number s (Higham, eq. 2.8); a component of dpsi is about 3 size + 7
     operations deep, and what errs before the products with t and the kernel
     grows by at most (1 + t)(1 + t ||G||), so each bound gains the floor
-    f = (3 size + 4) sqrt(dim) (1 + t)(1 + t ||G||) s, taken as 0 for G = 0,
+    f = (3 size + 7) sqrt(dim) (1 + t)(1 + t ||G||) s, taken as 0 for G = 0,
     whose dpsi = 0 is exact (psi's gamma term alone exceeds f).  With ||H||,
     ||G|| the Gershgorin `norm_bound`s:
 
@@ -535,13 +609,16 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         count = max(1, size // TILE)
         tiles = [(size * i // count, size * (i + 1) // count) for i in range(count)]
         args = (h, g, w, v, t, ys)
+        need = _tile_floats(v, -(-size // count))  # the widest tile's
         if size < THREADED_SIZE:
-            sums = [_tiles(*args, tiles[i::2], acc[i]) for i in (0, 1)]
-        else:  # the odd tiles on a helper thread
+            scratch = _scratch(need)
+            sums = [_tiles(*args, scratch, tiles[i::2], acc[i]) for i in (0, 1)]
+        else:  # the odd tiles on a helper thread, in the arena's second part
             from concurrent.futures import ThreadPoolExecutor  # ~2 ms to import
+            scratch = _scratch(2 * need)
             with ThreadPoolExecutor(1) as pool:
-                odd = pool.submit(_tiles, *args, tiles[1::2], acc[1])
-                sums = [_tiles(*args, tiles[0::2], acc[0]), odd.result()]
+                odd = pool.submit(_tiles, *args, scratch[need:], tiles[1::2], acc[1])
+                sums = [_tiles(*args, scratch[:need], tiles[0::2], acc[0]), odd.result()]
         squared = float((sums[0] + sums[1]).max())  # the largest squared residual of a block
         zs = acc[0] + acc[1]
         m = y.shape[-1]
@@ -555,9 +632,9 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         dpsi = h.from_blocks(out[..., 2])
     eta = 2.0 * math.sqrt(squared) + 2.0 * u * h.norm_bound
     tau, g_norm = abs(t), g.norm_bound
-    gamma = (size + 4) * u / (1.0 - (size + 4) * u)
+    gamma = (size + 10) * u / (1.0 - (size + 10) * u)
     tiny = float(np.finfo(float).smallest_subnormal)
-    floor = 0.0 if g_norm == 0.0 else ((3 * size + 4) * math.sqrt(h.dim) * (1.0 + tau)
+    floor = 0.0 if g_norm == 0.0 else ((3 * size + 7) * math.sqrt(h.dim) * (1.0 + tau)
                                        * (1.0 + tau * g_norm) * tiny)
     return (psi, dpsi, 2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma) + floor,
             tau * g_norm * (2.0 * defect + tau * eta

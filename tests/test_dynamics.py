@@ -1,5 +1,6 @@
 import ctypes
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -258,8 +259,9 @@ def test_solves_leave_h_unchanged():
 
 
 def _block_mul(m, x):
-    """T @ x on every block of m, for x of shape (blocks, size, ...)."""
-    return dynamics._tri_mul(m.block_diag, m.block_off, x, np.empty_like(x), np.empty_like(x))
+    """T @ x on every block of m, for x of shape (blocks, size, k)."""
+    out, tmp = (dynamics._columns(np.empty(x.size, dtype=x.dtype), *x.shape) for _ in range(2))
+    return dynamics._tri_mul(m.block_diag[..., None], m.block_off, x, out, tmp)
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 51])
@@ -347,6 +349,137 @@ def test_tiles_match_the_dense_formula(every_block, kind, n, t):
         assert np.linalg.norm(dpsi - dref) <= 1e-13 * np.linalg.norm(dref)
 
 
+def _planted_spectrum(rng, size):
+    """Eigenvalues whose gaps are 0, 1e-12 and 1e-3, whose halved gaps lie
+    near (k + 1/2) pi and whose quartered ones near the poles of tan, with
+    |w| up to 1e5 and |w_j - w_k| up to 1.5e5."""
+    odd = 2 * np.arange(12) + 1
+    w = [0.0, 0.0, 1e-12, 1e-3, 0.5, 0.5 + 1e-12, 0.5 + 1e-3, 5e4, -5e4, 5e4 - 1e-3]
+    w += list(odd * np.pi) + list(2 * odd * np.pi) + list(2 * odd * np.pi + 1e-9)
+    w += list(2e4 + 2 * odd * np.pi) + list(2 * (2 * 7957 + 1) * np.pi + np.array([0.0, 1e-7]))
+    return np.concatenate([w, rng.uniform(-5e4, 5e4, size - len(w))])
+
+
+def test_tiles_sinc_and_kernel_match_mpmath():
+    # _tiles against (V^T G V) o sinc((w_j - w_k) t / 2), the sinc from mpmath
+    # at the same rounded arguments (t = 1, so the halving is exact): with a
+    # V whose row 0 is ones and G = e0 e0^T, V^T G V is all ones exactly and
+    # K ys with ys = I is the sinc itself; with a random orthogonal V and a
+    # random tridiagonal G, K y against the mpmath kernel
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(26)
+    size, t = 200, 1.0
+    w = _planted_spectrum(rng, size)[None]
+    x = (w[0][:, None] - w[0][None, :]) * (0.5 * t)
+    sinc = np.ones((size, size))
+    with mpmath.workdps(40):
+        for j, k in zip(*np.nonzero(np.triu(x))):  # x is antisymmetric, the sinc even
+            arg = mpmath.mpf(x[j, k])
+            sinc[j, k] = sinc[k, j] = float(mpmath.sin(arg) / arg)
+    count = max(1, size // dynamics.TILE)
+    tiles = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+
+    def kernel_times(v, g, ys):
+        h = HamiltonianMatrix((size - 2) // 2, np.arange(size), rng.standard_normal((1, size)),
+                              rng.standard_normal((1, size - 1)))
+        scratch = np.empty(dynamics._tile_floats(v, -(-size // count)))
+        acc = np.zeros(ys.shape)
+        dynamics._tiles(h, g, w, v, t, ys, scratch, tiles, acc)
+        return acc[0]
+
+    ones = np.zeros((1, size, size)).transpose(0, 2, 1)  # laid out as dstevd's V
+    ones[0, 0] = 1.0
+    e0 = HamiltonianMatrix((size - 2) // 2, np.arange(size),
+                           np.eye(1, size), np.zeros((1, size - 1)))
+    mine = kernel_times(ones, e0, np.eye(size)[None])
+    assert np.max(np.abs(mine - sinc)) <= 1e-15
+    assert np.all(mine[x == 0.0] == 1.0)
+
+    v = np.linalg.qr(rng.standard_normal((size, size)))[0]
+    v = np.asfortranarray(v)[None]
+    g = HamiltonianMatrix((size - 2) // 2, np.arange(size), rng.standard_normal((1, size)),
+                          rng.standard_normal((1, size - 1)))
+    ys = rng.standard_normal((1, size, 2))
+    reference = ((v[0].T @ g.matrix @ v[0]) * sinc) @ ys[0]
+    mine = kernel_times(v, g, ys)
+    assert np.linalg.norm(mine - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+def test_repeated_derivative_allocates_no_size_squared_buffer_but_v():
+    # the chain solve's workspace and the kernel's tile buffers come from the
+    # thread's scratch arena, which the first call at a size grows; a second
+    # call allocates V and nothing else of size^2
+    if dynamics._OPENBLAS is None:
+        pytest.skip("the dense fallback solve forms the chain as a dense matrix")
+    n = 500
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    h, g = assemble(spec, n), assemble(spec, n, wrt="omega1")
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    evolve_derivative(h, g, spec.t, psi0)
+    tracemalloc.start()
+    try:
+        evolve_derivative(h, g, spec.t, psi0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (n + 1) ** 2 * 8
+
+
+def test_concurrent_callers_keep_their_own_scratch_arenas():
+    # each calling thread solves and builds its tiles in its own arena, so
+    # four threads at four sizes, interleaved often, give the serial bits
+    sizes = (64, 129, 200, 256)
+    spec = ModelSpec(ModelKind.ZZXX, delta=1.3, epsilon=3.0)
+    inputs = [(assemble(spec, n), assemble(spec, n, wrt="x"),
+               build_product_state(n, DEFAULT_ANGLES)) for n in sizes]
+    serial = [evolve_derivative(h, g, spec.t, psi0) for h, g, psi0 in inputs]
+    results = {}
+
+    def run(i):
+        h, g, psi0 = inputs[i]
+        results[i] = [evolve_derivative(h, g, spec.t, psi0) for _ in range(5)]
+
+    # the BLAS count is process-wide, so it is held at one while the threads
+    # set and restore it around each other
+    blas = dynamics._OPENBLAS
+    caller = blas[1]() if blas else None
+    interval = sys.getswitchinterval()
+    try:
+        if blas:
+            blas[2](1)
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sizes))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        if blas:
+            blas[2](caller)
+    for i, (psi, dpsi, *bounds) in enumerate(serial):
+        for psi_t, dpsi_t, *bounds_t in results[i]:
+            assert np.array_equal(psi_t.amplitudes, psi.amplitudes)
+            assert np.array_equal(dpsi_t, dpsi) and bounds_t == bounds
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field, wrt", [("delta", "omega1"), ("epsilon", "x")])
+def test_n2000_derivative_matches_materialised_formula(every_block, field, wrt):
+    # one mirrored chain of 2001 states, its odd tiles on the helper thread,
+    # against every block formed and the whole kernel built with np.sin
+    n = 2000
+    spec = ModelSpec(ModelKind.ZZXX, **{field: 100.0})
+    h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
+    assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE and dynamics._mirrored(h)
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
+    ref, dref = _materialised(h, g, spec.t, psi0, every_block)
+    assert np.linalg.norm(psi.amplitudes - ref) <= 1e-13
+    assert np.linalg.norm(dpsi - dref) <= 1e-13 * np.linalg.norm(dref)
+
+
 def test_derivative_holds_no_size_squared_buffer_after_the_solve():
     # the peak is the chain solve's: V and dstevd's size^2 workspace, while
     # the kernel needs only size x tile buffers besides V
@@ -406,8 +539,9 @@ def test_tri_mul_skips_a_zero_off_diagonal():
             summed = diag * x
             summed[:, :-1] += off * x[:, 1:]
             summed[:, 1:] += off * x[:, :-1]
-            tmp = np.full_like(x, np.nan)
-            out = dynamics._tri_mul(g.block_diag, g.block_off, x, np.empty_like(x), tmp)
+            out, tmp = (dynamics._columns(np.full(x.size, np.nan, dtype=x.dtype), *x.shape)
+                        for _ in range(2))
+            out = dynamics._tri_mul(diag, g.block_off, x, out, tmp)
             np.testing.assert_array_equal(out, summed)
             assert np.isnan(tmp).all() == (wrt != "x")
             if wrt != "x":

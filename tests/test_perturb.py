@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinbus import dynamics, paulis, perturb
+from spinbus import paulis, perturb
 from spinbus.dynamics import ModelKind, ModelSpec, assemble
 from spinbus.fisher import Param, first_moment_uncertainty, global_qfi_fd
 from spinbus.perturb import (
@@ -165,10 +165,8 @@ def _pt1_x_integrals_2x2(spec, angles, order):
 
 def _pt2_from_collective_variance(spec, n, angles, sel):
     """Reference: 4 t^2 Var_psi0(dH/d theta) with dH/d theta from `assemble`."""
-    generator = assemble(spec, n, wrt=sel.field)
-    psi = generator.to_blocks(build_product_state(n, angles).amplitudes)
-    g_psi = dynamics._tri_mul(generator.block_diag, generator.block_off, psi,
-                              np.empty_like(psi), np.empty_like(psi))
+    psi = build_product_state(n, angles).amplitudes
+    g_psi = assemble(spec, n, wrt=sel.field).matrix @ psi
     mean = np.vdot(psi, g_psi).real
     return 4.0 * spec.t ** 2 * float(np.vdot(g_psi, g_psi).real - mean ** 2)
 
