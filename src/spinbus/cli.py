@@ -39,8 +39,8 @@ def _apply_overrides(config, args):
     updates = {}
     if getattr(args, "out", None):
         updates["out"] = args.out
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
+    if getattr(args, "workers", None) not in (None, 1):
+        raise ValueError(f"--{sweeplib.WORKERS_REMOVED}")
     if getattr(args, "nmax", None) is not None:
         trimmed = tuple(n for n in config.n_list if n <= args.nmax)
         updates["n_list"] = trimmed
@@ -168,7 +168,9 @@ def main(argv=None) -> int:
 
 def _add_common(subparser):
     subparser.add_argument("--out", default=None, help="output CSV path")
-    subparser.add_argument("--workers", type=int, default=None)
+    # perfbench's Figures.run_pass passes `--workers 1`; ROADMAP direction 1's
+    # benchmark change deletes this flag
+    subparser.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     subparser.add_argument("--nmax", type=int, default=None,
                            help="truncate the N grid at this value")
 

@@ -7,18 +7,17 @@ over the upper half of the N grid.  Per-point failures become row flags,
 never crashes: regimes that legitimately destroy sensitivity (e.g. full
 dephasing at eps*t*x = pi/2) are data.
 
-Each (regime, N) point is one task, run in order or in a worker pool, that
+The points run one after another in one process, and each (regime, N) point
 solves the dynamics at most once for all of its fisher quantities.
 
-Output ordering is deterministic (sorted by quantity, regime, N) regardless
-of how many workers computed the points, so identical configs give
-byte-identical CSV files.  `parse_config` reads the `key = value` config
-format and rejects unknown keys; the validation suites are `spinbus.validate`.
+Output ordering is deterministic (sorted by quantity, regime, N), so
+identical configs give byte-identical CSV files.  `parse_config` reads the
+`key = value` config format and rejects unknown keys; the validation suites
+are `spinbus.validate`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import re
 from dataclasses import dataclass, replace
@@ -60,7 +59,9 @@ class SweepConfig:
     t: float = 1.0
     m_measurements: int = 1
     out: str | None = None
-    workers: int = 1
+    # Not a field, so nothing sets it: perfbench's tracer reads it under
+    # `--trace 1`.  ROADMAP direction 1's benchmark change deletes it.
+    workers = 1
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_list)
@@ -78,8 +79,6 @@ class SweepConfig:
             raise ValueError(f"unknown observable {self.observable!r}")
         if self.m_measurements < 1:
             raise ValueError("measurements must be a positive integer")
-        if self.workers < 1:
-            raise ValueError("workers must be a positive integer")
         names = [regime.name for regime in self.regimes]  # each names its CSV rows
         if any(not name or "," in name for name in names) or len(set(names)) < len(names):
             raise ValueError(f"regime names must be nonempty, comma-free and distinct: {names}")
@@ -137,7 +136,7 @@ class _Point:
         return self._solved
 
     def rows(self) -> list:
-        """One row per requested quantity: the task a pool worker runs."""
+        """One row per requested quantity, in the config's order."""
         rows = []
         for quantity in self.config.quantities:
             try:
@@ -192,13 +191,8 @@ KNOWN_QUANTITIES = tuple(_READERS)
 def run_sweep(config: SweepConfig) -> ScanResult:
     """Evaluate every requested quantity at every (regime, N) grid point and
     fit log-log exponents over the upper half of the N grid."""
-    points = [_Point(config, regime, n) for regime in config.regimes for n in config.n_list]
-    if config.workers > 1 and len(points) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            batches = list(pool.map(_Point.rows, points))
-    else:
-        batches = map(_Point.rows, points)
-    rows = sorted((row for batch in batches for row in batch),
+    points = (_Point(config, regime, n) for regime in config.regimes for n in config.n_list)
+    rows = sorted((row for point in points for row in point.rows()),
                   key=lambda r: (r.quantity, r.regime, r.n))
 
     fits = []
@@ -334,8 +328,9 @@ _CONFIG_DEFAULTS = {"model": "zzxx", "param": "x", "alphas": None, "nlist": "log
                     "alpha": "pi/3", "phi": "3pi/8", "beta": "pi/6", "varphi": "5pi/8",
                     "omega0": "1", "omega1": "1", "x": "1", "t": "1",
                     "quantities": "global_qfi", "observable": "xz", "measurements": "1",
-                    "out": None, "workers": "1"}
+                    "out": None}
 _REGIME_FIELDS = ("delta", "epsilon", "alpha")
+WORKERS_REMOVED = "workers was removed: every sweep runs its points in one process"
 
 
 def _parse_regime(text: str) -> Regime:
@@ -359,11 +354,11 @@ def parse_config(text: str) -> SweepConfig:
     Recognized keys: model, param, regime (repeatable), alphas
     (``linspace lo hi count``, expands into one regime per probe angle),
     nlist (explicit integers or ``log lo hi count``), alpha/phi/beta/varphi,
-    omega0/omega1/x/t, quantities, observable, measurements, out, workers.
+    omega0/omega1/x/t, quantities, observable, measurements, out.
     A regime is ``name: field=value, ...`` with fields delta, epsilon and
     alpha (delta and epsilon default to 1); ``alphas`` takes at most one
-    regime.  An unknown key or regime field, or a malformed value, raises
-    ValueError.
+    regime.  An unknown key or regime field, a malformed value, or the
+    removed ``workers`` key raises ValueError.
     """
     values, regimes = dict(_CONFIG_DEFAULTS), []
     for raw in text.splitlines():
@@ -378,6 +373,8 @@ def parse_config(text: str) -> SweepConfig:
             regimes.append(_parse_regime(val))
         elif key in values:
             values[key] = val
+        elif key == "workers":
+            raise ValueError(WORKERS_REMOVED)
         else:
             raise ValueError(f"unknown config key {key!r}")
 
@@ -403,5 +400,4 @@ def parse_config(text: str) -> SweepConfig:
         quantities=tuple(values["quantities"].split()), observable=values["observable"],
         **{k: parse_number(values[k]) for k in ("omega0", "omega1", "x", "t")},
         m_measurements=int(values["measurements"]), out=values["out"],
-        workers=int(values["workers"]),
     )

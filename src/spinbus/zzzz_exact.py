@@ -92,12 +92,16 @@ def reduced_rho_closed(spec: ModelSpec, n: int, angles: StateAngles) -> BusDensi
         w_pow = 0.0
     else:
         w_pow = np.exp(n * (math.log(mag) + 1j * np.angle(w)))
-    off = (0.5 * math.sin(2 * angles.beta)
-           * np.exp(-1j * (angles.varphi + spec.delta * spec.omega0 * spec.t))
-           * w_pow)
-    rho = np.array([[math.cos(angles.beta) ** 2, off],
-                    [np.conj(off), math.sin(angles.beta) ** 2]])
-    return BusDensity(rho)
+    return BusDensity(_bus_matrix(spec, angles.beta, angles.varphi, w_pow))
+
+
+def _bus_matrix(spec: ModelSpec, beta: float, varphi: float, coherence) -> np.ndarray:
+    """Bus density with rho_01 = sin(2b)/2 e^{-i(varphi + delta w0 t)} coherence."""
+    off = (0.5 * math.sin(2 * beta)
+           * np.exp(-1j * (varphi + spec.delta * spec.omega0 * spec.t))
+           * coherence)
+    return np.array([[math.cos(beta) ** 2, off],
+                     [np.conj(off), math.sin(beta) ** 2]])
 
 
 def local_qfi_x_closed(spec: ModelSpec, n: int, angles: StateAngles) -> float:
@@ -109,7 +113,7 @@ def local_qfi_x_closed(spec: ModelSpec, n: int, angles: StateAngles) -> float:
     _require_zzzz(spec, n)
     phase = spec.epsilon * spec.x * spec.t
     c2, s2 = math.cos(angles.alpha) ** 2, math.sin(angles.alpha) ** 2
-    w = c2 * np.exp(-1j * phase) + s2 * np.exp(1j * phase)
+    w = _coherence_factor(spec, angles.alpha)
     dw = 1j * spec.epsilon * spec.t * (s2 * np.exp(1j * phase) - c2 * np.exp(-1j * phase))
     sin2b = math.sin(2 * angles.beta)
 
@@ -271,12 +275,7 @@ def thermal_local_equivalence_check(spec: ModelSpec, n: int, beta_th: float,
     # configuration contributes e^{-i eps x t (2k - N)} to the coherence
     k = np.arange(n + 1)
     phase = spec.epsilon * spec.x * spec.t * (2 * k - n)
-    factor = complex(weights @ np.exp(-1j * phase))
-    off = (0.5 * math.sin(2 * bus_beta)
-           * np.exp(-1j * (bus_varphi + spec.delta * spec.omega0 * spec.t))
-           * factor)
-    thermal = np.array([[math.cos(bus_beta) ** 2, off],
-                        [np.conj(off), math.sin(bus_beta) ** 2]])
+    thermal = _bus_matrix(spec, bus_beta, bus_varphi, complex(weights @ np.exp(-1j * phase)))
 
     deviation = float(np.max(np.abs(thermal - pure)))
     return deviation < tol, deviation

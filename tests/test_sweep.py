@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -82,7 +81,6 @@ def test_parse_config_round_trip():
         alpha = pi/4
         quantities = global_qfi closed_form
         observable = x
-        workers = 2
     """)
     assert cfg.kind is ModelKind.ZZZZ
     assert cfg.param is Param.OMEGA1
@@ -114,15 +112,19 @@ def test_bundled_n_grids_unchanged():
 def test_parse_config_leaves_numpy_ma_unimported():
     # np.unique's first call imports numpy.ma (~10 ms), which a log N grid
     # does not need; a fresh process shows whether parsing pulled it in
-    script = (
-        "import sys\n"
-        "from spinbus.sweep import parse_config\n"
-        "parse_config(sys.stdin.read())\n"
-        "assert 'numpy.ma' not in sys.modules, 'parse_config imported numpy.ma'\n")
+    _fresh_python("import sys\n"
+                  "from spinbus.sweep import parse_config\n"
+                  "parse_config(sys.stdin.read())\n"
+                  "assert 'numpy.ma' not in sys.modules, 'parse_config imported numpy.ma'\n",
+                  stdin=_bundled_config("2"))
+
+
+def _fresh_python(script: str, stdin: str = ""):
+    """Run `script` in a new interpreter that imports this checkout's spinbus."""
     src = str(Path(spinbus.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], input=_bundled_config("2"),
+    proc = subprocess.run([sys.executable, "-c", script], input=stdin,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -144,7 +146,7 @@ def test_config_rejects_bad_input():
     "alphas = linspace inf 1 3",
     "alpha = pi/0",
     "measurements = 0",
-    "workers = 0",
+    "workers = 1",
     "regime = a: delta=inf",
     "regime = : delta=1",
     "regime = we,ak: delta=1",
@@ -325,27 +327,6 @@ def test_failing_quantity_leaves_the_fisher_rows_alone():
             assert r.value == global_qfi_fd(spec, r.n, DEFAULT_ANGLES, Param.X).value
 
 
-def test_sweep_deterministic_across_workers(tmp_path):
-    small = parse_config("""
-        model = zzzz
-        param = x
-        regime = a: delta=1, epsilon=1
-        regime = b: delta=1, epsilon=0.3
-        nlist = 1 2 4 8 16
-        quantities = global_qfi closed_form local_qfi first_moment pt1 pt2 hl_condition
-    """)
-    # fig 3's regimes at N = 500, the longest chains (501 states) any figure
-    # solves: every BLAS call runs on one thread in the parent process and in
-    # the workers alike, so both write the same bytes
-    fig3 = replace(parse_config(_bundled_config("3")), n_list=(500,), quantities=("global_qfi",))
-    for name, cfg in (("small", small), ("fig3", fig3)):
-        p1, p2 = tmp_path / f"{name}_serial.csv", tmp_path / f"{name}_parallel.csv"
-        emit_csv(run_sweep(cfg), str(p1))
-        emit_csv(run_sweep(replace(cfg, workers=2)), str(p2))
-        assert p1.read_bytes() == p2.read_bytes(), name
-        assert (tmp_path / f"{name}_serial.csv.fits.csv").exists()
-
-
 def test_pure_bus_sweep_has_no_error_rows():
     # at x = 0 the bus decouples and stays pure, and its derivative in omega1
     # is round-off; the tangency test reads that from the certified errors
@@ -515,7 +496,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     for flag in ("--nmax", "--workers"):  # 0 is a value, not "not given"
         assert main(["fig", "6", "--out", out, flag, "0"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # any --workers but 1 names the removal
+    assert main(["fig", "6", "--out", out, "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers was removed" in err
     assert not (tmp_path / "bad.csv").exists() and not (tmp_path / "fig6.csv").exists()
+    # perfbench's figures pass runs `fig N --workers 1`, and its tracer reads
+    # `config.workers`
+    assert main(["fig", "6", "--workers", "1", "--out", out]) == 0
+    assert (tmp_path / "fig6.csv").exists()
+    assert parse_config(_bundled_config("6")).workers == 1
+    with pytest.raises(ValueError, match="workers was removed"):
+        parse_config("workers = 1")
+    # sweeps run in one process, so the CLI imports neither of these
+    _fresh_python("import sys\n"
+                  "import spinbus.cli\n"
+                  "loaded = {'concurrent.futures', 'logging'} & set(sys.modules)\n"
+                  "assert not loaded, loaded\n")
 
 
 def test_alpha_grid_expansion():
