@@ -8,8 +8,7 @@ N^2 gain), slope 1 is the standard quantum limit of classical averaging.
 Equivalent CLI runs, with CSV output: `spinbus fig 2` and `spinbus fig 3`.
 """
 
-from spinbus.fisher import Param
-from spinbus.dynamics import ModelKind
+from spinbus import ModelKind, Param
 from spinbus.sweep import Regime, SweepConfig, run_sweep
 
 n_list = (1, 2, 4, 8, 16, 32, 64, 128, 256)

@@ -10,7 +10,8 @@ validate [--suite]    run validation suites a/b/c/d (default all), one
 exact <model> <param> one-shot closed-form query (ZZZZ only)
 fig <2|3|4|5|6>       reproduce a bundled figure configuration
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or config error.
+Exit codes: 0 success, 1 validation failure or an `exact` query that cannot
+be answered, 2 I/O or config error.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import sys
 
 from . import sweep as sweeplib
 from . import zzzz_exact
-from .dynamics import ModelKind, ModelSpec
-from .fisher import Param
+from .dynamics import ModelKind, ModelSpec, Param
 from .states import StateAngles
 from .sweep import parse_config, parse_number
 from .validate import SUITES, validate
@@ -81,6 +81,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.seed is not None and args.seed < 0:  # numpy seeds no generator from one
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     seed = {} if args.seed is None else {"seed": args.seed}
     report = validate(suites=args.suite, **seed)
     for check in report.checks:
@@ -105,7 +108,7 @@ def _cmd_exact(args) -> int:
         if args.thermal is not None:
             value = zzzz_exact.thermal_global_qfi(spec, args.n, args.thermal,
                                                   angles.beta, sel)
-            label = f"thermal global QFI[{sel.field}]"
+            label = f"thermal global QFI[{sel.value}]"
         elif args.local:
             if sel is not Param.X:
                 print("error: the local closed form is available for x only",
@@ -115,9 +118,12 @@ def _cmd_exact(args) -> int:
             label = "local QFI[x]"
         else:
             value = zzzz_exact.global_qfi_closed(spec, args.n, angles, sel)
-            label = f"global QFI[{sel.field}]"
+            label = f"global QFI[{sel.value}]"
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except ArithmeticError as err:  # Python's float ** raises OverflowError
+        print(f"error: the closed form cannot be evaluated in floats: {err}", file=sys.stderr)
         return 1
     print(f"{label} N={args.n}: {value:.17g}")
     return 0

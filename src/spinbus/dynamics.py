@@ -41,9 +41,10 @@ to one thread, which keeps them bit-reproducible and their results
 independent of the caller's thread count (see `_blas_threads`).  From
 THREADED_SIZE states on, `evolve_derivative` runs every other column tile
 of a chain on a second Python thread, whose BLAS calls run on one thread
-too.  Where numpy links another LAPACK (MKL, Accelerate), each chain is
-solved densely by `np.linalg.eigh` instead: the same results to rounding,
-certified by the same residual, but about three times slower.
+too.  Where numpy links another LAPACK (MKL, Accelerate), the chains go
+as dense matrices through the one batched `np.linalg.eigh` that solves the
+tiny blocks: the same results to rounding, certified by the same residual,
+but about three times slower.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ class ModelKind(Enum):
 
     def __str__(self):
         return self.value
+
+
+class Param(Enum):
+    """Which Hamiltonian parameter is being estimated."""
+
+    X = "x"
+    OMEGA0 = "omega0"
+    OMEGA1 = "omega1"
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,7 @@ class HamiltonianMatrix:
     size-1) are the diagonal and off-diagonal of block b.  Position i of the
     permuted order holds basis index `perm[i]`: with T the block-diagonal
     tridiagonal matrix, the operator is M[perm[i], perm[j]] = T[i, j].
+    `perm` is taken to be a permutation, as `_layout` builds it, unchecked.
     """
 
     n_probes: int
@@ -116,8 +126,8 @@ class HamiltonianMatrix:
         diag = np.asarray(self.block_diag, dtype=float)
         off = np.asarray(self.block_off, dtype=float)
         dim = 2 * (self.n_probes + 1)
-        if perm.shape != (dim,) or not np.array_equal(np.sort(perm), np.arange(dim)):
-            raise ValueError(f"perm must be a permutation of 0..{dim - 1}")
+        if perm.shape != (dim,):
+            raise ValueError(f"perm must have {dim} entries")
         if diag.ndim != 2 or diag.size != dim:
             raise ValueError(f"block_diag must be (blocks, size) with {dim} entries")
         if off.shape != (diag.shape[0], diag.shape[1] - 1):
@@ -197,55 +207,50 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray, out: np.ndarray,
     return out
 
 
-PARAMETERS = ("x", "omega0", "omega1")
-
-
 def _layout(kind: ModelKind, n: int):
-    """(perm, block size) of a model's tridiagonal form."""
+    """Everything of a model's tridiagonal form that (kind, N) fixes: (perm,
+    block size, J_z and the bus Z/2 in the permuted order, and the diagonal
+    (permuted order) and block off-diagonal of K (x) B)."""
     if kind is ModelKind.ZZXX:
         k = np.arange(n + 1)
         bus = (k + np.array([[0], [1]])) % 2  # row p: the chain with k + s = p mod 2
-        return (2 * k + bus).ravel(), n + 1
-    return np.arange(2 * (n + 1)), 2 if kind is ModelKind.ZZZX else 1
-
-
-def _coupling(kind: ModelKind, n: int, perm: np.ndarray):
-    """Diagonal (permuted order) and block off-diagonal of K (x) B."""
+        perm, size = (2 * k + bus).ravel(), n + 1
+    else:
+        perm, size = np.arange(2 * (n + 1)), 2 if kind is ModelKind.ZZZX else 1
+    jz = m_values(n)[perm // 2]
+    z_half = 0.5 - (perm % 2)  # Z/2 on the bus: +1/2 for s = 0, -1/2 for s = 1
     if kind is ModelKind.ZZZZ:  # J_z (x) Z
-        return m_values(n)[perm // 2] * (1 - 2 * (perm % 2)), np.zeros((len(perm), 0))
-    diag = np.zeros(len(perm))
-    if kind is ModelKind.ZZZX:  # J_z (x) X: (k, 0) <-> (k, 1)
-        return diag, m_values(n)[:, None]
-    return diag, np.tile(_jx_ladder(n), (2, 1))  # J_x (x) X along both chains
+        coupling = jz * (1 - 2 * (perm % 2)), np.zeros((len(perm), 0))
+    elif kind is ModelKind.ZZZX:  # J_z (x) X: (k, 0) <-> (k, 1)
+        coupling = np.zeros(len(perm)), m_values(n)[:, None]
+    else:  # J_x (x) X along both chains
+        coupling = np.zeros(len(perm)), np.tile(_jx_ladder(n), (2, 1))
+    return perm, size, jz, z_half, *coupling
 
 
-def assemble(spec: ModelSpec, n: int, wrt: str | None = None) -> HamiltonianMatrix:
+def assemble(spec: ModelSpec, n: int, wrt: Param | None = None) -> HamiltonianMatrix:
     """H = delta*(omega1 J_z (x) I + omega0/2 I (x) Z) + eps*x*(K (x) B), or
-    with `wrt` in PARAMETERS the derivative dH/d(wrt), which has the same
-    block structure.
+    with a `wrt` Param the derivative dH/d(wrt), which has the same block
+    structure.
 
     The collective operators absorb the 1/2 of each single-spin term:
     sum_i Z_i/2 = J_z and sum_i P_i/2 (x) B = K (x) B with x factored out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    perm, size = _layout(spec.kind, n)
-    jz = m_values(n)[perm // 2]
-    z_half = 0.5 - (perm % 2)  # Z/2 on the bus: +1/2 for s = 0, -1/2 for s = 1
-    c_diag, c_off = _coupling(spec.kind, n, perm)
-    no_off = np.zeros_like(c_off)
+    perm, size, jz, z_half, c_diag, c_off = _layout(spec.kind, n)
     if wrt is None:
         diag = (spec.delta * (spec.omega1 * jz + spec.omega0 * z_half)
                 + spec.epsilon * spec.x * c_diag)
         off = spec.epsilon * spec.x * c_off
-    elif wrt == "x":
+    elif wrt is Param.X:
         diag, off = spec.epsilon * c_diag, spec.epsilon * c_off
-    elif wrt == "omega1":
-        diag, off = spec.delta * jz, no_off
-    elif wrt == "omega0":
-        diag, off = spec.delta * z_half, no_off
+    elif wrt is Param.OMEGA1:
+        diag, off = spec.delta * jz, np.zeros_like(c_off)
+    elif wrt is Param.OMEGA0:
+        diag, off = spec.delta * z_half, np.zeros_like(c_off)
     else:
-        raise ValueError(f"wrt must be one of {PARAMETERS} or None, got {wrt!r}")
+        raise ValueError(f"wrt must be a Param or None, got {wrt!r}")
     return HamiltonianMatrix(n, perm, diag.reshape(-1, size), off)
 
 
@@ -351,13 +356,9 @@ def _solve_chain(d: np.ndarray, e: np.ndarray, w: np.ndarray, z: np.ndarray):
     """Write the ascending eigenvalues into w and the orthonormal
     eigenvectors (columns) into the Fortran-ordered z of the symmetric
     tridiagonal matrix with diagonal d and off-diagonal e: LAPACK dstevd, as
-    `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum, or dense
-    `np.linalg.eigh` without numpy's OpenBLAS.  dstevd overwrites D and E,
-    so D is w, filled with d, and E a copy of e; E and the workspaces are
-    the head of the thread's arena (`_scratch`)."""
-    if _OPENBLAS is None:
-        w[:], z[:] = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        return
+    `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum.  dstevd
+    overwrites D and E, so D is w, filled with d, and E a copy of e; E and
+    the workspaces are the head of the thread's arena (`_scratch`)."""
     n = len(d)
     w[:] = d
     lwork, liwork, info = 1 + 4 * n + n * n, 3 + 5 * n, ctypes.c_int64()
@@ -383,19 +384,20 @@ def eigensystem(h: HamiltonianMatrix):
     """
     diag, off = h.block_diag, h.block_off
     size = diag.shape[1]
+    chains = 1 if _mirrored(h) else len(diag)
+    w = np.empty(diag.shape)
     try:
-        if size <= 2:  # many tiny blocks: one batched dense solve
-            blocks = np.zeros(diag.shape + (size,))
+        if size <= 2 or _OPENBLAS is None:  # tiny blocks, or no dstevd: one dense solve
+            blocks = np.zeros((chains, size, size))
             i = np.arange(size)
-            blocks[:, i, i] = diag
-            blocks[:, i[:-1], i[1:]] = blocks[:, i[1:], i[:-1]] = off
-            return np.linalg.eigh(blocks)
-        chains = 1 if _mirrored(h) else len(diag)
-        w = np.empty(diag.shape)
-        v = np.empty((chains, size, size)).transpose(0, 2, 1)  # each v[b] as dstevd's Z
-        with _blas_threads():
-            for b in range(chains):
-                _solve_chain(diag[b], off[b], w[b], v[b])
+            blocks[:, i, i] = diag[:chains]
+            blocks[:, i[:-1], i[1:]] = blocks[:, i[1:], i[:-1]] = off[:chains]
+            w[:chains], v = np.linalg.eigh(blocks)
+        else:
+            v = np.empty((chains, size, size)).transpose(0, 2, 1)  # each v[b] as dstevd's Z
+            with _blas_threads():
+                for b in range(chains):
+                    _solve_chain(diag[b], off[b], w[b], v[b])
     except np.linalg.LinAlgError as err:
         raise RuntimeError(
             f"eigendecomposition failed to converge for dim={h.dim}: {err}") from err

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .dynamics import ModelSpec, assemble, evolve_derivative
+from .dynamics import ModelSpec, Param, assemble, evolve_derivative
 from .paulis import check_hermitian_2x2
 from .states import StateAngles, SymmetricState, build_product_state
 
@@ -28,18 +27,6 @@ RELATIVE_ERROR_TOL = 1e-3
 NEGATIVE_CLAMP = 1e-10
 PURE_BOUNDARY_TOL = 1e-9
 INSENSITIVE_TOL = 1e-14
-
-
-class Param(Enum):
-    """Which Hamiltonian parameter is being estimated."""
-
-    X = "x"
-    OMEGA0 = "omega0"
-    OMEGA1 = "omega1"
-
-    @property
-    def field(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -138,7 +125,7 @@ class EvolvedPoint:
 def evolve_point(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> EvolvedPoint:
     """Evolve the product state under `spec` and differentiate it exactly in
     `sel`, both from one eigendecomposition of H that certifies itself."""
-    return EvolvedPoint(*evolve_derivative(assemble(spec, n), assemble(spec, n, wrt=sel.field),
+    return EvolvedPoint(*evolve_derivative(assemble(spec, n), assemble(spec, n, wrt=sel),
                                            spec.t, build_product_state(n, angles)))
 
 

@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import paulis
-from .dynamics import ModelKind, ModelSpec
-from .fisher import FirstMomentResult, Param, first_moment_result
+from .dynamics import ModelKind, ModelSpec, Param
+from .fisher import FirstMomentResult, first_moment_result
 from .states import StateAngles
 
 # (probe operator P with S = x/2 P, bus operator R) per model

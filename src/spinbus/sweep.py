@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fisher, paulis, perturb, zzzz_exact
-from .dynamics import ModelKind, ModelSpec
-from .fisher import Param
+from .dynamics import ModelKind, ModelSpec, Param
 from .states import DEFAULT_ANGLES, StateAngles
 
 

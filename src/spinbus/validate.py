@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher, fullspace, paulis, perturb, zzzz_exact
-from .dynamics import ModelKind, ModelSpec, assemble, evolve, propagate
-from .fisher import Param, global_qfi_fd, reduce_to_bus
+from .dynamics import ModelKind, ModelSpec, Param, assemble, evolve, propagate
+from .fisher import global_qfi_fd, reduce_to_bus
 from .states import DEFAULT_ANGLES, StateAngles, build_product_state
 from .sweep import fit_loglog
 
@@ -77,11 +77,11 @@ def _fd_global_qfi(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> 
     dH/d theta: the truncation error grows like (h t ||G||)^2.
     """
     point = fisher.evolve_point(spec, n, angles, sel)
-    theta = getattr(spec, sel.field)
+    theta = getattr(spec, sel.value)
     h = (1e-6 * max(1.0, abs(theta))
-         / math.sqrt(max(1.0, abs(spec.t) * assemble(spec, n, wrt=sel.field).norm_bound)))
+         / math.sqrt(max(1.0, abs(spec.t) * assemble(spec, n, wrt=sel).norm_bound)))
     psi0 = build_product_state(n, angles)
-    plus, minus = (evolve(assemble(spec.replaced(**{sel.field: theta + s}), n),
+    plus, minus = (evolve(assemble(spec.replaced(**{sel.value: theta + s}), n),
                           spec.t, psi0).amplitudes for s in (h, -h))
     check = fisher._pure_qfi(point.psi.amplitudes, (plus - minus) / (2.0 * h))
     return fisher.read_global_qfi(point), check, h
@@ -113,7 +113,7 @@ def _suite_fd_two_step(_seed: int) -> list:
         elif res.ill_conditioned and max(res.value, check) < 1e-6:
             flagged_vanishing += 1
         else:
-            silent_violations.append((sel.field, delta, eps, n, disc))
+            silent_violations.append((sel.value, delta, eps, n, disc))
     return [CheckResult("b", "fd-two-step-agreement", not silent_violations,
                         f"worst resolvable discrepancy={worst:.2e} over "
                         f"{len(configs)} configs; {flagged_vanishing} "
@@ -165,7 +165,7 @@ def _suite_full_hilbert(_seed: int) -> list:
         for sel in Param:
             point = fisher.evolve_point(ModelSpec(kind), 6, a, sel)
             full, dfull = fullspace.evolved_with_derivative_full(
-                str(kind), 6, params, sel.field, a.alpha, a.phi, a.beta, a.varphi)
+                str(kind), 6, params, sel.value, a.alpha, a.phi, a.beta, a.varphi)
             drho = fullspace.bus_density_derivative(full, dfull)
             pairs = ((fisher.read_global_qfi(point).value,
                       fullspace.pure_qfi(full, dfull)),

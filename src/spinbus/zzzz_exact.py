@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelSpec
-from .fisher import BusDensity, Param
+from .dynamics import ModelKind, ModelSpec, Param
+from .fisher import BusDensity
 from .states import (UNFAVORABLE_ANGLES, StateAngles, ThermalProbeSpec, _log_binomial,
                      m_values, thermal_equivalent_alpha)
 
@@ -236,8 +236,7 @@ def thermal_global_qfi(spec: ModelSpec, n: int, beta_th: float,
     4 e^{-2|u|} / (1 + e^{-2|u|})^2 neither overflows nor cancels.
     """
     _require_zzzz(spec, n)
-    if beta_th < 0:
-        raise ValueError("beta_th must be >= 0")
+    ThermalProbeSpec(beta_th, spec.omega1)  # beta_th finite and >= 0
     u = beta_th * spec.omega1
     decay = math.exp(-2.0 * abs(u))
     sech_sq = 4.0 * decay / (1.0 + decay) ** 2

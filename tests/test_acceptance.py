@@ -208,7 +208,7 @@ def test_criterion_6_thermal_probes():
     for n, beta_th in ((2, 0.0), (2, 1.3), (5, 0.7), (8, 0.4)):
         for sel in (Param.X, Param.OMEGA1, Param.OMEGA0):
             closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
-            ref = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+            ref = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.value,
                                                     beta_th, 0.6, 0.3)
             worst = max(worst, abs(closed - ref) / max(abs(closed), 1e-9))
     assert worst < RELATIVE

@@ -9,10 +9,10 @@ import pytest
 
 from spinbus import dynamics, fullspace
 from spinbus.dynamics import (
-    PARAMETERS,
     HamiltonianMatrix,
     ModelKind,
     ModelSpec,
+    Param,
     assemble,
     eigensystem,
     evolve,
@@ -48,6 +48,25 @@ def test_assemble_matches_full_tensor_hamiltonian(kind, n):
     projected = basis @ hfull @ basis.conj().T
     np.testing.assert_allclose(h.matrix, projected.real, atol=1e-10)
     assert np.max(np.abs(projected.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_layout_permutes_the_basis(kind):
+    # assemble takes every perm from _layout, and HamiltonianMatrix does not
+    # check it
+    for n in (1, 2, 3, 4, 7, 64, 65):
+        perm, size, jz, z_half, c_diag, c_off = dynamics._layout(kind, n)
+        dim = 2 * (n + 1)
+        assert np.array_equal(np.sort(perm), np.arange(dim))
+        assert jz.shape == z_half.shape == c_diag.shape == (dim,)
+        assert c_off.shape == (dim // size, size - 1)
+
+
+def test_assemble_takes_a_param_or_none():
+    spec = ModelSpec(ModelKind.ZZXX)
+    for wrt in ("x", "omega1", 0):
+        with pytest.raises(ValueError, match="wrt must be a Param"):
+            assemble(spec, 3, wrt=wrt)
 
 
 def test_evolve_t0_is_identity():
@@ -152,7 +171,7 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
             count = get()
             for n in (300, 301, big):  # one mirrored chain, two chains, one at the size
                 spec = ModelSpec(ModelKind.ZZXX)
-                h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+                h, g = assemble(spec, n), assemble(spec, n, wrt=Param.X)
                 seen.clear()
                 w, v = eigensystem(h)
                 assert seen == {"_solve_chain": [1] * (1 if n % 2 == 0 else 2)}
@@ -196,7 +215,7 @@ def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
         pytest.skip("numpy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
-    h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     caller, results = get(), []
     try:
@@ -218,7 +237,7 @@ def test_column_halves_match_one_slab(monkeypatch, n, wrt):
     # tiles on the caller's: even and odd tiles sum into their own
     # accumulators and residual norms either way, added in one order
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
-    h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
     assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     psi, dpsi, *bounds = evolve_derivative(h, g, spec.t, psi0)
@@ -233,7 +252,7 @@ def test_column_halves_match_one_slab(monkeypatch, n, wrt):
 def test_exception_in_a_column_half_propagates(monkeypatch, first):
     n = dynamics.THREADED_SIZE
     spec = ModelSpec(ModelKind.ZZXX)
-    h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param.X)
     tiles = dynamics._tiles
 
     def failing(*args):
@@ -250,7 +269,7 @@ def test_solves_leave_h_unchanged():
     # dstevd overwrites its D and E; the frozen blocks of H must not be them
     spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)
     for n in (50, 51):
-        h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+        h, g = assemble(spec, n), assemble(spec, n, wrt=Param.X)
         before = [m.copy() for m in (h.block_diag, h.block_off, g.block_diag, g.block_off)]
         eigensystem(h)
         evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
@@ -266,20 +285,26 @@ def _block_mul(m, x):
 
 @pytest.mark.parametrize("n", [2, 3, 50, 51])
 def test_dense_fallback_matches_lapack_path(monkeypatch, every_block, n):
-    spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)
-    h, g = assemble(spec, n), assemble(spec, n, wrt="x")
+    # without dstevd every block goes through one batched dense eigh: the 1-
+    # and 2-state blocks of ZZZZ and ZZZX, and ZZXX's chains, of which a
+    # mirrored H still solves chain 0 only
     psi0 = build_product_state(n, DEFAULT_ANGLES)
-    psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
-    monkeypatch.setattr(dynamics, "_OPENBLAS", None)
-    w, v = eigensystem(h)
-    v = every_block(w, v)
-    for vb in v:
-        np.testing.assert_allclose(vb.T @ vb, np.eye(n + 1), atol=1e-10)
-    residual = _block_mul(h, v) - v * w[:, None, :]
-    assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)
-    psi_fb, dpsi_fb, psi_error, dpsi_error = evolve_derivative(h, g, spec.t, psi0)
-    assert np.linalg.norm(psi_fb.amplitudes - psi.amplitudes) <= psi_error
-    assert np.linalg.norm(dpsi_fb - dpsi) <= dpsi_error
+    for kind in ModelKind:
+        spec = ModelSpec(kind, epsilon=3.0, delta=1.3)
+        h, g = assemble(spec, n), assemble(spec, n, wrt=Param.X)
+        psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_OPENBLAS", None)
+            w, v = eigensystem(h)
+            psi_fb, dpsi_fb, psi_error, dpsi_error = evolve_derivative(h, g, spec.t, psi0)
+        assert len(v) == (1 if dynamics._mirrored(h) else len(w))
+        v = every_block(w, v)
+        for vb in v:
+            np.testing.assert_allclose(vb.T @ vb, np.eye(len(vb)), atol=1e-10)
+        residual = _block_mul(h, v) - v * w[:, None, :]
+        assert np.max(np.abs(residual)) < 1e-9 * np.linalg.norm(h.matrix)
+        assert np.linalg.norm(psi_fb.amplitudes - psi.amplitudes) <= psi_error
+        assert np.linalg.norm(dpsi_fb - dpsi) <= dpsi_error
 
 
 def _materialised(h, g, t, psi0, every_block):
@@ -321,7 +346,7 @@ def test_view_path_matches_materialised_formula(every_block, kind, n):
     mirrored = dynamics._mirrored(h)
     assert mirrored == (kind is ModelKind.ZZXX and n % 2 == 0 and n > 1)
     psi = evolve(h, spec.t, psi0).amplitudes
-    generators = [assemble(spec, n, wrt=p) for p in PARAMETERS]
+    generators = [assemble(spec, n, wrt=p) for p in Param]
     for g in generators + [_random_generator(h, rng, mirrored)]:
         mine, dmine, _, _ = evolve_derivative(h, g, spec.t, psi0)
         ref, dref = _materialised(h, g, spec.t, psi0, every_block)
@@ -342,7 +367,7 @@ def test_tiles_match_the_dense_formula(every_block, kind, n, t):
     spec = ModelSpec(kind, *rng.uniform(0.3, 1.5, 5), t=t)
     h, psi0 = assemble(spec, n), build_product_state(n, DEFAULT_ANGLES)
     assert dynamics._mirrored(h) == (kind is ModelKind.ZZXX and n % 2 == 0)
-    for g in (assemble(spec, n, wrt=p) for p in PARAMETERS):
+    for g in (assemble(spec, n, wrt=p) for p in Param):
         psi, dpsi, _, _ = evolve_derivative(h, g, t, psi0)
         ref, dref = _materialised(h, g, t, psi0, every_block)
         assert np.linalg.norm(psi.amplitudes - ref) <= 1e-13
@@ -413,7 +438,7 @@ def test_repeated_derivative_allocates_no_size_squared_buffer_but_v():
         pytest.skip("the dense fallback solve forms the chain as a dense matrix")
     n = 500
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
-    h, g = assemble(spec, n), assemble(spec, n, wrt="omega1")
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param.OMEGA1)
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     evolve_derivative(h, g, spec.t, psi0)
     tracemalloc.start()
@@ -430,7 +455,7 @@ def test_concurrent_callers_keep_their_own_scratch_arenas():
     # four threads at four sizes, interleaved often, give the serial bits
     sizes = (64, 129, 200, 256)
     spec = ModelSpec(ModelKind.ZZXX, delta=1.3, epsilon=3.0)
-    inputs = [(assemble(spec, n), assemble(spec, n, wrt="x"),
+    inputs = [(assemble(spec, n), assemble(spec, n, wrt=Param.X),
                build_product_state(n, DEFAULT_ANGLES)) for n in sizes]
     serial = [evolve_derivative(h, g, spec.t, psi0) for h, g, psi0 in inputs]
     results = {}
@@ -471,7 +496,7 @@ def test_n2000_derivative_matches_materialised_formula(every_block, field, wrt):
     # against every block formed and the whole kernel built with np.sin
     n = 2000
     spec = ModelSpec(ModelKind.ZZXX, **{field: 100.0})
-    h, g = assemble(spec, n), assemble(spec, n, wrt=wrt)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
     assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE and dynamics._mirrored(h)
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
@@ -487,7 +512,7 @@ def test_derivative_holds_no_size_squared_buffer_after_the_solve():
         pytest.skip("the dense fallback solve forms the chain as a dense matrix")
     n = 1000
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
-    h, g = assemble(spec, n), assemble(spec, n, wrt="omega1")
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param.OMEGA1)
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     tracemalloc.start()
     try:
@@ -532,7 +557,7 @@ def test_tri_mul_skips_a_zero_off_diagonal():
     rng = np.random.default_rng(3)
     spec = ModelSpec(ModelKind.ZZXX)
     for n in (6, 7):
-        for wrt in ("omega0", "omega1", "x"):
+        for wrt in Param:
             g = assemble(spec, n, wrt=wrt)
             x = rng.standard_normal((2, n + 1, 3)) + 1j * rng.standard_normal((2, n + 1, 3))
             diag, off = g.block_diag[:, :, None], g.block_off[:, :, None]
@@ -543,8 +568,8 @@ def test_tri_mul_skips_a_zero_off_diagonal():
                         for _ in range(2))
             out = dynamics._tri_mul(diag, g.block_off, x, out, tmp)
             np.testing.assert_array_equal(out, summed)
-            assert np.isnan(tmp).all() == (wrt != "x")
-            if wrt != "x":
+            assert np.isnan(tmp).all() == (wrt is not Param.X)
+            if wrt is not Param.X:
                 np.testing.assert_array_equal(out, diag * x)
 
 

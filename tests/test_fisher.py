@@ -236,7 +236,7 @@ def test_two_step_protocol_recorded():
     res, check, step = _fd_global_qfi(ZZZZ, 8, DEFAULT_ANGLES, Param.X)
     # 1e-6 * max(1, |x|) / sqrt(max(1, |t| ||G||)) with G = dH/dx = eps K (x) Z,
     # whose Gershgorin bound at N = 8 is eps * N/2 = 4
-    assert assemble(ZZZZ, 8, wrt="x").norm_bound == 4.0
+    assert assemble(ZZZZ, 8, wrt=Param.X).norm_bound == 4.0
     assert step == 1e-6 / math.sqrt(4.0)
     assert _discrepancy(res.value, check) < 1e-3
     assert not res.ill_conditioned
@@ -269,7 +269,7 @@ def _expm_derivative(spec, n, angles, sel):
     """d psi / d theta from the augmented exponential
     exp(-i t [[H, G], [0, H]]) = [[U, dU/d theta], [0, U]]."""
     h = assemble(spec, n).matrix
-    g = assemble(spec, n, wrt=sel.field).matrix
+    g = assemble(spec, n, wrt=sel).matrix
     dim = h.shape[0]
     aug = np.block([[h, g], [np.zeros_like(h), h]])
     prop = scipy.linalg.expm(-1j * spec.t * aug)
@@ -328,9 +328,9 @@ def test_tridiagonal_pieces_permute_back_to_dense(kind):
     dense = {None: spec.delta * (spec.omega1 * np.kron(jz, np.eye(2))
                                  + spec.omega0 / 2 * np.kron(np.eye(n + 1), bus_z))
                    + spec.epsilon * spec.x * coupling,
-             "x": spec.epsilon * coupling,
-             "omega1": spec.delta * np.kron(jz, np.eye(2)),
-             "omega0": spec.delta / 2 * np.kron(np.eye(n + 1), bus_z)}
+             Param.X: spec.epsilon * coupling,
+             Param.OMEGA1: spec.delta * np.kron(jz, np.eye(2)),
+             Param.OMEGA0: spec.delta / 2 * np.kron(np.eye(n + 1), bus_z)}
     for wrt, expected in dense.items():
         h = assemble(spec, n, wrt=wrt)
         tri = np.zeros((h.dim, h.dim))

@@ -239,7 +239,7 @@ def test_thermal_qfi_matches_zzzz_closed_form(n, beta_th):
     params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0, x=1.0, t=1.0)
     for sel in Param:
         closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
-        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.value,
                                                    beta_th, 0.6, 0.3)
         assert oracle == pytest.approx(closed, rel=1e-12, abs=1e-20)
 
@@ -253,7 +253,7 @@ def test_thermal_qfi_keeps_relative_precision_at_large_u(beta_th):
     params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0, x=1.0, t=1.0)
     for sel in Param:
         closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
-        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.value,
                                                    beta_th, 0.6, 0.3)
         assert oracle == pytest.approx(closed, rel=1e-12, abs=0.0)
 
@@ -267,7 +267,7 @@ def test_thermal_probes_at_large_u(u):
     params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=omega1, x=1.0, t=1.0)
     for sel in Param:
         closed = thermal_global_qfi(spec, n, beta_th, 0.6, sel)
-        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.field,
+        oracle = fullspace.thermal_global_qfi_full("ZZZZ", n, params, sel.value,
                                                    beta_th, 0.6, 0.3)
         assert oracle == pytest.approx(closed, rel=1e-12, abs=1e-20)
     passed, dev = thermal_local_equivalence_check(spec, n, beta_th, 0.6, 0.3)

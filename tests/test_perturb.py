@@ -166,7 +166,7 @@ def _pt1_x_integrals_2x2(spec, angles, order):
 def _pt2_from_collective_variance(spec, n, angles, sel):
     """Reference: 4 t^2 Var_psi0(dH/d theta) with dH/d theta from `assemble`."""
     psi = build_product_state(n, angles).amplitudes
-    g_psi = assemble(spec, n, wrt=sel.field).matrix @ psi
+    g_psi = assemble(spec, n, wrt=sel).matrix @ psi
     mean = np.vdot(psi, g_psi).real
     return 4.0 * spec.t ** 2 * float(np.vdot(g_psi, g_psi).real - mean ** 2)
 

@@ -376,6 +376,12 @@ def test_cli_validate_honours_seed_zero(capsys):
     assert seeded != validate(suites="d").checks  # seed 0 is not the default
 
 
+def test_cli_validate_rejects_a_negative_seed(capsys):
+    assert main(["validate", "--suite", "d", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
+
+
 # `spinbus validate`'s output contract: each suite's check names in order, and
 # the label of the number each details string carries; tools parse these
 # lines and look a check's bound up by its name
@@ -421,8 +427,13 @@ def test_cli_exact_rejects_bad_values(capsys):
     assert main(["exact", "zzzz", "x", "--n", "-3"]) == 1
     assert main(["exact", "zzzz", "x", "--n", "0", "--thermal", "0.5"]) == 1
     assert main(["exact", "zzzz", "x", "--local", "--n", "-3"]) == 1
+    assert main(["exact", "zzzz", "x", "--n", "5", "--thermal", "nan"]) == 1
+    assert main(["exact", "zzzz", "omega1", "--n", "5", "--thermal", "inf"]) == 1
+    # Python's float ** raises OverflowError where a closed form overflows
+    assert main(["exact", "zzzz", "x", "--n", "5", "--t", "1e200"]) == 1
+    assert main(["exact", "zzzz", "omega0", "--n", "5", "--delta", "1e160"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.count("error: ") == 5 and captured.out == ""
+    assert captured.err.count("error: ") == 9 and captured.out == ""
 
 
 def test_cli_sweep_and_fig(tmp_path, capsys):

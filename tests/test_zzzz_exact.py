@@ -45,6 +45,13 @@ def test_closed_forms_reject_fewer_than_one_probe(n):
             call()
 
 
+@pytest.mark.parametrize("beta_th", [math.nan, math.inf, -1.0])
+def test_thermal_qfi_rejects_a_bad_temperature(beta_th):
+    for sel in Param:
+        with pytest.raises(ValueError, match="beta_th"):
+            thermal_global_qfi(ZZZZ, 5, beta_th, 0.3, sel)
+
+
 def test_global_closed_omega0_n_independent():
     values = {global_qfi_closed(ZZZZ, n, DEFAULT_ANGLES, Param.OMEGA0)
               for n in (1, 10, 100)}
