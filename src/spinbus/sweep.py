@@ -138,8 +138,9 @@ class _Point:
         """One row per requested quantity, in the config's order."""
         rows = []
         for quantity in self.config.quantities:
+            params, reader = _READERS[quantity]
             try:
-                value, flag = _READERS[quantity](self)
+                value, flag = reader(self) if self.sel in params else (math.nan, "unsupported")
             except Exception as err:  # per-point failures are data, not crashes
                 value, flag = math.nan, f"error:{type(err).__name__}"
             rows.append(Row(self.n, quantity, self.regime.name, value, flag))
@@ -154,34 +155,26 @@ def _first_moment(r) -> tuple:
     return r.inv_squared, r.flag
 
 
-def _pt1(p: _Point) -> tuple:
-    if p.sel is Param.X:
-        return perturb.pt1_qfi_x(p.spec, p.n, p.angles).value, ""
-    if p.sel is Param.OMEGA1:
-        return perturb.pt1_qfi_omega1(p.spec, p.n, p.angles).value, ""
-    return math.nan, "unsupported"
-
-
-def _pt2(p: _Point) -> tuple:
-    if p.sel is Param.OMEGA0:
-        return math.nan, "unsupported"
-    return perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel).value, ""
-
-
-# quantity -> reader of a point, returning (value, flag).  Readers look up what
-# they call at call time, so wrapping a module function also wraps its use here.
+# quantity -> (the parameters it is defined for, reader of a point returning
+# (value, flag)).  Outside its parameters a quantity's row reads nan,
+# "unsupported", and its reader is not called.  Readers look up what they call
+# at call time, so wrapping a module function also wraps its use here.
+_ALL, _X_OMEGA1, _X = tuple(Param), (Param.X, Param.OMEGA1), (Param.X,)
 _READERS = {
-    "global_qfi": lambda p: _qfi(fisher.read_global_qfi(p.evolved())),
-    "local_qfi": lambda p: _qfi(fisher.read_local_qfi(p.evolved())),
-    "first_moment": lambda p: _first_moment(fisher.read_first_moment(
-        p.evolved(), p.observable, p.config.m_measurements)),
-    "pt1": _pt1,
-    "pt2": _pt2,
-    "closed_form": lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel), ""),
-    "hl_condition": lambda p: (perturb.hl_condition(p.spec, p.angles), ""),
-    "appendix_fm": lambda p: _first_moment(perturb.appendix_local_uncertainty(
-        p.spec, p.n, p.angles, p.observable, p.sel, p.config.m_measurements)),
-    "local_qfi_closed": lambda p: (zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles), ""),
+    "global_qfi": (_ALL, lambda p: _qfi(fisher.read_global_qfi(p.evolved()))),
+    "local_qfi": (_ALL, lambda p: _qfi(fisher.read_local_qfi(p.evolved()))),
+    "first_moment": (_ALL, lambda p: _first_moment(fisher.read_first_moment(
+        p.evolved(), p.observable, p.config.m_measurements))),
+    "pt1": (_X_OMEGA1, lambda p: ((perturb.pt1_qfi_x if p.sel is Param.X
+                                   else perturb.pt1_qfi_omega1)(p.spec, p.n, p.angles).value, "")),
+    "pt2": (_X_OMEGA1, lambda p: (perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel).value, "")),
+    "closed_form": (_ALL, lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel),
+                                     "")),
+    "hl_condition": (_X, lambda p: (perturb.hl_condition(p.spec, p.angles), "")),
+    "appendix_fm": (_X_OMEGA1, lambda p: _first_moment(perturb.appendix_local_uncertainty(
+        p.spec, p.n, p.angles, p.observable, p.sel, p.config.m_measurements))),
+    "local_qfi_closed": (_X, lambda p: (zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles),
+                                        "")),
 }
 
 KNOWN_QUANTITIES = tuple(_READERS)
@@ -318,7 +311,7 @@ def _parse_n_list(text: str):
             raise ValueError("nlist log bounds must be positive integers")
         # sorted(set()), not np.unique, whose first call imports numpy.ma (~10 ms)
         grid = np.round(np.logspace(math.log10(lo), math.log10(hi), count)).astype(int)
-        return tuple(n for n in sorted(set(grid.tolist())) if n >= 1)
+        return tuple(sorted(set(grid.tolist())))
     return tuple(int(p) for p in parts)
 
 

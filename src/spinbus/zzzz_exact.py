@@ -25,6 +25,7 @@ from .states import (UNFAVORABLE_ANGLES, StateAngles, ThermalProbeSpec, _log_bin
                      m_values, thermal_equivalent_alpha)
 
 PURE_DOME_TOL = 1e-12
+THERMAL_EQUIVALENCE_TOL = 1e-10  # max elementwise bus-density deviation
 
 
 class XReadoutVariant(Enum):
@@ -125,7 +126,7 @@ def local_qfi_x_closed(spec: ModelSpec, n: int, angles: StateAngles) -> float:
     zeta = sin2b * w_pow_minus1 * w
     dzeta = sin2b * n * w_pow_minus1 * dw
 
-    tangential = float(abs(dzeta) ** 2)
+    tangential = float(abs(dzeta)) ** 2  # float ** raises OverflowError; numpy would warn
     radial_num = float(np.real(np.conj(zeta) * dzeta))
     # 1 - |w|^(2N) computed stably; |w|^2 = 1 - sin^2(2a) sin^2(eps x t)
     depol = -math.expm1(n * math.log(mag ** 2)) if mag < 1.0 else 0.0
@@ -252,8 +253,7 @@ def thermal_global_qfi(spec: ModelSpec, n: int, beta_th: float,
 
 
 def thermal_local_equivalence_check(spec: ModelSpec, n: int, beta_th: float,
-                                    bus_beta: float, bus_varphi: float = 0.0,
-                                    tol: float = 1e-10):
+                                    bus_beta: float, bus_varphi: float = 0.0):
     """Check that thermal probes reduce the bus exactly like the equivalent
     pure state with cos^2(alpha) = e^{-beta_th omega1}/Z.
 
@@ -277,4 +277,4 @@ def thermal_local_equivalence_check(spec: ModelSpec, n: int, beta_th: float,
     thermal = _bus_matrix(spec, bus_beta, bus_varphi, complex(weights @ np.exp(-1j * phase)))
 
     deviation = float(np.max(np.abs(thermal - pure)))
-    return deviation < tol, deviation
+    return deviation < THERMAL_EQUIVALENCE_TOL, deviation

@@ -1,3 +1,4 @@
+import csv
 import importlib.resources
 import math
 import os
@@ -9,12 +10,13 @@ from pathlib import Path
 import pytest
 
 import spinbus
-from spinbus import dynamics, fisher, perturb
+from spinbus import dynamics, fisher, perturb, zzzz_exact
 from spinbus.cli import main
 from spinbus.dynamics import ModelKind, ModelSpec
 from spinbus.fisher import Param, global_qfi_fd
 from spinbus.states import DEFAULT_ANGLES, FAVORABLE_ANGLES
 from spinbus.sweep import (
+    KNOWN_QUANTITIES,
     FitDomainError,
     Regime,
     Row,
@@ -207,6 +209,40 @@ def test_sweep_per_point_failures_are_flagged():
     result = run_sweep(cfg)
     assert all(r.flag.startswith("error:") for r in result.rows)
     assert all(math.isnan(r.value) for r in result.rows)
+
+
+# the parameters each sweep quantity is defined for
+DEFINED_FOR = {
+    "global_qfi": set(Param), "local_qfi": set(Param), "first_moment": set(Param),
+    "closed_form": set(Param),
+    "pt1": {Param.X, Param.OMEGA1}, "pt2": {Param.X, Param.OMEGA1},
+    "appendix_fm": {Param.X, Param.OMEGA1},
+    "hl_condition": {Param.X}, "local_qfi_closed": {Param.X},
+}
+
+
+@pytest.mark.parametrize("param", list(Param))
+def test_quantities_answer_only_for_their_parameters(monkeypatch, param):
+    # outside its parameters a quantity's row is nan, "unsupported", and its
+    # reader is not called: x's closed forms must not answer for omega1 or omega0
+    assert set(DEFINED_FOR) == set(KNOWN_QUANTITIES)
+
+    def unreachable(*args):
+        raise AssertionError(f"called under {param}")
+
+    if param is not Param.X:
+        monkeypatch.setattr(perturb, "hl_condition", unreachable)
+        monkeypatch.setattr(zzzz_exact, "local_qfi_x_closed", unreachable)
+    cfg = SweepConfig(kind=ModelKind.ZZZZ, param=param,
+                      regimes=(Regime("r", 1.0, 0.5),), n_list=(1, 2, 4),
+                      quantities=KNOWN_QUANTITIES)
+    rows = run_sweep(cfg).rows
+    assert len(rows) == 3 * len(KNOWN_QUANTITIES)
+    for r in rows:
+        if param in DEFINED_FOR[r.quantity]:
+            assert r.flag != "unsupported", r
+        else:
+            assert math.isnan(r.value) and r.flag == "unsupported", r
 
 
 def test_fisher_quantities_share_one_solve_per_point(monkeypatch):
@@ -432,8 +468,9 @@ def test_cli_exact_rejects_bad_values(capsys):
     # Python's float ** raises OverflowError where a closed form overflows
     assert main(["exact", "zzzz", "x", "--n", "5", "--t", "1e200"]) == 1
     assert main(["exact", "zzzz", "omega0", "--n", "5", "--delta", "1e160"]) == 1
+    assert main(["exact", "zzzz", "x", "--n", "5", "--local", "--t", "1e200"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.count("error: ") == 9 and captured.out == ""
+    assert captured.err.count("error: ") == 10 and captured.out == ""
 
 
 def test_cli_sweep_and_fig(tmp_path, capsys):
@@ -455,6 +492,28 @@ def test_cli_sweep_and_fig(tmp_path, capsys):
     rows = parse_csv(str(fig_out))
     assert all(r.regime.startswith("alpha=") for r in rows)
     assert {r.quantity for r in rows} == {"local_qfi_closed"}
+
+
+def test_figures_match_the_benchmark_reference(tmp_path):
+    # the benchmark's figure gate: every recorded row comes back and no other,
+    # none with an error flag, each equal to its recorded value (nan to nan)
+    # or within the row's relative tolerance
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference_figures.csv"
+    with open(reference, encoding="utf-8", newline="") as fh:
+        expected = {(r["figure"], int(r["N"]), r["quantity"], r["regime"]):
+                    (float(r["value"]), float(r["rtol"])) for r in csv.DictReader(fh)}
+    rows = {}
+    for fig in "23456":
+        out = tmp_path / f"fig{fig}.csv"
+        assert main(["fig", fig, "--out", str(out)]) == 0
+        rows.update({(fig, r.n, r.quantity, r.regime): r for r in parse_csv(str(out))})
+    assert rows.keys() == expected.keys()
+    for key, (old, rtol) in expected.items():
+        new = rows[key].value
+        assert not rows[key].flag.startswith("error:"), rows[key]
+        assert (new == old or math.isnan(new) and math.isnan(old)
+                or math.isfinite(new) and math.isfinite(old)
+                and abs(new - old) <= rtol * max(abs(new), abs(old))), (key, new, old)
 
 
 def test_cli_needs_no_scipy(tmp_path):
