@@ -23,16 +23,11 @@ import sys
 from . import sweep as sweeplib
 from . import zzzz_exact
 from .dynamics import ModelKind, ModelSpec, Param
-from .states import StateAngles
+from .states import DEFAULT_ANGLES, StateAngles
 from .sweep import parse_config, parse_number
 from .validate import SUITES, validate
 
 FIG_NUMBERS = ("2", "3", "4", "5", "6")
-
-
-def _load_packaged_config(name: str) -> str:
-    ref = importlib.resources.files("spinbus").joinpath("configs", name)
-    return ref.read_text(encoding="utf-8")
 
 
 def _apply_overrides(config, args):
@@ -122,7 +117,7 @@ def _cmd_exact(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ArithmeticError as err:  # Python's float ** raises OverflowError
+    except ArithmeticError as err:  # OverflowError or numpy's FloatingPointError
         print(f"error: the closed form cannot be evaluated in floats: {err}", file=sys.stderr)
         return 1
     print(f"{label} N={args.n}: {value:.17g}")
@@ -130,7 +125,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_fig(args) -> int:
-    text = _load_packaged_config(f"fig{args.number}.cfg")
+    text = importlib.resources.files("spinbus").joinpath(
+        "configs", f"fig{args.number}.cfg").read_text(encoding="utf-8")
     return _run_and_emit(text, args, default_out=f"fig{args.number}.csv")
 
 
@@ -156,11 +152,10 @@ def main(argv=None) -> int:
                          help="local (bus) QFI instead of global")
     p_exact.add_argument("--thermal", type=float, default=None, metavar="BETA_TH",
                          help="thermal probes at inverse temperature BETA_TH")
-    for name, default in (("alpha", "pi/3"), ("phi", "3pi/8"),
-                          ("beta", "pi/6"), ("varphi", "5pi/8")):
-        p_exact.add_argument(f"--{name}", default=default)
+    for name, default in vars(DEFAULT_ANGLES).items():
+        p_exact.add_argument(f"--{name}", default=str(default))
     for name in ("delta", "epsilon", "omega0", "omega1", "x", "t"):
-        p_exact.add_argument(f"--{name}", type=float, default=1.0)
+        p_exact.add_argument(f"--{name}", type=float, default=getattr(ModelSpec, name))
 
     p_fig = sub.add_parser("fig", help="reproduce a bundled figure sweep")
     p_fig.add_argument("number", choices=FIG_NUMBERS)

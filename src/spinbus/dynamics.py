@@ -53,7 +53,7 @@ import ctypes
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -99,9 +99,6 @@ class ModelSpec:
                 raise ValueError(f"parameter {name!r} must be finite")
         if self.t < 0:
             raise ValueError("t must be >= 0")
-
-    def replaced(self, **kwargs) -> "ModelSpec":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,10 @@ class BusDensity:
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
-    def bloch(self) -> np.ndarray:
-        """(r_x, r_y, r_z) with rho = (I + r . sigma)/2."""
-        return _bloch_vector(self.rho)
-
 
 def _bloch_vector(a: np.ndarray) -> np.ndarray:
-    """(tr(a X), tr(a Y), tr(a Z)) of a 2x2 Hermitian matrix a."""
+    """(tr(a X), tr(a Y), tr(a Z)) of a 2x2 Hermitian matrix a: of a density
+    matrix rho, its Bloch vector r, rho = (I + r . sigma)/2."""
     return np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
 
 
@@ -197,7 +194,7 @@ def read_local_qfi(point: EvolvedPoint) -> QfiResult:
     at most (|g| + e_dr ||M||) e_dr + |r.dr| |g| e_r / (1 - |r|^2), g = 2 M dr,
     exactly in dr and to first order in r.
     """
-    r = point.bus_density.bloch()
+    r = _bloch_vector(point.bus_density.rho)
     drho, drho_error = point.bus_derivative
     dr = _bloch_vector(drho)
     e_r, e_dr = 2.0 * math.sqrt(2.0) * point.psi_error, math.sqrt(2.0) * drho_error

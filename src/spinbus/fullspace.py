@@ -272,12 +272,14 @@ def evolved_with_derivative_full(kind, n, params: dict, which: str, alpha, phi, 
     """(psi, d psi/d theta) of the fully propagated pure state, the derivative
     exact, from one differentiated propagation (see `_propagate`).  `params`
     holds delta, epsilon, omega0, omega1, x, t; `which` names the parameter
-    (x, omega0 or omega1)."""
+    (x, omega0 or omega1), or is None for (psi, None) from an undifferentiated
+    propagation."""
     psi0 = product_state_full(n, alpha, phi, beta, varphi)
     h = _hamiltonian_nonzeros(kind, n, params["delta"], params["epsilon"], params["omega0"],
                               params["omega1"], params["x"])
-    psi, dpsi = _propagate(h, params["t"], psi0[:, None], _generator(kind, n, params, which))
-    return psi[:, 0], dpsi[:, 0]
+    g = None if which is None else _generator(kind, n, params, which)
+    psi, dpsi = _propagate(h, params["t"], psi0[:, None], g)
+    return psi[:, 0], (None if dpsi is None else dpsi[:, 0])
 
 
 def bus_density_derivative(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ class Regime:
     """Named (delta, epsilon) pair; alpha optionally overrides the probe angle."""
 
     name: str
-    delta: float
-    epsilon: float
+    delta: float = ModelSpec.delta
+    epsilon: float = ModelSpec.epsilon
     alpha: float | None = None
 
 
@@ -52,10 +52,10 @@ class SweepConfig:
     angles: StateAngles = DEFAULT_ANGLES
     quantities: tuple = ()
     observable: str = "xz"
-    omega0: float = 1.0
-    omega1: float = 1.0
-    x: float = 1.0
-    t: float = 1.0
+    omega0: float = ModelSpec.omega0
+    omega1: float = ModelSpec.omega1
+    x: float = ModelSpec.x
+    t: float = ModelSpec.t
     m_measurements: int = 1
     out: str | None = None
     # Not a field, so nothing sets it: perfbench's tracer reads it under
@@ -285,7 +285,7 @@ _PI_PATTERN = re.compile(r"^(-?[\d.]*)\s*\*?\s*pi\s*(?:/\s*([\d.]+))?$")
 
 
 def parse_number(text: str) -> float:
-    """Float literal or simple pi expression: 'pi', '3pi/8', '-pi/4', '0.5'."""
+    """Float literal or simple pi expression: 'pi', '3pi/4', '-pi/4', '0.5'."""
     text = text.strip().lower()
     match = _PI_PATTERN.match(text)
     if match:
@@ -317,8 +317,8 @@ def _parse_n_list(text: str):
 
 # every config key but the repeatable `regime`, with its default value
 _CONFIG_DEFAULTS = {"model": "zzxx", "param": "x", "alphas": None, "nlist": "log 1 100 10",
-                    "alpha": "pi/3", "phi": "3pi/8", "beta": "pi/6", "varphi": "5pi/8",
-                    "omega0": "1", "omega1": "1", "x": "1", "t": "1",
+                    **{k: str(v) for k, v in vars(DEFAULT_ANGLES).items()},
+                    **{k: str(getattr(ModelSpec, k)) for k in ("omega0", "omega1", "x", "t")},
                     "quantities": "global_qfi", "observable": "xz", "measurements": "1",
                     "out": None}
 _REGIME_FIELDS = ("delta", "epsilon", "alpha")
@@ -335,9 +335,7 @@ def _parse_regime(text: str) -> Regime:
         if key not in _REGIME_FIELDS:
             raise ValueError(f"unknown regime field {key!r}; known: {_REGIME_FIELDS}")
         fields[key] = parse_number(val)
-    return Regime(name=name.strip(), delta=fields.get("delta", 1.0),
-                  epsilon=fields.get("epsilon", 1.0),
-                  alpha=fields.get("alpha"))
+    return Regime(name.strip(), **fields)
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -380,11 +378,11 @@ def parse_config(text: str) -> SweepConfig:
             raise ValueError("alphas needs finite bounds and a positive count")
         if len(regimes) > 1:
             raise ValueError(f"alphas expands one regime, got {len(regimes)}")
-        base = regimes[0] if regimes else Regime("grid", 1.0, 1.0)
+        base = regimes[0] if regimes else Regime("grid")
         regimes = [replace(base, name=f"alpha={a:.10g}", alpha=float(a))
                    for a in np.linspace(lo, hi, count)]
     if not regimes:
-        regimes = [Regime("default", 1.0, 1.0)]
+        regimes = [Regime("default")]
 
     return SweepConfig(
         kind=ModelKind(values["model"].upper()), param=Param(values["param"].lower()),

@@ -8,14 +8,14 @@ their order and the number after `slope=`, `discrepancy=` or `deviation=`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fisher, fullspace, paulis, perturb, zzzz_exact
-from .dynamics import ModelKind, ModelSpec, Param, assemble, evolve, propagate
+from .dynamics import ModelKind, ModelSpec, Param, assemble, propagate
 from .fisher import global_qfi_fd, reduce_to_bus
-from .states import DEFAULT_ANGLES, StateAngles, build_product_state
+from .states import DEFAULT_ANGLES, StateAngles
 from .sweep import fit_loglog
 
 
@@ -71,8 +71,9 @@ def _discrepancy(a: float, b: float) -> float:
 def _fd_global_qfi(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> tuple:
     """(exact `QfiResult`, central-difference QFI, step h) at one point.
 
-    The states at theta +- h are each their own eigensolve, so the check is
-    independent of the exact derivative and its certificate.  h = 1e-6
+    The states at theta +- h are each their own eigensolve, and the QFI of
+    their difference is the oracle's `fullspace.pure_qfi`, so the check is
+    independent of the exact derivative, its certificate and its QFI.  h = 1e-6
     max(1, |theta|) / sqrt(max(1, |t| ||G||)), ||G|| the Gershgorin bound of
     dH/d theta: the truncation error grows like (h t ||G||)^2.
     """
@@ -80,10 +81,9 @@ def _fd_global_qfi(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> 
     theta = getattr(spec, sel.value)
     h = (1e-6 * max(1.0, abs(theta))
          / math.sqrt(max(1.0, abs(spec.t) * assemble(spec, n, wrt=sel).norm_bound)))
-    psi0 = build_product_state(n, angles)
-    plus, minus = (evolve(assemble(spec.replaced(**{sel.value: theta + s}), n),
-                          spec.t, psi0).amplitudes for s in (h, -h))
-    check = fisher._pure_qfi(point.psi.amplitudes, (plus - minus) / (2.0 * h))
+    plus, minus = (propagate(replace(spec, **{sel.value: theta + s}), n, angles).amplitudes
+                   for s in (h, -h))
+    check = fullspace.pure_qfi(point.psi.amplitudes, (plus - minus) / (2.0 * h))
     return fisher.read_global_qfi(point), check, h
 
 
@@ -148,10 +148,8 @@ def _suite_full_hilbert(_seed: int) -> list:
     rho_dev = 0.0
     for n, a, spec in inputs:
         psi = propagate(spec, n, a)
-        h_nz = fullspace._hamiltonian_nonzeros(str(spec.kind), n, spec.delta, spec.epsilon,
-                                               spec.omega0, spec.omega1, spec.x)
-        psi0 = fullspace.product_state_full(n, a.alpha, a.phi, a.beta, a.varphi)
-        psi_full = fullspace._propagate(h_nz, spec.t, psi0[:, None])[0][:, 0]
+        psi_full, _ = fullspace.evolved_with_derivative_full(
+            str(spec.kind), n, vars(spec), None, a.alpha, a.phi, a.beta, a.varphi)
         state_dev = max(state_dev, float(np.max(np.abs(
             fullspace.project_symmetric(psi_full, n) - psi.amplitudes))))
         rho_dev = max(rho_dev, float(np.max(np.abs(
@@ -159,13 +157,13 @@ def _suite_full_hilbert(_seed: int) -> list:
 
     a = DEFAULT_ANGLES
     observable = paulis.NAMED_OBSERVABLES["xz"]
-    params = dict(delta=1.0, epsilon=1.0, omega0=1.0, omega1=1.0, x=1.0, t=1.0)
     oracle_dev = [0.0] * len(_ORACLE_CHECKS)
     for kind in ModelKind:
+        spec = ModelSpec(kind)
         for sel in Param:
-            point = fisher.evolve_point(ModelSpec(kind), 6, a, sel)
+            point = fisher.evolve_point(spec, 6, a, sel)
             full, dfull = fullspace.evolved_with_derivative_full(
-                str(kind), 6, params, sel.value, a.alpha, a.phi, a.beta, a.varphi)
+                str(kind), 6, vars(spec), sel.value, a.alpha, a.phi, a.beta, a.varphi)
             drho = fullspace.bus_density_derivative(full, dfull)
             pairs = ((fisher.read_global_qfi(point).value,
                       fullspace.pure_qfi(full, dfull)),

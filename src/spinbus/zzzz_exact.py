@@ -105,6 +105,7 @@ def _bus_matrix(spec: ModelSpec, beta: float, varphi: float, coherence) -> np.nd
                      [np.conj(off), math.sin(beta) ** 2]])
 
 
+@np.errstate(over="raise")  # an overflow raises FloatingPointError, not inf
 def local_qfi_x_closed(spec: ModelSpec, n: int, angles: StateAngles) -> float:
     """Bus-qubit QFI for x from the analytic derivative of rho_01.
 
@@ -126,7 +127,7 @@ def local_qfi_x_closed(spec: ModelSpec, n: int, angles: StateAngles) -> float:
     zeta = sin2b * w_pow_minus1 * w
     dzeta = sin2b * n * w_pow_minus1 * dw
 
-    tangential = float(abs(dzeta)) ** 2  # float ** raises OverflowError; numpy would warn
+    tangential = float(abs(dzeta)) ** 2  # float ** raises OverflowError
     radial_num = float(np.real(np.conj(zeta) * dzeta))
     # 1 - |w|^(2N) computed stably; |w|^2 = 1 - sin^2(2a) sin^2(eps x t)
     depol = -math.expm1(n * math.log(mag ** 2)) if mag < 1.0 else 0.0

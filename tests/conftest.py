@@ -19,6 +19,15 @@ def every_block():
     return _every_block
 
 
+@pytest.fixture(params=[False, True], ids=["default", "dense"])
+def dense(request, monkeypatch):
+    """Runs a test twice: on the eigensolver this numpy has, and with
+    `dynamics._OPENBLAS` set to None, on the dense `np.linalg.eigh` fallback
+    that every numpy without the bundled OpenBLAS (MKL, Accelerate) takes."""
+    if request.param:
+        monkeypatch.setattr(dynamics, "_OPENBLAS", None)
+
+
 @pytest.fixture(autouse=True)
 def _numpy_blas_threads_unchanged():
     """Fail a test that leaves numpy's OpenBLAS thread count other than it

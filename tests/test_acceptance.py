@@ -5,6 +5,7 @@ summary lines.  The N=2000 weak-coupling run is opt-in: `pytest -m slow`.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_criterion_1_dephasing_closed_forms():
                f"(absolute {worst_abs:.2e} < 1e-8 on the suppressed tail)")
 
 
-def test_criterion_2_full_hilbert_oracle():
+def test_criterion_2_full_hilbert_oracle(dense):
     """Dense 2^(N+1) construction/propagation/partial trace vs the
     symmetric-sector pipeline for N <= 8: validate suite c."""
     _report(2, _passed_summary(validate("c").checks))
@@ -184,7 +185,7 @@ def test_criterion_5_special_state_identities():
         assert series[-1] < 1e-8 * max(series)
 
     # ... and vanishes at the full-dephasing point
-    dephased = spec.replaced(x=math.pi / 2)
+    dephased = replace(spec, x=math.pi / 2)
     assert local_qfi_x_closed(dephased, 5, UNFAVORABLE_ANGLES) < 1e-12
     assert delta_x_x_readout(dephased, 5, UNFAVORABLE_ANGLES,
                              XReadoutVariant.EXACT_WORST).inv_squared < 1e-12
@@ -273,7 +274,7 @@ def test_criterion_7_property_suite():
     zzzz = ModelSpec(ModelKind.ZZZZ)
     for sel in Param:
         one = global_qfi_fd(zzzz, 6, DEFAULT_ANGLES, sel).value
-        two = global_qfi_fd(zzzz.replaced(t=2.0), 6, DEFAULT_ANGLES, sel).value
+        two = global_qfi_fd(replace(zzzz, t=2.0), 6, DEFAULT_ANGLES, sel).value
         assert two == pytest.approx(4.0 * one, rel=1e-6)
     details.append("I(2t) = 4 I(t)")
 

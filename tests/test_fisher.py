@@ -9,9 +9,9 @@ import scipy.linalg
 from spinbus import dynamics, fisher, fullspace, paulis
 from spinbus.dynamics import ModelKind, ModelSpec, assemble, eigensystem, propagate
 from spinbus.fisher import (
-    BusDensity,
     Param,
     _bloch_qfi,
+    _bloch_vector,
     evolve_point,
     first_moment_result,
     first_moment_uncertainty,
@@ -74,7 +74,7 @@ def test_bures_distance_basics():
 def test_bures_distance_qfi_cross_check():
     dtheta = 1e-5
     psi = propagate(ZZZZ, 4, FAVORABLE_ANGLES)
-    psi_shift = propagate(ZZZZ.replaced(x=1.0 + dtheta), 4, FAVORABLE_ANGLES)
+    psi_shift = propagate(dataclasses.replace(ZZZZ, x=1.0 + dtheta), 4, FAVORABLE_ANGLES)
     from_bures = 4.0 * bures_distance(psi, psi_shift) ** 2 / dtheta ** 2
     exact = global_qfi_fd(ZZZZ, 4, FAVORABLE_ANGLES, Param.X).value
     assert from_bures == pytest.approx(exact, rel=1e-3)
@@ -90,7 +90,7 @@ def test_reduce_to_bus_product_state():
 
 def test_reduce_to_bus_full_dephasing_point():
     # eps*t*x = pi/2 with equal-weight probes kills the off-diagonal entirely
-    spec = ZZZZ.replaced(x=math.pi / 2)
+    spec = dataclasses.replace(ZZZZ, x=math.pi / 2)
     rho = reduce_to_bus(propagate(spec, 5, UNFAVORABLE_ANGLES)).rho
     assert abs(rho[0, 1]) < 1e-12
 
@@ -112,14 +112,14 @@ def test_reduce_to_bus_matches_full_partial_trace(n):
 def test_qubit_qfi_classical_populations():
     # rho(theta) = diag((1+theta)/2, (1-theta)/2) at theta=0: eigenvalue
     # formula gives sum (dp)^2/p = 1
-    r = BusDensity(np.diag([0.5, 0.5])).bloch()
+    r = _bloch_vector(np.diag([0.5, 0.5]))
     dr = np.array([0.0, 0.0, 1.0])  # d r_z / d theta of the populations above
     assert _bloch_qfi(r, dr, 0.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_qubit_qfi_parameter_independent():
-    rho = BusDensity(np.array([[0.75, 0.1], [0.1, 0.25]]))
-    assert _bloch_qfi(rho.bloch(), np.zeros(3), 0.0) == 0.0
+    rho = np.array([[0.75, 0.1], [0.1, 0.25]])
+    assert _bloch_qfi(_bloch_vector(rho), np.zeros(3), 0.0) == 0.0
 
 
 def test_local_qfi_raises_for_a_radial_derivative_at_a_pure_bus():
@@ -162,7 +162,8 @@ def test_first_moment_identity_insensitive():
 
 
 @pytest.mark.parametrize("spec, angles", [(ZZZZ, DEFAULT_ANGLES),
-                                           (ZZZZ.replaced(epsilon=100.0), UNFAVORABLE_ANGLES)])
+                                           (dataclasses.replace(ZZZZ, epsilon=100.0),
+                                            UNFAVORABLE_ANGLES)])
 def test_first_moment_within_its_certificate_is_insensitive(spec, angles):
     # at N = 200 the X readout's d<X>/dx (~1e-12 and ~1e-9) lies inside its
     # certified error (relative bounds 22 and 60), so it cannot be told from
@@ -227,7 +228,7 @@ def test_partial_trace_monotonicity():
 def test_time_squared_scaling_dephasing_model():
     for sel in (Param.X, Param.OMEGA1, Param.OMEGA0):
         one = global_qfi_fd(ZZZZ, 4, DEFAULT_ANGLES, sel).value
-        two = global_qfi_fd(ZZZZ.replaced(t=2.0), 4, DEFAULT_ANGLES, sel).value
+        two = global_qfi_fd(dataclasses.replace(ZZZZ, t=2.0), 4, DEFAULT_ANGLES, sel).value
         assert two == pytest.approx(4.0 * one, rel=1e-6)
 
 
@@ -345,20 +346,21 @@ def test_tridiagonal_pieces_permute_back_to_dense(kind):
         np.testing.assert_array_equal(h.matrix, back)
 
 
-@pytest.mark.parametrize("n, solves", [(10, 1), (11, 2), (1, 0)])
-def test_even_n_zzxx_point_solves_one_chain(monkeypatch, n, solves):
+@pytest.mark.parametrize("n, chains", [(10, 1), (11, 2), (1, 2)])
+def test_even_n_zzxx_point_solves_one_chain(monkeypatch, dense, n, chains):
     # a point is one solve of H: one chain at even N, where chain 1 is chain
-    # 0's signed mirror, two at odd N; N = 1 takes the batched 2x2 path
-    calls = []
-    solve = dynamics._solve_chain
+    # 0's signed mirror, two at odd N (N = 1's are 2x2), on either eigensolver
+    solved = []
+    solve = dynamics.eigensystem
 
-    def counting(d, *args):
-        calls.append(len(d))
-        return solve(d, *args)
+    def recording(h):
+        w, v = solve(h)
+        solved.append(v.shape[:2])
+        return w, v
 
-    monkeypatch.setattr(dynamics, "_solve_chain", counting)
+    monkeypatch.setattr(dynamics, "eigensystem", recording)
     evolve_point(ModelSpec(ModelKind.ZZXX), n, DEFAULT_ANGLES, Param.X)
-    assert calls == [n + 1] * solves
+    assert solved == [(chains, n + 1)]
 
 
 def test_zzxx_derivative_peak_memory_in_size_squared_matrices():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_pt1_x_exact_for_commuting_model():
 
 def test_pt1_x_quadratic_in_coupling_prefactor():
     spec = ModelSpec(ModelKind.ZZXX, epsilon=0.02)
-    half = spec.replaced(epsilon=0.01)
+    half = replace(spec, epsilon=0.01)
     assert pt1_qfi_x(half, 6, DEFAULT_ANGLES).value * 4.0 == pytest.approx(
         pt1_qfi_x(spec, 6, DEFAULT_ANGLES).value, rel=1e-12)
 

@@ -398,10 +398,18 @@ def test_emit_csv_header_only_for_empty(tmp_path):
     assert path.read_text() == "N,quantity,regime,value,flag\n"
 
 
-def test_validate_closed_form_suite():
+def test_validate_closed_form_suite(dense):
     report = validate(suites="d", seed=1)
     assert report.passed
     assert {c.suite for c in report.checks} == {"d"}
+
+
+def test_validate_fd_check_catches_a_wrong_package_qfi(monkeypatch):
+    # suite b's finite-difference QFI comes from the oracle, so a fault in
+    # the package's QFI formula shows instead of cancelling out of the check
+    pure_qfi = fisher._pure_qfi
+    monkeypatch.setattr(fisher, "_pure_qfi", lambda psi, dpsi: 2.0 * pure_qfi(psi, dpsi))
+    assert not validate(suites="b").passed
 
 
 def test_cli_validate_honours_seed_zero(capsys):
@@ -465,12 +473,14 @@ def test_cli_exact_rejects_bad_values(capsys):
     assert main(["exact", "zzzz", "x", "--local", "--n", "-3"]) == 1
     assert main(["exact", "zzzz", "x", "--n", "5", "--thermal", "nan"]) == 1
     assert main(["exact", "zzzz", "omega1", "--n", "5", "--thermal", "inf"]) == 1
-    # Python's float ** raises OverflowError where a closed form overflows
+    # Python's float ** raises OverflowError where a closed form overflows,
+    # and numpy's float64 arithmetic FloatingPointError (at 1e308, in dzeta)
     assert main(["exact", "zzzz", "x", "--n", "5", "--t", "1e200"]) == 1
     assert main(["exact", "zzzz", "omega0", "--n", "5", "--delta", "1e160"]) == 1
     assert main(["exact", "zzzz", "x", "--n", "5", "--local", "--t", "1e200"]) == 1
+    assert main(["exact", "zzzz", "x", "--n", "5", "--local", "--t", "1e308"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.count("error: ") == 10 and captured.out == ""
+    assert captured.err.count("error: ") == 11 and captured.out == ""
 
 
 def test_cli_sweep_and_fig(tmp_path, capsys):
@@ -494,7 +504,7 @@ def test_cli_sweep_and_fig(tmp_path, capsys):
     assert {r.quantity for r in rows} == {"local_qfi_closed"}
 
 
-def test_figures_match_the_benchmark_reference(tmp_path):
+def test_figures_match_the_benchmark_reference(tmp_path, dense):
     # the benchmark's figure gate: every recorded row comes back and no other,
     # none with an error flag, each equal to its recorded value (nan to nan)
     # or within the row's relative tolerance

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_non_dephasing_model_rejected():
 
 
 def test_reduced_rho_t0_pure():
-    spec = ZZZZ.replaced(t=0.0)
+    spec = replace(ZZZZ, t=0.0)
     rho = reduced_rho_closed(spec, 4, DEFAULT_ANGLES).rho
     xi = np.array([math.cos(DEFAULT_ANGLES.beta),
                    math.sin(DEFAULT_ANGLES.beta) * np.exp(1j * DEFAULT_ANGLES.varphi)])
@@ -74,7 +75,7 @@ def test_reduced_rho_t0_pure():
 
 
 def test_reduced_rho_full_dephasing():
-    spec = ZZZZ.replaced(x=math.pi / 2)
+    spec = replace(ZZZZ, x=math.pi / 2)
     rho = reduced_rho_closed(spec, 6, UNFAVORABLE_ANGLES).rho
     assert abs(rho[0, 1]) < 1e-12
 
@@ -116,7 +117,7 @@ def test_local_qfi_worst_state_decays_exponentially():
 
 def test_delta_x_exact_reduces_to_local_qfi_without_bus_precession():
     # cos(delta w0 t) = 1 makes the exact readout saturate the local QFI
-    spec = ZZZZ.replaced(omega0=0.0)
+    spec = replace(ZZZZ, omega0=0.0)
     for n in (2, 7):
         got = delta_x_x_readout(spec, n, UNFAVORABLE_ANGLES, XReadoutVariant.EXACT_WORST)
         assert got.inv_squared == pytest.approx(
@@ -139,7 +140,7 @@ def test_delta_x_perturbative_sql_slope_at_large_n():
 
 
 def test_delta_x_general_matches_first_moment_small_coupling():
-    spec = ZZZZ.replaced(epsilon=0.05)
+    spec = replace(ZZZZ, epsilon=0.05)
     for n in (2, 6):
         got = delta_x_x_readout(spec, n, UNFAVORABLE_ANGLES, XReadoutVariant.PT_GENERAL)
         ref = first_moment_uncertainty(spec, n, UNFAVORABLE_ANGLES, Param.X, paulis.X)
@@ -154,7 +155,7 @@ def test_delta_x_general_arbitrary_angles_matches_pipeline():
     rng = np.random.default_rng(5)
     for _ in range(200):
         angles = StateAngles(*rng.uniform(0.0, 0.5 * math.pi, 4) * [1, 4, 1, 4])
-        spec = ZZZZ.replaced(**dict(zip(("delta", "epsilon", "x", "t"),
+        spec = replace(ZZZZ, **dict(zip(("delta", "epsilon", "x", "t"),
                                         rng.uniform(0.5, 2.0, 4))))
         n = int(rng.integers(1, 40))
         got = delta_x_x_readout(spec, n, angles, XReadoutVariant.PT_GENERAL)
@@ -173,7 +174,7 @@ def test_delta_x_worst_variants_require_worst_angles():
 
 
 def test_delta_x_vanishes_at_full_dephasing():
-    spec = ZZZZ.replaced(x=math.pi / 2)
+    spec = replace(ZZZZ, x=math.pi / 2)
     for n in (2, 5, 40):
         got = delta_x_x_readout(spec, n, UNFAVORABLE_ANGLES, XReadoutVariant.EXACT_WORST)
         assert got.inv_squared < 1e-25
@@ -226,7 +227,7 @@ def test_thermal_equivalence_random():
 
 
 def test_thermal_pure_partner_shares_local_sensitivity():
-    spec = ZZZZ.replaced(omega1=0.8)
+    spec = replace(ZZZZ, omega1=0.8)
     beta_th, n = 0.9, 6
     alpha = thermal_equivalent_alpha(ThermalProbeSpec(beta_th, spec.omega1))
     partner = StateAngles(alpha, 0.0, 0.6, 0.0)
@@ -259,6 +260,6 @@ def test_alpha_sweep_structure():
 
 
 def test_reduced_rho_has_no_omega1_dependence():
-    a = reduced_rho_closed(ZZZZ.replaced(omega1=0.7), 5, DEFAULT_ANGLES).rho
-    b = reduced_rho_closed(ZZZZ.replaced(omega1=3.1), 5, DEFAULT_ANGLES).rho
+    a = reduced_rho_closed(replace(ZZZZ, omega1=0.7), 5, DEFAULT_ANGLES).rho
+    b = reduced_rho_closed(replace(ZZZZ, omega1=3.1), 5, DEFAULT_ANGLES).rho
     np.testing.assert_array_equal(a, b)
