@@ -29,22 +29,25 @@ error bounds on both.  It builds each chain's kernel, which is symmetric,
 from its lower triangle in column tiles, so past the solve it holds no
 (N+1)-square buffer besides the eigenvectors, and evaluates the kernel's
 sinc(2h) as (tan h / h) / (1 + tan^2 h), since numpy's tan is much cheaper
-than its sine (see `_tiles`).  dstevd's size^2 workspace and then the
-tiles' buffers, the helper thread's included, are slices of one grow-only
-scratch arena per calling thread (`_scratch`), so a repeated call at one
-size allocates no (N+1)-square buffer but the eigenvectors it returns.
+than its sine (see `_tiles`).  Where the coupling is weak, dstevd deflates
+and most entries of the eigenvectors are exact zeros; each tile then works
+only on the rows where its columns are nonzero and on the kernel rows that
+meet them (see `_bands`).  dstevd's size^2 workspace and then the tiles'
+buffers, the helper thread's included, are slices of one grow-only scratch
+arena per calling thread (`_scratch`), so a repeated call at one size
+allocates no (N+1)-square buffer but the eigenvectors it returns.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
 bundles, so numpy is the only runtime dependency.  Every BLAS call of
 `eigensystem`, `evolve` and `evolve_derivative` runs with that BLAS pool set
 to one thread, which keeps them bit-reproducible and their results
-independent of the caller's thread count (see `_blas_threads`).  From
-THREADED_SIZE states on, `evolve_derivative` runs every other column tile
-of a chain on a second Python thread, whose BLAS calls run on one thread
-too.  Where numpy links another LAPACK (MKL, Accelerate), the chains go
-as dense matrices through the one batched `np.linalg.eigh` that solves the
-tiny blocks: the same results to rounding, certified by the same residual,
-but about three times slower.
+independent of the caller's thread count (see `_blas_threads`).  Where the
+kernel's product work is at least a dense THREADED_SIZE-state chain's,
+`evolve_derivative` runs every other column tile on a second Python thread,
+whose BLAS calls run on one thread too.  Where numpy links another LAPACK
+(MKL, Accelerate), the chains go as dense matrices through the one batched
+`np.linalg.eigh` that solves the tiny blocks: the same results to rounding,
+certified by the same residual, but about three times slower.
 """
 
 from __future__ import annotations
@@ -291,21 +294,21 @@ def _openblas():
 _OPENBLAS = _openblas()
 
 
-# The chain size from which `evolve_derivative` runs every other column tile
-# on a helper thread (see `_blas_threads`).  One ZZXX omega1
-# `evolve_derivative` (delta = 100, medians of 9-15 alternating calls, same
-# machine, tan sinc), all tiles on the caller's thread against the odd ones
-# on the helper, wall time (CPU time) in ms over two runs: size 501 13.3-13.5
-# (13.3-13.4) against 11.3 (14.9-15.1); size 751 29-32 (29-32) against 24
-# (34); size 1001 59-61 (59-61) against 42 (61-63); size 2001 321-387
-# (320-387) against 208-230 (335-349).  In two earlier runs, with the
-# machine's second core busy, the helper saved nothing at any size and cost
-# up to 8 % more time.  With the core free it saves 15 % of the wall time at
-# size 501 for 12 % more CPU time, and 30-40 % from size 1001 on for at most
-# 5 % more, but the size stays above fig 3's longest chain (501), so every
-# figure and oracle point runs on one core.  Even and odd tiles sum apart, so
-# the thread changes no bit of the results.
-THREADED_SIZE = 1000
+# `evolve_derivative` runs every other column tile on a helper thread (see
+# `_blas_threads`) where the tiles' product work V^T (G V) (`_work`) is at
+# least that of a dense chain of THREADED_SIZE states.  The helper trades CPU
+# time for wall time.  One ZZXX omega1 `evolve_derivative` (medians of 15
+# interleaved calls on a 2-core x86-64 machine), helper against none, wall
+# (CPU) in ms, with the work as a share of a dense 1000-state chain's: delta
+# = eps = 1, whose edge tiles' bands are half the chain, at 1001 states
+# (0.94) 78 (96) against 91 (90), at 901 (0.68) 61 (74) against 70 (70), at
+# 501 (0.14) 20 (23) against 19 (19); delta = 100 at 1001 (0.06) 20 (23)
+# against 20 (20) and at 2001 (0.18) 73 (81) against 76 (76).  At 900, a
+# threshold of 0.73, the near-dense chains of 1000 states and more reach the
+# helper, while every figure and oracle point (fig 3's longest chain has 501 states) and
+# the weak-coupling chains up to 2000 states run on one core.  Even and odd
+# tiles sum apart, so the thread changes no bit.
+THREADED_SIZE = 900
 
 
 @contextmanager
@@ -431,15 +434,11 @@ def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
 # The narrowest column tile of `evolve_derivative`'s kernel: a chain of size
 # states is cut into max(1, size // TILE) tiles of equal widths (to one
 # column), TILE to 2 TILE - 1 wide, so a chain below 2 TILE is one tile.
-# Wider tiles recompute more of the upper triangle; narrower ones run the
-# product V^T (G V) less efficiently and add per-tile Python steps.  One ZZXX
-# omega1 `evolve_derivative` on one thread (delta = 100, medians of 9-31
-# interleaved calls on a 2-core x86-64 machine, numpy 2.4.6 with OpenBLAS
-# 0.3.31, tan sinc), TILE = 32 / 64 / 128 / one tile per chain, in ms: size
-# 129 1.06 / 0.97 / 0.93 / 0.92; size 251 3.5 / 3.2 / 3.4 / 3.3; size 501
-# 9.7 / 9.0 / 9.3 / 11.7; size 1001 57 / 53 / 51 / 76; size 2001 404 / 343 /
-# 321 / 495.  64 is best up to fig 3's longest chain (501); 128 gains 3-6 %
-# from size 1001 on.
+# Wider tiles recompute more of the upper triangle and widen the row bands
+# of `_bands`; narrower ones run the product V^T (G V) less efficiently and
+# add per-tile Python steps.  Measured on the whole kernel, before the bands
+# (delta = 100, 2-core x86-64): 64 was best at fig 3's longest chain, 501
+# states (9.0 ms against 9.7 at 32 and 9.3 at 128).
 TILE = 64
 
 
@@ -450,16 +449,61 @@ def _tile_floats(v: np.ndarray, width: int) -> int:
     return 2 * n + -(-n // 8)
 
 
+def _supports(v: np.ndarray, edges: list):
+    """(first, last): for every eigenvector column j, the first and last row
+    at which some solved chain's v[:, :, j] is nonzero, scanned one column
+    tile [c0, c1) of `edges` at a time, so no size^2 temporary is made."""
+    size = v.shape[1]
+    first, last = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    for c0, c1 in edges:
+        nonzero = (v[..., c0:c1] != 0.0).any(axis=0)
+        first[c0:c1] = nonzero.argmax(axis=0)
+        last[c0:c1] = size - 1 - nonzero[::-1].argmax(axis=0)
+    return first, last
+
+
+def _bands(size: int, v: np.ndarray | None = None) -> list:
+    """The column tiles of a chain of size states, max(1, size // TILE) of
+    equal widths (to one column), each as (c0, c1, r0, r1, j1): the columns
+    [c0, c1), the row band [r0, r1) outside which V[:, c0:c1] and G V[:,
+    c0:c1] are zero, the tile's supports (`_supports` of the eigenvectors
+    v) widened by one row on each side as T and G are tridiagonal, and j1,
+    one past the last column j >= c0 whose support meets the band, so that
+    V[r0:r1, j] is zero from j1 on.  Every band is the whole chain without
+    v, and where the scan cannot pay: on a chain of one tile, whose band is
+    the union of all the supports, the whole chain as V is nonsingular, and
+    where rows 0 and size - 1 of v hold no zero, so every support is whole."""
+    count = max(1, size // TILE)
+    edges = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+    if v is None or count == 1 or (v[:, 0].all() and v[:, -1].all()):
+        return [(c0, c1, 0, size, size) for c0, c1 in edges]
+    first, last = _supports(v, edges)
+    tiles = []
+    for c0, c1 in edges:
+        r0, r1 = max(int(first[c0:c1].min()) - 1, 0), min(int(last[c0:c1].max()) + 2, size)
+        meets = np.flatnonzero((first[c0:] < r1) & (last[c0:] >= r0))
+        tiles.append((c0, c1, r0, r1, c0 + 1 + int(meets[-1])))
+    return tiles
+
+
+def _work(tiles) -> int:
+    """The multiply-adds of the tiles' products V^T (G V) per chain."""
+    return sum((j1 - c0) * (r1 - r0) * (c1 - c0) for c0, c1, r0, r1, j1 in tiles)
+
+
 def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndarray,
            t: float, ys: np.ndarray, scratch: np.ndarray, tiles, acc: np.ndarray) -> np.ndarray:
     """For the k solved blocks of H (eigenvalues w, eigenvectors v, k =
     len(v)), the residual and the kernel K = (V^T G V) o sinc((w_j - w_k) t
-    / 2), column tile by column tile.  K is symmetric, so a tile [c0, c1) of
-    `tiles` forms only its rows from c0 on, A = K[c0:, c0:c1], and adds
-    A ys[c0:c1] to acc[c0:] and A[c1 - c0:]^T ys[c1:] to acc[c0:c1]: over all
-    the tiles, acc gains K ys, for the real ys and acc (k, size, m).  Returns
-    the squared Frobenius norm of the residual T V - V diag(w) = (d - w) o V
-    + T's off-diagonal terms over the tiles' columns, per block.
+    / 2), column tile by column tile.  K is symmetric, so a tile (c0, c1,
+    r0, r1, j1) of `tiles` (see `_bands`) forms only its rows from c0 on,
+    and of those only the ones before j1, A = K[c0:j1, c0:c1], from the
+    band's rows of V and G V, and adds A ys[c0:c1] to acc[c0:j1] and
+    A[c1 - c0:]^T ys[c1:j1] to acc[c0:c1]: over all the tiles, acc gains
+    K ys, for the real ys and acc (k, size, m).  Every term it skips is a
+    product with an exact zero of V or G V.  Returns the squared Frobenius
+    norm of the residual T V - V diag(w) = (d - w) o V + T's off-diagonal
+    terms over the tiles' columns, per block; it is zero outside the bands.
 
     Every buffer is carved from the flat `scratch` (`_tile_floats` long) by
     `_columns`, packed to the tile's shape, so every elementwise pass runs
@@ -472,21 +516,22 @@ def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndar
         return 0.0
     w, h_diag, h_off, g_diag, g_off = (m[:len(v)] for m in (w, h.block_diag, h.block_off,
                                                             g.block_diag, g.block_off))
-    blocks, size = w.shape
-    n = v[..., :max(c1 - c0 for c0, c1 in tiles)].size
+    blocks = len(w)
+    n = v[..., :max(c1 - c0 for c0, c1, *_ in tiles)].size
     first, second, mask = scratch[:n], scratch[n:2 * n], scratch[2 * n:].view(np.bool_)
     sums = 0.0
-    for c0, c1 in tiles:
-        vc, rows, cols = v[..., c0:c1], size - c0, c1 - c0
-        r = np.subtract(h_diag[..., None], w[:, None, c0:c1],
-                        out=_columns(first, blocks, size, cols))
-        r = _tri_mul(r, h_off, vc, r, _columns(second, blocks, size, cols))
+    for c0, c1, r0, r1, j1 in tiles:
+        vc, band, rows, cols = v[:, r0:r1, c0:c1], r1 - r0, j1 - c0, c1 - c0
+        r = np.subtract(h_diag[:, r0:r1, None], w[:, None, c0:c1],
+                        out=_columns(first, blocks, band, cols))
+        r = _tri_mul(r, h_off[:, r0:r1 - 1], vc, r, _columns(second, blocks, band, cols))
         sums = sums + np.einsum("bij,bij->b", r, r)
-        gv = _tri_mul(g_diag[..., None], g_off, vc, _columns(first, blocks, size, cols),
-                      _columns(second, blocks, size, cols))  # the residual is spent
-        a = np.matmul(v[..., c0:].transpose(0, 2, 1), gv,
+        gv = _tri_mul(g_diag[:, r0:r1, None], g_off[:, r0:r1 - 1], vc,
+                      _columns(first, blocks, band, cols),
+                      _columns(second, blocks, band, cols))  # the residual is spent
+        a = np.matmul(v[:, r0:r1, c0:j1].transpose(0, 2, 1), gv,
                       out=_columns(second, blocks, rows, cols))
-        x = np.subtract(w[:, c0:, None], w[:, None, c0:c1],
+        x = np.subtract(w[:, c0:j1, None], w[:, None, c0:c1],
                         out=_columns(first, blocks, rows, cols))  # G V is spent
         x *= 0.25 * t
         # x = h is 0 where w_j = w_k, and sinc(0) = 1 keeps the entry
@@ -496,9 +541,9 @@ def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndar
         x *= x
         x += 1.0
         a /= x
-        acc[:, c0:] += np.matmul(a, ys[:, c0:c1])
-        if c1 < size:
-            acc[:, c0:c1] += np.matmul(a[:, c1 - c0:].transpose(0, 2, 1), ys[:, c1:])
+        acc[:, c0:j1] += np.matmul(a, ys[:, c0:c1])
+        if c1 < j1:
+            acc[:, c0:c1] += np.matmul(a[:, cols:].transpose(0, 2, 1), ys[:, c1:j1])
     return sums
 
 
@@ -540,15 +585,29 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     and ZZZZ go as one batched tile).  A tile [c0, c1) forms the kernel K =
     (V^T G V) o sinc only in its rows from c0 on, and K's symmetry gives the
     rest of K y, so of T tiles' products and tangents only (T + 1) / 2T of
-    the whole kernel's are computed.  Besides the eigenvectors of the solved
-    blocks (one size^2 matrix per solved chain) it holds two size x tile
-    buffers and a byte mask per chain and thread, carved from the calling
-    thread's scratch arena (`_scratch`), whose dstevd workspace is spent by
-    then, so the peak is the chain solve's (V and that workspace), and a
-    repeated call at one size allocates nothing of size^2 but V.
+    the whole kernel's are computed.  Where the coupling is weak (delta >>
+    eps, or eps small), dstevd's divide and conquer deflates (Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16:172, 1995): at delta = 100,
+    79-90 % of V's entries are exact zeros from N = 250 to 1000.  So after
+    the solve `_bands` records each column's first and last nonzero row
+    (`_supports`), one tile at a time, and gives each tile its row band
+    [r0, r1), the union of its columns' supports widened by one row as T
+    and G are tridiagonal, and its kernel row end j1, past which no column
+    meets the band: the residual, G V and V[r0:r1, c0:j1]^T (G V)[r0:r1] run over the
+    band, and the sinc and both K y products over rows [c0, j1).  Every
+    term skipped is a product with an exact zero, so each entry is the same
+    sum, though BLAS may group its terms otherwise.  A chain of one tile,
+    or whose rows 0 and size - 1 hold no zero, is not scanned: its bands
+    are whole.  Besides the eigenvectors of the solved blocks (one size^2
+    matrix per solved chain) it holds two size x tile buffers and a byte
+    mask per chain and thread, carved from the calling thread's scratch
+    arena (`_scratch`), whose dstevd workspace is spent by then, so the
+    peak is the chain solve's (V and that workspace), and a repeated call
+    at one size allocates nothing of size^2 but V.
     Even and odd tiles sum into their own accumulators and residual norms,
-    added in one order; from THREADED_SIZE states on the odd tiles run on a
-    helper thread, which changes no bit.  Chain 1 of a mirrored H is read
+    added in one order; where the tiles' product work (`_work`) is at least
+    a dense THREADED_SIZE-state chain's, the odd tiles run on a helper
+    thread, which changes no bit.  Chain 1 of a mirrored H is read
     through chain 0's eigenvectors (`_apply`): with V1 = S V0, w1 = -w0 and
     S^T G1 S = -G0, its kernel is -K0, so its y rides as more columns of
     chain 0's and their product is negated.
@@ -574,7 +633,10 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     product with it, its square, the sum with 1 and the division by that;
     the relative error of tan h passes to the sinc at most once, as
     |d log sinc / d log tan h| = |1 - tan^2 h| / (1 + tan^2 h) <= 1.  A
-    product with V gathers size.
+    product with V gathers size.  The bands change none of this: a term
+    they skip is an exact zero, which rounds nothing, so an entry of V^T (G
+    V) over a band of b rows gathers b <= size roundings, and the residual
+    outside the bands is exactly zero.
     Normalizing psi at most doubles its error.  With gradual underflow an
     operation may also err absolutely, by at most the smallest subnormal
     number s (Higham, eq. 2.8); a component of dpsi is about 3 size + 7
@@ -605,11 +667,10 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
             y = y.transpose(2, 1, 0)
         ys = np.concatenate([y.real, y.imag], axis=-1)
         acc = np.zeros((2,) + ys.shape)  # K ys summed over the even tiles and over the odd
-        count = max(1, size // TILE)
-        tiles = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+        tiles = _bands(size, v)
         args = (h, g, w, v, t, ys)
-        need = _tile_floats(v, -(-size // count))  # the widest tile's
-        if size < THREADED_SIZE:
+        need = _tile_floats(v, max(c1 - c0 for c0, c1, *_ in tiles))  # the widest tile's
+        if _work(tiles) < _work(_bands(THREADED_SIZE)):
             scratch = _scratch(need)
             sums = [_tiles(*args, scratch, tiles[i::2], acc[i]) for i in (0, 1)]
         else:  # the odd tiles on a helper thread, in the arena's second part

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-summary lines.  The N=2000 weak-coupling run is opt-in: `pytest -m slow`.
+summary lines, the N = 2000 weak-coupling run among them.
 """
 
 import math
@@ -137,7 +137,6 @@ def test_criterion_3_scaling_exponents():
     _report(3, "; ".join(summaries))
 
 
-@pytest.mark.slow
 def test_criterion_3_optional_weak_coupling_to_n2000():
     """SQL scaling of I_omega1 at delta=100 persists to N = 2000.
 

@@ -136,8 +136,9 @@ def test_eigensystem_orthonormal_d50():
 
 
 def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
-    # every BLAS call runs on one numpy BLAS thread at every size; from
-    # THREADED_SIZE on, the kernel's odd column tiles run on a second Python thread
+    # every BLAS call runs on one numpy BLAS thread at every size; where the
+    # kernel's product work is at least a dense THREADED_SIZE-state chain's,
+    # its odd column tiles run on a second Python thread
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -163,7 +164,9 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
 
     for name in ("_solve_chain", "_tiles", "_mul"):
         monkeypatch.setattr(dynamics, name, recording(name, getattr(dynamics, name)))
-    big = dynamics.THREADED_SIZE  # its chains have THREADED_SIZE + 1 states
+    # a chain of 1001 states (delta = eps = 1): its bands, of which the two
+    # edge tiles' are half the chain, hold 94 % of a dense 1001-state chain's work
+    big = 1000
     caller, scipy_caller = get(), scipy_get()
     try:
         for count in (1, 2):
@@ -206,17 +209,26 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("wrt", ["x", "omega1"])
-@pytest.mark.parametrize("n", [300, 500, 1000, 1001])
-def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
-    # every BLAS call runs on one thread at every size, on the helper thread of
-    # chains from THREADED_SIZE on too, so the caller's count cannot change a
-    # bit of the result
+@pytest.mark.parametrize("n, delta, threads", [(300, 100.0, 1), (500, 100.0, 1), (1000, 100.0, 1),
+                                               (1001, 100.0, 1), (1000, 1.0, 2), (1001, 1.0, 2)],
+                         ids=["300", "500", "1000", "1001", "dense-1000", "dense-1001"])
+def test_evolve_derivative_independent_of_caller_blas_threads(monkeypatch, n, delta, threads, wrt):
+    # every BLAS call runs on one thread at every size, on the helper thread
+    # that takes the dense chains' odd tiles too, so the caller's count
+    # cannot change a bit of the result
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
-    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    spec = ModelSpec(ModelKind.ZZXX, delta=delta)
     h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
     psi0 = build_product_state(n, DEFAULT_ANGLES)
+    tiles, kernel_threads = dynamics._tiles, set()
+
+    def recording(*args):
+        kernel_threads.add(threading.get_ident())
+        return tiles(*args)
+
+    monkeypatch.setattr(dynamics, "_tiles", recording)
     caller, results = get(), []
     try:
         for count in (1, 2):
@@ -224,6 +236,7 @@ def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
             results.append(evolve_derivative(h, g, spec.t, psi0))
     finally:
         set_(caller)
+    assert len(kernel_threads) == threads
     (psi1, dpsi1, *bounds1), (psi2, dpsi2, *bounds2) = results
     assert np.array_equal(psi1.amplitudes, psi2.amplitudes)
     assert np.array_equal(dpsi1, dpsi2)
@@ -235,14 +248,26 @@ def test_evolve_derivative_independent_of_caller_blas_threads(n, wrt):
 def test_column_halves_match_one_slab(monkeypatch, n, wrt):
     # the odd column tiles on the helper thread give the same bits as all
     # tiles on the caller's: even and odd tiles sum into their own
-    # accumulators and residual norms either way, added in one order
+    # accumulators and residual norms either way, added in one order.  The
+    # weak-coupling chain's bands hold too little work for the helper, so
+    # THREADED_SIZE is lowered to send its odd tiles there
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
     h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
-    assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE
     psi0 = build_product_state(n, DEFAULT_ANGLES)
+    tiles, kernel_threads = dynamics._tiles, set()
+
+    def recording(*args):
+        kernel_threads.add(threading.get_ident())
+        return tiles(*args)
+
+    monkeypatch.setattr(dynamics, "_tiles", recording)
+    monkeypatch.setattr(dynamics, "THREADED_SIZE", 2 * dynamics.TILE)
     psi, dpsi, *bounds = evolve_derivative(h, g, spec.t, psi0)
+    assert len(kernel_threads) == 2
+    kernel_threads.clear()
     monkeypatch.setattr(dynamics, "THREADED_SIZE", n + 2)
     psi_one, dpsi_one, *bounds_one = evolve_derivative(h, g, spec.t, psi0)
+    assert kernel_threads == {threading.get_ident()}
     assert np.array_equal(psi.amplitudes, psi_one.amplitudes)
     assert np.array_equal(dpsi, dpsi_one)
     assert bounds == bounds_one
@@ -250,13 +275,13 @@ def test_column_halves_match_one_slab(monkeypatch, n, wrt):
 
 @pytest.mark.parametrize("first", [True, False])  # the caller's tiles, or the helper thread's
 def test_exception_in_a_column_half_propagates(monkeypatch, first):
-    n = dynamics.THREADED_SIZE
+    n = dynamics.THREADED_SIZE + dynamics.TILE  # the odd tiles reach the helper
     spec = ModelSpec(ModelKind.ZZXX)
     h, g = assemble(spec, n), assemble(spec, n, wrt=Param.X)
     tiles = dynamics._tiles
 
     def failing(*args):
-        if (args[-2][0][0] == 0) == first:  # the even tiles start at column 0
+        if (args[-2][0][0] == 0) == first:  # the even tiles' first starts at column 0
             raise FloatingPointError("tiles failed")
         return tiles(*args)
 
@@ -374,6 +399,81 @@ def test_tiles_match_the_dense_formula(every_block, kind, n, t):
         assert np.linalg.norm(dpsi - dref) <= 1e-13 * np.linalg.norm(dref)
 
 
+@pytest.mark.parametrize("n", [3 * dynamics.TILE + 1, 500])
+@pytest.mark.parametrize("field, value, wrt", [("delta", 100.0, "omega1"),
+                                               ("epsilon", 0.001, "x")])
+def test_weak_coupling_bands_match_the_dense_formula(every_block, field, value, wrt, n):
+    # weak coupling, where dstevd deflates and most of V is exact zeros, so
+    # each tile works on its row band and kernel rows only, against every
+    # kernel formed whole
+    spec = ModelSpec(ModelKind.ZZXX, **{field: value})
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
+    _, v = eigensystem(h)
+    size = v.shape[1]
+    tiles = dynamics._bands(size, v)
+    assert dynamics._work(tiles) < dynamics._work(dynamics._bands(size))
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
+    ref, dref = _materialised(h, g, spec.t, psi0, every_block)
+    assert np.linalg.norm(psi.amplitudes - ref) <= 1e-13
+    assert np.linalg.norm(dpsi - dref) <= 1e-13 * np.linalg.norm(dref)
+
+
+@pytest.mark.parametrize("n", [500, 501])  # one mirrored chain, two chains
+def test_bands_hold_every_nonzero_of_their_tiles(n):
+    # V[:, c0:c1] is zero outside rows [r0 + 1, r1 - 1), so T V and G V are
+    # zero outside [r0, r1) (the band's edge rows count only where the chain
+    # ends there), and V[r0:r1, j] is zero from j1 on but not at j1 - 1
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    _, v = eigensystem(assemble(spec, n))
+    size = v.shape[1]
+    tiles = dynamics._bands(size, v)
+    for c0, c1, r0, r1, j1 in tiles:
+        lo, hi = (r0 + 1 if r0 > 0 else 0), (r1 - 1 if r1 < size else size)
+        tile = v[:, :, c0:c1]
+        assert np.count_nonzero(tile[:, lo:hi]) == np.count_nonzero(tile)
+        assert not v[:, r0:r1, j1:].any() and v[:, r0:r1, j1 - 1].any()
+    assert dynamics._work(tiles) < dynamics._work(dynamics._bands(size))
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_bands_match_whole_chain_supports(monkeypatch, n):
+    # every term the bands skip is an exact zero: with every support reported
+    # as the whole chain, psi is the same to the bit, and dpsi and both bounds
+    # the same sums up to how BLAS and einsum group their terms (a product over
+    # fewer rows may be split into blocks at other rows)
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param.OMEGA1)
+    psi0 = build_product_state(n, DEFAULT_ANGLES)
+    psi, dpsi, *bounds = evolve_derivative(h, g, spec.t, psi0)
+    monkeypatch.setattr(dynamics, "_supports", lambda v, edges: (
+        np.zeros(v.shape[1], dtype=np.intp), np.full(v.shape[1], v.shape[1] - 1)))
+    psi_whole, dpsi_whole, *bounds_whole = evolve_derivative(h, g, spec.t, psi0)
+    assert np.array_equal(psi.amplitudes, psi_whole.amplitudes)
+    assert np.linalg.norm(dpsi - dpsi_whole) <= 1e-14 * np.linalg.norm(dpsi_whole)
+    assert bounds == pytest.approx(bounds_whole, rel=1e-14, abs=0.0)
+
+
+def test_weak_coupling_bands_skip_most_of_the_product(monkeypatch):
+    # at delta = 100 and N = 1000, 90 % of V is exact zeros and the tiles'
+    # products V^T (G V) run over 6 % of the whole kernel's multiply-adds;
+    # a change that silently stops skipping fails here
+    n = 1000
+    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
+    h, g = assemble(spec, n), assemble(spec, n, wrt=Param.OMEGA1)
+    tiles, seen = dynamics._tiles, []
+
+    def spying(*args):
+        seen.extend(args[-2])
+        return tiles(*args)
+
+    monkeypatch.setattr(dynamics, "_tiles", spying)
+    evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
+    dense = dynamics._bands(n + 1)
+    assert sorted(tile[:2] for tile in seen) == [tile[:2] for tile in dense]
+    assert dynamics._work(seen) <= 0.15 * dynamics._work(dense)
+
+
 def _planted_spectrum(rng, size):
     """Eigenvalues whose gaps are 0, 1e-12 and 1e-3, whose halved gaps lie
     near (k + 1/2) pi and whose quartered ones near the poles of tan, with
@@ -401,13 +501,12 @@ def test_tiles_sinc_and_kernel_match_mpmath():
         for j, k in zip(*np.nonzero(np.triu(x))):  # x is antisymmetric, the sinc even
             arg = mpmath.mpf(x[j, k])
             sinc[j, k] = sinc[k, j] = float(mpmath.sin(arg) / arg)
-    count = max(1, size // dynamics.TILE)
-    tiles = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+    tiles = dynamics._bands(size)  # every band the whole chain
 
     def kernel_times(v, g, ys):
         h = HamiltonianMatrix((size - 2) // 2, np.arange(size), rng.standard_normal((1, size)),
                               rng.standard_normal((1, size - 1)))
-        scratch = np.empty(dynamics._tile_floats(v, -(-size // count)))
+        scratch = np.empty(dynamics._tile_floats(v, max(c1 - c0 for c0, c1, *_ in tiles)))
         acc = np.zeros(ys.shape)
         dynamics._tiles(h, g, w, v, t, ys, scratch, tiles, acc)
         return acc[0]
@@ -492,8 +591,9 @@ def test_concurrent_callers_keep_their_own_scratch_arenas():
 @pytest.mark.slow
 @pytest.mark.parametrize("field, wrt", [("delta", "omega1"), ("epsilon", "x")])
 def test_n2000_derivative_matches_materialised_formula(every_block, field, wrt):
-    # one mirrored chain of 2001 states, its odd tiles on the helper thread,
-    # against every block formed and the whole kernel built with np.sin
+    # one mirrored chain of 2001 states against every block formed and the
+    # whole kernel built with np.sin; the eps = 100 chain's odd tiles run on
+    # the helper thread, the delta = 100 chain's bands hold too little work
     n = 2000
     spec = ModelSpec(ModelKind.ZZXX, **{field: 100.0})
     h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
