@@ -56,9 +56,9 @@ import ctypes
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,6 +120,7 @@ class HamiltonianMatrix:
     perm: np.ndarray
     block_diag: np.ndarray
     block_off: np.ndarray
+    mirrored: bool = field(init=False)  # `_mirrored` of it, evaluated once, on construction
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=int)
@@ -132,11 +133,12 @@ class HamiltonianMatrix:
             raise ValueError(f"block_diag must be (blocks, size) with {dim} entries")
         if off.shape != (diag.shape[0], diag.shape[1] - 1):
             raise ValueError(f"block_off must have shape {(diag.shape[0], diag.shape[1] - 1)}")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ValueError("matrix elements must be finite")
         for name, arr in (("perm", perm), ("block_diag", diag), ("block_off", off)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mirrored", _mirrored(self))
 
     @property
     def dim(self) -> int:
@@ -146,9 +148,9 @@ class HamiltonianMatrix:
     def norm_bound(self) -> float:
         """Gershgorin bound on the spectral norm: the largest row sum
         |diag| + |off| on both sides over all blocks."""
-        rows = np.abs(self.block_diag).copy()
-        rows[:, :-1] += np.abs(self.block_off)
-        rows[:, 1:] += np.abs(self.block_off)
+        rows, off = np.abs(self.block_diag), np.abs(self.block_off)
+        rows[:, :-1] += off
+        rows[:, 1:] += off
         return float(rows.max())
 
     @cached_property
@@ -198,19 +200,22 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray, out: np.ndarray,
         if not all(c.flags.c_contiguous for c in columns):
             raise ValueError("out and tmp must be laid out in contiguous columns")
         flat, products = (c.reshape(-1) for c in columns)
-        end = np.zeros((len(off), 1))
+        padded = np.zeros((len(off), off.shape[1] + 2, 1))  # [0, off, 0] per block
+        padded[:, 1:-1, 0] = off
         # row i gains T[i, i+1] x[i+1], then T[i, i-1] x[i-1]
-        np.multiply(np.concatenate([end, off], axis=1)[..., None], x, out=tmp)
+        np.multiply(padded[:, :-1], x, out=tmp)
         flat[:-1] += products[1:]
-        np.multiply(np.concatenate([off, end], axis=1)[..., None], x, out=tmp)
+        np.multiply(padded[:, 1:], x, out=tmp)
         flat[1:] += products[:-1]
     return out
 
 
+@lru_cache(maxsize=2)
 def _layout(kind: ModelKind, n: int):
     """Everything of a model's tridiagonal form that (kind, N) fixes: (perm,
     block size, J_z and the bus Z/2 in the permuted order, and the diagonal
-    (permuted order) and block off-diagonal of K (x) B)."""
+    (permuted order) and block off-diagonal of K (x) B), read-only.  The last
+    two are kept, so a sweep's H and dH/dtheta at every regime of one N share one."""
     if kind is ModelKind.ZZXX:
         k = np.arange(n + 1)
         bus = (k + np.array([[0], [1]])) % 2  # row p: the chain with k + s = p mod 2
@@ -225,6 +230,8 @@ def _layout(kind: ModelKind, n: int):
         coupling = np.zeros(len(perm)), m_values(n)[:, None]
     else:  # J_x (x) X along both chains
         coupling = np.zeros(len(perm)), np.tile(_jx_ladder(n), (2, 1))
+    for a in (perm, jz, z_half, *coupling):
+        a.flags.writeable = False
     return perm, size, jz, z_half, *coupling
 
 
@@ -281,12 +288,12 @@ def _openblas():
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     # dstevd(JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(JOBZ)); the
-    # arrays must be writeable, so a read-only block row is refused, not overwritten
-    int64 = ctypes.POINTER(ctypes.c_int64)
-    floats, ints = (np.ctypeslib.ndpointer(dtype, flags=("F_CONTIGUOUS", "WRITEABLE"))
-                    for dtype in (np.float64, np.int64))
-    stevd.argtypes = [ctypes.c_char_p, int64, floats, floats, floats, int64, floats, int64,
-                      ints, int64, int64, ctypes.c_size_t]
+    # caller's D and Z must be writeable and Fortran-ordered, so a read-only block row is
+    # refused, not overwritten; E and the workspaces go by address, into the arena
+    int64, address = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    floats = np.ctypeslib.ndpointer(np.float64, flags=("F_CONTIGUOUS", "WRITEABLE"))
+    stevd.argtypes = [ctypes.c_char_p, int64, floats, address, floats, int64, address, int64,
+                      address, int64, int64, ctypes.c_size_t]
     stevd.restype = None
     return stevd, get, set_
 
@@ -358,16 +365,18 @@ def _solve_chain(d: np.ndarray, e: np.ndarray, w: np.ndarray, z: np.ndarray):
     tridiagonal matrix with diagonal d and off-diagonal e: LAPACK dstevd, as
     `scipy.linalg.eigh_tridiagonal` calls it for a full spectrum.  dstevd
     overwrites D and E, so D is w, filled with d, and E a copy of e; E and
-    the workspaces are the head of the thread's arena (`_scratch`)."""
+    the workspaces are the head of the thread's arena (`_scratch`), WORK,
+    then IWORK (int64s, eight bytes like a float64), then E."""
     n = len(d)
+    if z.shape != (n, n):  # dstevd writes n^2 entries through z's address
+        raise ValueError(f"z must be {n} x {n}, got {z.shape}")
     w[:] = d
     lwork, liwork, info = 1 + 4 * n + n * n, 3 + 5 * n, ctypes.c_int64()
     scratch = _scratch(lwork + liwork + n - 1)
-    off = scratch[lwork + liwork:]
-    off[:] = e
-    _OPENBLAS[0](b"V", ctypes.c_int64(n), w, off, z, ctypes.c_int64(n),
-                 scratch[:lwork], ctypes.c_int64(lwork),
-                 scratch[lwork:lwork + liwork].view(np.int64), ctypes.c_int64(liwork), info, 1)
+    scratch[lwork + liwork:] = e
+    work = scratch.ctypes.data
+    _OPENBLAS[0](b"V", ctypes.c_int64(n), w, work + 8 * (lwork + liwork), z, ctypes.c_int64(n),
+                 work, ctypes.c_int64(lwork), work + 8 * lwork, ctypes.c_int64(liwork), info, 1)
     if info.value:
         raise np.linalg.LinAlgError(f"dstevd returned info = {info.value}")
 
@@ -384,7 +393,7 @@ def eigensystem(h: HamiltonianMatrix):
     """
     diag, off = h.block_diag, h.block_off
     size = diag.shape[1]
-    chains = 1 if _mirrored(h) else len(diag)
+    chains = 1 if h.mirrored else len(diag)
     w = np.empty(diag.shape)
     try:
         if size <= 2 or _OPENBLAS is None:  # tiny blocks, or no dstevd: one dense solve
@@ -650,14 +659,14 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         dpsi_error = t ||G|| (2 d + t eta + (size + 3 sqrt(size)) gamma) + f.
     """
     _check_dims(h, psi0)
-    if not (np.array_equal(g.perm, h.perm) and g.block_diag.shape == h.block_diag.shape
-            and (_mirrored(g) or not _mirrored(h))):
+    if not ((g.perm is h.perm or np.array_equal(g.perm, h.perm))
+            and g.block_diag.shape == h.block_diag.shape and (not h.mirrored or g.mirrored)):
         raise ValueError("G must share the block structure of H and its mirror")
     if t == 0.0:
         return psi0, np.zeros(psi0.dim, dtype=complex), 0.0, 0.0
     with _blas_threads():
         w, v = eigensystem(h)
-        (blocks, size), u = w.shape, float(np.finfo(float).eps) / 2.0
+        (blocks, size), u = w.shape, 2.0 ** -53  # the unit roundoff
         amps0 = h.to_blocks(psi0.amplitudes)[..., None]
         c = _apply(v, amps0, transpose=True)
         half = np.exp(-0.5j * t * w)[..., None]
@@ -670,16 +679,16 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         tiles = _bands(size, v)
         args = (h, g, w, v, t, ys)
         need = _tile_floats(v, max(c1 - c0 for c0, c1, *_ in tiles))  # the widest tile's
-        if _work(tiles) < _work(_bands(THREADED_SIZE)):
+        if len(tiles) == 1 or _work(tiles) < _work(_bands(THREADED_SIZE)):  # one: no odd tiles
             scratch = _scratch(need)
-            sums = [_tiles(*args, scratch, tiles[i::2], acc[i]) for i in (0, 1)]
+            sums = [_tiles(*args, scratch, tiles[i::2], acc[i]) for i in range(min(len(tiles), 2))]
         else:  # the odd tiles on a helper thread, in the arena's second part
             from concurrent.futures import ThreadPoolExecutor  # ~2 ms to import
             scratch = _scratch(2 * need)
             with ThreadPoolExecutor(1) as pool:
                 odd = pool.submit(_tiles, *args, scratch[need:], tiles[1::2], acc[1])
                 sums = [_tiles(*args, scratch[:need], tiles[0::2], acc[0]), odd.result()]
-        squared = float((sums[0] + sums[1]).max())  # the largest squared residual of a block
+        squared = float(sum(sums).max())  # the largest squared residual of a block
         zs = acc[0] + acc[1]
         m = y.shape[-1]
         z = zs[..., :m] + 1j * zs[..., m:]
@@ -693,7 +702,7 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     eta = 2.0 * math.sqrt(squared) + 2.0 * u * h.norm_bound
     tau, g_norm = abs(t), g.norm_bound
     gamma = (size + 10) * u / (1.0 - (size + 10) * u)
-    tiny = float(np.finfo(float).smallest_subnormal)
+    tiny = 2.0 ** -1074  # the smallest subnormal number
     floor = 0.0 if g_norm == 0.0 else ((3 * size + 7) * math.sqrt(h.dim) * (1.0 + tau)
                                        * (1.0 + tau * g_norm) * tiny)
     return (psi, dpsi, 2.0 * (defect + tau * eta + 2.0 * math.sqrt(size) * gamma) + floor,

@@ -192,11 +192,18 @@ def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
     `_connected_integrals` at a single time."""
     if sel is Param.OMEGA0:
         raise ValueError("no zeroth-order expansion is provided for omega0")
-    probe_op, bus_op = _COUPLING[spec.kind]
-    scale, term = ((spec.epsilon, np.kron(0.5 * probe_op, bus_op)) if sel is Param.X
-                   else (spec.delta, _Z_HALF_PROBE))
+    scale = spec.epsilon if sel is Param.X else spec.delta
     return _expansion(spec, n, 4.0 * (scale * spec.t) ** 2,
-                      _connected_integrals(term[None], np.ones(1), angles))
+                      _pt2_integrals(spec.kind, angles, sel))
+
+
+@lru_cache(maxsize=8)
+def _pt2_integrals(kind: ModelKind, angles: StateAngles, sel: Param) -> tuple:
+    """`_connected_integrals` of P/2 x R (x) or Z/2 x I (omega1) at a single
+    time: free of N and of the regime, so a sweep evaluates it once."""
+    probe_op, bus_op = _COUPLING[kind]
+    term = np.kron(0.5 * probe_op, bus_op) if sel is Param.X else _Z_HALF_PROBE
+    return _connected_integrals(term[None], np.ones(1), angles)
 
 
 @lru_cache(maxsize=256)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,8 +132,14 @@ def build_product_state(n: int, angles: StateAngles) -> SymmetricState:
     The (m, s=0) amplitude is
         sqrt(C(N, m+N/2)) cos(alpha)^(N/2+m) (sin(alpha) e^{i phi})^(N/2-m) cos(beta)
     and (m, s=1) carries sin(beta) e^{i varphi} instead of cos(beta).  The
-    result is renormalized to absorb floating-point rounding.
+    result is renormalized to absorb floating-point rounding.  The last two
+    states are kept, read-only, so a sweep's regimes of one N share one.
     """
+    return _product_state(n, angles)
+
+
+@lru_cache(maxsize=2)
+def _product_state(n: int, angles: StateAngles) -> SymmetricState:
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(n + 1)            # k = N/2 - m, i.e. number of probe flips

@@ -81,8 +81,7 @@ class SweepConfig:
         names = [regime.name for regime in self.regimes]  # each names its CSV rows
         if any(not name or "," in name for name in names) or len(set(names)) < len(names):
             raise ValueError(f"regime names must be nonempty, comma-free and distinct: {names}")
-        for regime in self.regimes:  # a bad parameter fails here, not mid-sweep
-            _Point(self, regime, ns[0])
+        _settings(self)  # a bad parameter fails here, not mid-sweep
 
 
 @dataclass(frozen=True)
@@ -110,18 +109,24 @@ class ScanResult:
     fits: tuple
 
 
+def _settings(config: SweepConfig) -> list:
+    """(regime, spec, angles) of every regime; a bad parameter raises ValueError."""
+    return [(regime, ModelSpec(kind=config.kind, delta=regime.delta, epsilon=regime.epsilon,
+                               omega0=config.omega0, omega1=config.omega1, x=config.x,
+                               t=config.t),
+             config.angles if regime.alpha is None else replace(config.angles, alpha=regime.alpha))
+            for regime in config.regimes]
+
+
 class _Point:
     """One (regime, N) grid point.  The fisher solve runs on the first
     `evolved()` call only; a failed solve re-raises its error for every
     fisher quantity of the point."""
 
-    def __init__(self, config: SweepConfig, regime: Regime, n: int):
-        self.config, self.regime, self.n, self.sel = config, regime, n, config.param
-        self.spec = ModelSpec(kind=config.kind, delta=regime.delta, epsilon=regime.epsilon,
-                              omega0=config.omega0, omega1=config.omega1, x=config.x, t=config.t)
-        self.angles = (config.angles if regime.alpha is None
-                       else replace(config.angles, alpha=regime.alpha))
-        self.observable = paulis.NAMED_OBSERVABLES[config.observable]
+    def __init__(self, config: SweepConfig, n: int, regime: Regime, spec: ModelSpec,
+                 angles: StateAngles):
+        self.config, self.n, self.regime, self.spec, self.angles = config, n, regime, spec, angles
+        self.sel, self.observable = config.param, paulis.NAMED_OBSERVABLES[config.observable]
         self._solved = None
 
     def evolved(self):
@@ -183,7 +188,9 @@ KNOWN_QUANTITIES = tuple(_READERS)
 def run_sweep(config: SweepConfig) -> ScanResult:
     """Evaluate every requested quantity at every (regime, N) grid point and
     fit log-log exponents over the upper half of the N grid."""
-    points = (_Point(config, regime, n) for regime in config.regimes for n in config.n_list)
+    # N outer: the points of one N, which share its layout and product state, run in a row
+    settings = _settings(config)
+    points = (_Point(config, n, *setting) for n in config.n_list for setting in settings)
     rows = sorted((row for point in points for row in point.rows()),
                   key=lambda r: (r.quantity, r.regime, r.n))
 

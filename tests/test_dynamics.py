@@ -290,6 +290,33 @@ def test_exception_in_a_column_half_propagates(monkeypatch, first):
         evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
 
 
+def test_chain_solve_refuses_outputs_it_cannot_write_in_place():
+    # dstevd writes D and Z through raw pointers: an output array it cannot
+    # write in place, a read-only w (say a row of H), a read-only or
+    # C-ordered z or one of the wrong shape, is refused before the call, and
+    # nothing is overwritten
+    if dynamics._OPENBLAS is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    h = assemble(ModelSpec(ModelKind.ZZXX, epsilon=3.0), 5)
+    d, e = h.block_diag[0], h.block_off[0]
+    size = len(d)
+    w, z = np.empty(size), np.empty((size, size), order="F")
+    dynamics._solve_chain(d, e, w, z)
+    np.testing.assert_allclose(z.T @ z, np.eye(size), atol=1e-12)
+    row = h.block_diag[1].copy()
+    with pytest.raises(ValueError, match="read-only"):
+        dynamics._solve_chain(d, e, h.block_diag[1], z)
+    assert np.array_equal(h.block_diag[1], row)
+    frozen = np.full((size, size), 7.0, order="F")
+    frozen.flags.writeable = False
+    for bad in (np.full((size, size), 7.0), frozen):  # C-ordered, read-only
+        with pytest.raises(ctypes.ArgumentError):
+            dynamics._solve_chain(d, e, np.empty(size), bad)
+        assert np.all(bad == 7.0)
+    with pytest.raises(ValueError, match="z must be"):  # too small for dstevd's n^2 writes
+        dynamics._solve_chain(d, e, np.empty(size), np.empty((size, size - 1), order="F"))
+
+
 def test_solves_leave_h_unchanged():
     # dstevd overwrites its D and E; the frozen blocks of H must not be them
     spec = ModelSpec(ModelKind.ZZXX, epsilon=3.0, delta=1.3)

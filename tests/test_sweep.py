@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spinbus
-from spinbus import dynamics, fisher, perturb, zzzz_exact
+from spinbus import dynamics, fisher, perturb, states, zzzz_exact
 from spinbus.cli import main
 from spinbus.dynamics import ModelKind, ModelSpec
 from spinbus.fisher import Param, global_qfi_fd
@@ -327,6 +327,38 @@ def test_appendix_integrates_once_per_regime(monkeypatch):
     """))
     assert len(result.rows) == 10 and not any(r.flag for r in result.rows)
     assert calls == [perturb.QUADRATURE_ORDER] * 4  # t1 and u axes, per regime
+
+
+def test_fixed_work_runs_once_per_shared_input(monkeypatch, dense):
+    # one cold sweep of three regimes builds each (kind, N) layout and each
+    # (N, angles) product state once, evaluates pt2's integrals once, and
+    # checks each of a point's two operators for the mirror once
+    for cache in (dynamics._layout, states._product_state, perturb._pt2_integrals):
+        cache.cache_clear()  # the caches live for the whole process
+    calls = {"_mirrored": 0, "_connected_integrals": 0}
+    for module, name in ((dynamics, "_mirrored"), (perturb, "_connected_integrals")):
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    n_list = (1, 2, 3, 4, 8, 9)
+    result = run_sweep(parse_config(f"""
+        model = zzxx
+        param = x
+        regime = weak: delta=1, epsilon=0.001
+        regime = medium: delta=1, epsilon=1
+        regime = strong: delta=1, epsilon=100
+        nlist = {" ".join(map(str, n_list))}
+        quantities = global_qfi pt2
+    """))
+    points = 3 * len(n_list)
+    assert len(result.rows) == 2 * points
+    assert not any(r.flag.startswith("error:") for r in result.rows)
+    layouts, product_states = (cache.cache_info() for cache in (dynamics._layout,
+                                                                states._product_state))
+    assert (layouts.misses, layouts.hits) == (len(n_list), 2 * points - len(n_list))
+    assert (product_states.misses, product_states.hits) == (len(n_list), points - len(n_list))
+    assert calls == {"_mirrored": 2 * points, "_connected_integrals": 1}
 
 
 def test_failed_solve_flags_every_fisher_quantity_of_the_point(monkeypatch):
