@@ -33,19 +33,17 @@ than its sine (see `_tiles`).  Where the coupling is weak, dstevd deflates
 and most entries of the eigenvectors are exact zeros; each tile then works
 only on the rows where its columns are nonzero and on the kernel rows that
 meet them (see `_bands`).  dstevd's size^2 workspace and then the tiles'
-buffers, the helper thread's included, are slices of one grow-only scratch
-arena per calling thread (`_scratch`), so a repeated call at one size
-allocates no (N+1)-square buffer but the eigenvectors it returns.
+buffers are slices of one grow-only scratch arena per calling thread
+(`_scratch`), so a repeated call at one size allocates no (N+1)-square
+buffer but the eigenvectors it returns.
 
 `dstevd` is called through ctypes from the OpenBLAS that numpy's wheel
 bundles, so numpy is the only runtime dependency.  Every BLAS call of
 `eigensystem`, `evolve` and `evolve_derivative` runs with that BLAS pool set
 to one thread, which keeps them bit-reproducible and their results
-independent of the caller's thread count (see `_blas_threads`).  Where the
-kernel's product work is at least a dense THREADED_SIZE-state chain's,
-`evolve_derivative` runs every other column tile on a second Python thread,
-whose BLAS calls run on one thread too.  Where numpy links another LAPACK
-(MKL, Accelerate), the chains go as dense matrices through the one batched
+independent of the caller's thread count (see `_blas_threads`); every call
+runs on the caller's thread.  Where numpy links another LAPACK (MKL,
+Accelerate), the chains go as dense matrices through the one batched
 `np.linalg.eigh` that solves the tiny blocks: the same results to rounding,
 certified by the same residual, but about three times slower.
 """
@@ -301,23 +299,6 @@ def _openblas():
 _OPENBLAS = _openblas()
 
 
-# `evolve_derivative` runs every other column tile on a helper thread (see
-# `_blas_threads`) where the tiles' product work V^T (G V) (`_work`) is at
-# least that of a dense chain of THREADED_SIZE states.  The helper trades CPU
-# time for wall time.  One ZZXX omega1 `evolve_derivative` (medians of 15
-# interleaved calls on a 2-core x86-64 machine), helper against none, wall
-# (CPU) in ms, with the work as a share of a dense 1000-state chain's: delta
-# = eps = 1, whose edge tiles' bands are half the chain, at 1001 states
-# (0.94) 78 (96) against 91 (90), at 901 (0.68) 61 (74) against 70 (70), at
-# 501 (0.14) 20 (23) against 19 (19); delta = 100 at 1001 (0.06) 20 (23)
-# against 20 (20) and at 2001 (0.18) 73 (81) against 76 (76).  At 900, a
-# threshold of 0.73, the near-dense chains of 1000 states and more reach the
-# helper, while every figure and oracle point (fig 3's longest chain has 501 states) and
-# the weak-coupling chains up to 2000 states run on one core.  Even and odd
-# tiles sum apart, so the thread changes no bit.
-THREADED_SIZE = 900
-
-
 @contextmanager
 def _blas_threads():
     """Run the block with numpy's OpenBLAS on one thread, then restore the
@@ -325,9 +306,7 @@ def _blas_threads():
     from threads, and dstevd's threaded dgemm would change its last bits.  A
     threaded product saves some wall time on long chains, but after every
     threaded call the pool's idle worker spins for ~0.1 s, so the process
-    spends about twice its wall time in CPU; `evolve_derivative` runs every
-    other column tile of its longest chains on a second Python thread
-    instead, which sleeps while it waits.  The count is process-wide, so
+    spends about twice its wall time in CPU.  The count is process-wide, so
     other Python threads that use numpy meanwhile run on one thread too, and
     threads that evolve at once may restore each other's setting."""
     if _OPENBLAS is None:
@@ -348,10 +327,10 @@ _ARENA = threading.local()
 def _scratch(count: int) -> np.ndarray:
     """The first `count` float64s of the calling thread's scratch arena: one
     grow-only buffer per thread that serves dstevd's workspace and then
-    `evolve_derivative`'s tile buffers, its helper thread's included.  A
-    fresh size^2 workspace per call is faulted in again on every call once
-    it passes glibc's mmap or trim threshold; the arena's pages stay mapped.
-    Nothing a caller keeps may be a view of it."""
+    `evolve_derivative`'s tile buffers.  A fresh size^2 workspace per call
+    is faulted in again on every call once it passes glibc's mmap or trim
+    threshold; the arena's pages stay mapped.  Nothing a caller keeps may be
+    a view of it."""
     buf = getattr(_ARENA, "buf", None)
     if buf is None or len(buf) < count:
         _ARENA.buf = buf = None  # drop the smaller arena before allocating the larger
@@ -451,13 +430,6 @@ def _apply(v: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
 TILE = 64
 
 
-def _tile_floats(v: np.ndarray, width: int) -> int:
-    """The float64s of scratch one `_tiles` call takes for tiles of up to
-    `width` columns: two buffers and a byte mask of v[..., :width]'s size."""
-    n = v[..., :width].size
-    return 2 * n + -(-n // 8)
-
-
 def _supports(v: np.ndarray, edges: list):
     """(first, last): for every eigenvector column j, the first and last row
     at which some solved chain's v[:, :, j] is nonzero, scanned one column
@@ -495,40 +467,36 @@ def _bands(size: int, v: np.ndarray | None = None) -> list:
     return tiles
 
 
-def _work(tiles) -> int:
-    """The multiply-adds of the tiles' products V^T (G V) per chain."""
-    return sum((j1 - c0) * (r1 - r0) * (c1 - c0) for c0, c1, r0, r1, j1 in tiles)
-
-
 def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndarray,
-           t: float, ys: np.ndarray, scratch: np.ndarray, tiles, acc: np.ndarray) -> np.ndarray:
+           t: float, ys: np.ndarray, tiles):
     """For the k solved blocks of H (eigenvalues w, eigenvectors v, k =
     len(v)), the residual and the kernel K = (V^T G V) o sinc((w_j - w_k) t
     / 2), column tile by column tile.  K is symmetric, so a tile (c0, c1,
     r0, r1, j1) of `tiles` (see `_bands`) forms only its rows from c0 on,
     and of those only the ones before j1, A = K[c0:j1, c0:c1], from the
-    band's rows of V and G V, and adds A ys[c0:c1] to acc[c0:j1] and
-    A[c1 - c0:]^T ys[c1:j1] to acc[c0:c1]: over all the tiles, acc gains
-    K ys, for the real ys and acc (k, size, m).  Every term it skips is a
-    product with an exact zero of V or G V.  Returns the squared Frobenius
-    norm of the residual T V - V diag(w) = (d - w) o V + T's off-diagonal
-    terms over the tiles' columns, per block; it is zero outside the bands.
+    band's rows of V and G V, and adds A ys[c0:c1] to zs[c0:j1] and
+    A[c1 - c0:]^T ys[c1:j1] to zs[c0:c1]: over all the tiles, zs = K ys,
+    for the real ys and zs (k, size, m).  Every term it skips is a product
+    with an exact zero of V or G V.  Returns (zs, the squared Frobenius norm
+    of the residual T V - V diag(w) = (d - w) o V + T's off-diagonal terms
+    over the tiles' columns, per block); the residual is zero outside the
+    bands.
 
-    Every buffer is carved from the flat `scratch` (`_tile_floats` long) by
-    `_columns`, packed to the tile's shape, so every elementwise pass runs
+    Every buffer (two of v[..., :width]'s size, width the widest tile's,
+    and a byte mask) is carved from the calling thread's arena (`_scratch`)
+    by `_columns`, packed to the tile's shape, so every elementwise pass runs
     over contiguous memory, and laid out like dstevd's V, whose layout
     decides how BLAS rounds the products.  With h = (w_j - w_k) t / 4,
     sinc(2h) = (tan h / h) / (1 + tan^2 h): numpy 2.4's tan takes ~3 ns an
     element on AVX-512 against ~25 ns for its sine, and no double lies within
     1e-20 of a pole of tan, so tan^2 h cannot overflow."""
-    if not tiles:
-        return 0.0
     w, h_diag, h_off, g_diag, g_off = (m[:len(v)] for m in (w, h.block_diag, h.block_off,
                                                             g.block_diag, g.block_off))
     blocks = len(w)
     n = v[..., :max(c1 - c0 for c0, c1, *_ in tiles)].size
+    scratch = _scratch(2 * n + -(-n // 8))
     first, second, mask = scratch[:n], scratch[n:2 * n], scratch[2 * n:].view(np.bool_)
-    sums = 0.0
+    zs, sums = np.zeros(ys.shape), 0.0
     for c0, c1, r0, r1, j1 in tiles:
         vc, band, rows, cols = v[:, r0:r1, c0:c1], r1 - r0, j1 - c0, c1 - c0
         r = np.subtract(h_diag[:, r0:r1, None], w[:, None, c0:c1],
@@ -550,10 +518,10 @@ def _tiles(h: HamiltonianMatrix, g: HamiltonianMatrix, w: np.ndarray, v: np.ndar
         x *= x
         x += 1.0
         a /= x
-        acc[:, c0:j1] += np.matmul(a, ys[:, c0:c1])
+        zs[:, c0:j1] += np.matmul(a, ys[:, c0:c1])
         if c1 < j1:
-            acc[:, c0:c1] += np.matmul(a[:, cols:].transpose(0, 2, 1), ys[:, c1:j1])
-    return sums
+            zs[:, c0:c1] += np.matmul(a[:, cols:].transpose(0, 2, 1), ys[:, c1:j1])
+    return zs, sums
 
 
 def _check_dims(h: HamiltonianMatrix, psi0: SymmetricState):
@@ -609,17 +577,13 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
     or whose rows 0 and size - 1 hold no zero, is not scanned: its bands
     are whole.  Besides the eigenvectors of the solved blocks (one size^2
     matrix per solved chain) it holds two size x tile buffers and a byte
-    mask per chain and thread, carved from the calling thread's scratch
-    arena (`_scratch`), whose dstevd workspace is spent by then, so the
-    peak is the chain solve's (V and that workspace), and a repeated call
-    at one size allocates nothing of size^2 but V.
-    Even and odd tiles sum into their own accumulators and residual norms,
-    added in one order; where the tiles' product work (`_work`) is at least
-    a dense THREADED_SIZE-state chain's, the odd tiles run on a helper
-    thread, which changes no bit.  Chain 1 of a mirrored H is read
-    through chain 0's eigenvectors (`_apply`): with V1 = S V0, w1 = -w0 and
-    S^T G1 S = -G0, its kernel is -K0, so its y rides as more columns of
-    chain 0's and their product is negated.
+    mask per chain, carved from the calling thread's scratch arena
+    (`_scratch`), whose dstevd workspace is spent by then, so the peak is
+    the chain solve's (V and that workspace), and a repeated call at one
+    size allocates nothing of size^2 but V.  Chain 1 of a mirrored H is
+    read through chain 0's eigenvectors (`_apply`): with V1 = S V0, w1 =
+    -w0 and S^T G1 S = -G0, its kernel is -K0, so its y rides as more
+    columns of chain 0's and their product is negated.
 
     The certificate is the solve's own backward error, O(size^2) per block
     (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Higham, Accuracy and
@@ -674,22 +638,9 @@ def evolve_derivative(h: HamiltonianMatrix, g: HamiltonianMatrix, t: float,
         mirrored = len(v) < blocks
         if mirrored:  # chain 1's kernel is -K0, so its y rides as a second column of chain 0's
             y = y.transpose(2, 1, 0)
-        ys = np.concatenate([y.real, y.imag], axis=-1)
-        acc = np.zeros((2,) + ys.shape)  # K ys summed over the even tiles and over the odd
-        tiles = _bands(size, v)
-        args = (h, g, w, v, t, ys)
-        need = _tile_floats(v, max(c1 - c0 for c0, c1, *_ in tiles))  # the widest tile's
-        if len(tiles) == 1 or _work(tiles) < _work(_bands(THREADED_SIZE)):  # one: no odd tiles
-            scratch = _scratch(need)
-            sums = [_tiles(*args, scratch, tiles[i::2], acc[i]) for i in range(min(len(tiles), 2))]
-        else:  # the odd tiles on a helper thread, in the arena's second part
-            from concurrent.futures import ThreadPoolExecutor  # ~2 ms to import
-            scratch = _scratch(2 * need)
-            with ThreadPoolExecutor(1) as pool:
-                odd = pool.submit(_tiles, *args, scratch[need:], tiles[1::2], acc[1])
-                sums = [_tiles(*args, scratch[:need], tiles[0::2], acc[0]), odd.result()]
-        squared = float(sum(sums).max())  # the largest squared residual of a block
-        zs = acc[0] + acc[1]
+        zs, sums = _tiles(h, g, w, v, t, np.concatenate([y.real, y.imag], axis=-1),
+                          _bands(size, v))
+        squared = float(sums.max())  # the largest squared residual of a block
         m = y.shape[-1]
         z = zs[..., :m] + 1j * zs[..., m:]
         if mirrored:

@@ -136,9 +136,8 @@ def test_eigensystem_orthonormal_d50():
 
 
 def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
-    # every BLAS call runs on one numpy BLAS thread at every size; where the
-    # kernel's product work is at least a dense THREADED_SIZE-state chain's,
-    # its odd column tiles run on a second Python thread
+    # every BLAS call runs on one numpy BLAS thread at every size, and the
+    # kernel in one call on the caller's thread
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -149,13 +148,13 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
     except (OSError, AttributeError):
         pytest.skip("scipy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
-    seen, kernel_threads = {}, set()
+    seen, kernel_calls = {}, []
 
     def recording(name, fn):
         def wrapped(*args):
             seen.setdefault(name, []).append(get())
             if name == "_tiles":
-                kernel_threads.add(threading.get_ident())
+                kernel_calls.append(threading.get_ident())
             return fn(*args)
         return wrapped
 
@@ -189,13 +188,12 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
                 for call in (lambda: evolve(h, spec.t, psi0),
                              lambda: evolve_derivative(h, g, spec.t, psi0)):
                     seen.clear()
-                    kernel_threads.clear()
+                    kernel_calls.clear()
                     call()
                     assert seen and all(set(c) == {1} for c in seen.values())
                     assert get() == count
-                # evolve_derivative's kernel: the caller's thread, or it and one more
-                assert threading.get_ident() in kernel_threads
-                assert len(kernel_threads) == (1 if n < big else 2)
+                # evolve_derivative's kernel: one call, on the caller's thread
+                assert kernel_calls == [threading.get_ident()]
                 with monkeypatch.context() as patch:
                     patch.setattr(dynamics, "_OPENBLAS", (failing, get, set_))
                     for call in (lambda: eigensystem(h), lambda: evolve(h, spec.t, psi0),
@@ -209,23 +207,23 @@ def test_chain_solves_run_on_one_numpy_blas_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("wrt", ["x", "omega1"])
-@pytest.mark.parametrize("n, delta, threads", [(300, 100.0, 1), (500, 100.0, 1), (1000, 100.0, 1),
-                                               (1001, 100.0, 1), (1000, 1.0, 2), (1001, 1.0, 2)],
+@pytest.mark.parametrize("n, delta", [(300, 100.0), (500, 100.0), (1000, 100.0), (1001, 100.0),
+                                      (1000, 1.0), (1001, 1.0)],
                          ids=["300", "500", "1000", "1001", "dense-1000", "dense-1001"])
-def test_evolve_derivative_independent_of_caller_blas_threads(monkeypatch, n, delta, threads, wrt):
-    # every BLAS call runs on one thread at every size, on the helper thread
-    # that takes the dense chains' odd tiles too, so the caller's count
-    # cannot change a bit of the result
+def test_evolve_derivative_independent_of_caller_blas_threads(monkeypatch, n, delta, wrt):
+    # every BLAS call runs on one thread at every size, and the kernel in one
+    # call a point on the caller's thread, so the caller's count cannot
+    # change a bit of the result
     if dynamics._OPENBLAS is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     _, get, set_ = dynamics._OPENBLAS
     spec = ModelSpec(ModelKind.ZZXX, delta=delta)
     h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
     psi0 = build_product_state(n, DEFAULT_ANGLES)
-    tiles, kernel_threads = dynamics._tiles, set()
+    tiles, kernel_calls = dynamics._tiles, []
 
     def recording(*args):
-        kernel_threads.add(threading.get_ident())
+        kernel_calls.append(threading.get_ident())
         return tiles(*args)
 
     monkeypatch.setattr(dynamics, "_tiles", recording)
@@ -236,58 +234,11 @@ def test_evolve_derivative_independent_of_caller_blas_threads(monkeypatch, n, de
             results.append(evolve_derivative(h, g, spec.t, psi0))
     finally:
         set_(caller)
-    assert len(kernel_threads) == threads
+    assert kernel_calls == [threading.get_ident()] * 2
     (psi1, dpsi1, *bounds1), (psi2, dpsi2, *bounds2) = results
     assert np.array_equal(psi1.amplitudes, psi2.amplitudes)
     assert np.array_equal(dpsi1, dpsi2)
     assert bounds1 == bounds2
-
-
-@pytest.mark.parametrize("wrt", ["x", "omega1"])
-@pytest.mark.parametrize("n", [1000, 1001])  # one mirrored chain, two chains
-def test_column_halves_match_one_slab(monkeypatch, n, wrt):
-    # the odd column tiles on the helper thread give the same bits as all
-    # tiles on the caller's: even and odd tiles sum into their own
-    # accumulators and residual norms either way, added in one order.  The
-    # weak-coupling chain's bands hold too little work for the helper, so
-    # THREADED_SIZE is lowered to send its odd tiles there
-    spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
-    h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
-    psi0 = build_product_state(n, DEFAULT_ANGLES)
-    tiles, kernel_threads = dynamics._tiles, set()
-
-    def recording(*args):
-        kernel_threads.add(threading.get_ident())
-        return tiles(*args)
-
-    monkeypatch.setattr(dynamics, "_tiles", recording)
-    monkeypatch.setattr(dynamics, "THREADED_SIZE", 2 * dynamics.TILE)
-    psi, dpsi, *bounds = evolve_derivative(h, g, spec.t, psi0)
-    assert len(kernel_threads) == 2
-    kernel_threads.clear()
-    monkeypatch.setattr(dynamics, "THREADED_SIZE", n + 2)
-    psi_one, dpsi_one, *bounds_one = evolve_derivative(h, g, spec.t, psi0)
-    assert kernel_threads == {threading.get_ident()}
-    assert np.array_equal(psi.amplitudes, psi_one.amplitudes)
-    assert np.array_equal(dpsi, dpsi_one)
-    assert bounds == bounds_one
-
-
-@pytest.mark.parametrize("first", [True, False])  # the caller's tiles, or the helper thread's
-def test_exception_in_a_column_half_propagates(monkeypatch, first):
-    n = dynamics.THREADED_SIZE + dynamics.TILE  # the odd tiles reach the helper
-    spec = ModelSpec(ModelKind.ZZXX)
-    h, g = assemble(spec, n), assemble(spec, n, wrt=Param.X)
-    tiles = dynamics._tiles
-
-    def failing(*args):
-        if (args[-2][0][0] == 0) == first:  # the even tiles' first starts at column 0
-            raise FloatingPointError("tiles failed")
-        return tiles(*args)
-
-    monkeypatch.setattr(dynamics, "_tiles", failing)
-    with pytest.raises(FloatingPointError, match="tiles failed"):
-        evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
 
 
 def test_chain_solve_refuses_outputs_it_cannot_write_in_place():
@@ -407,6 +358,11 @@ def test_view_path_matches_materialised_formula(every_block, kind, n):
         assert np.linalg.norm(dmine - dref) <= 1e-13 * np.linalg.norm(dref)
 
 
+def _work(tiles) -> int:
+    """The multiply-adds of the tiles' products V^T (G V) per chain."""
+    return sum((j1 - c0) * (r1 - r0) * (c1 - c0) for c0, c1, r0, r1, j1 in tiles)
+
+
 @pytest.mark.parametrize("t", [0.7, 2.0])
 @pytest.mark.parametrize("n", [2 * dynamics.TILE + d for d in (-2, -1, 0, 1)]
                          + [3 * dynamics.TILE - 1, 3 * dynamics.TILE + 1])
@@ -438,7 +394,7 @@ def test_weak_coupling_bands_match_the_dense_formula(every_block, field, value, 
     _, v = eigensystem(h)
     size = v.shape[1]
     tiles = dynamics._bands(size, v)
-    assert dynamics._work(tiles) < dynamics._work(dynamics._bands(size))
+    assert _work(tiles) < _work(dynamics._bands(size))
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
     ref, dref = _materialised(h, g, spec.t, psi0, every_block)
@@ -460,7 +416,7 @@ def test_bands_hold_every_nonzero_of_their_tiles(n):
         tile = v[:, :, c0:c1]
         assert np.count_nonzero(tile[:, lo:hi]) == np.count_nonzero(tile)
         assert not v[:, r0:r1, j1:].any() and v[:, r0:r1, j1 - 1].any()
-    assert dynamics._work(tiles) < dynamics._work(dynamics._bands(size))
+    assert _work(tiles) < _work(dynamics._bands(size))
 
 
 @pytest.mark.parametrize("n", [500, 1000])
@@ -491,14 +447,14 @@ def test_weak_coupling_bands_skip_most_of_the_product(monkeypatch):
     tiles, seen = dynamics._tiles, []
 
     def spying(*args):
-        seen.extend(args[-2])
+        seen.extend(args[-1])
         return tiles(*args)
 
     monkeypatch.setattr(dynamics, "_tiles", spying)
     evolve_derivative(h, g, spec.t, build_product_state(n, DEFAULT_ANGLES))
     dense = dynamics._bands(n + 1)
     assert sorted(tile[:2] for tile in seen) == [tile[:2] for tile in dense]
-    assert dynamics._work(seen) <= 0.15 * dynamics._work(dense)
+    assert _work(seen) <= 0.15 * _work(dense)
 
 
 def _planted_spectrum(rng, size):
@@ -533,10 +489,7 @@ def test_tiles_sinc_and_kernel_match_mpmath():
     def kernel_times(v, g, ys):
         h = HamiltonianMatrix((size - 2) // 2, np.arange(size), rng.standard_normal((1, size)),
                               rng.standard_normal((1, size - 1)))
-        scratch = np.empty(dynamics._tile_floats(v, max(c1 - c0 for c0, c1, *_ in tiles)))
-        acc = np.zeros(ys.shape)
-        dynamics._tiles(h, g, w, v, t, ys, scratch, tiles, acc)
-        return acc[0]
+        return dynamics._tiles(h, g, w, v, t, ys, tiles)[0][0]
 
     ones = np.zeros((1, size, size)).transpose(0, 2, 1)  # laid out as dstevd's V
     ones[0, 0] = 1.0
@@ -619,12 +572,11 @@ def test_concurrent_callers_keep_their_own_scratch_arenas():
 @pytest.mark.parametrize("field, wrt", [("delta", "omega1"), ("epsilon", "x")])
 def test_n2000_derivative_matches_materialised_formula(every_block, field, wrt):
     # one mirrored chain of 2001 states against every block formed and the
-    # whole kernel built with np.sin; the eps = 100 chain's odd tiles run on
-    # the helper thread, the delta = 100 chain's bands hold too little work
+    # whole kernel built with np.sin
     n = 2000
     spec = ModelSpec(ModelKind.ZZXX, **{field: 100.0})
     h, g = assemble(spec, n), assemble(spec, n, wrt=Param(wrt))
-    assert h.block_diag.shape[1] >= dynamics.THREADED_SIZE and dynamics._mirrored(h)
+    assert dynamics._mirrored(h)
     psi0 = build_product_state(n, DEFAULT_ANGLES)
     psi, dpsi, _, _ = evolve_derivative(h, g, spec.t, psi0)
     ref, dref = _materialised(h, g, spec.t, psi0, every_block)
