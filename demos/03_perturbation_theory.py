@@ -20,8 +20,7 @@ from spinbus import (
     Param,
     global_qfi_fd,
     hl_condition,
-    pt1_qfi_omega1,
-    pt1_qfi_x,
+    pt1_qfi,
     pt2_qfi_zeroth,
 )
 
@@ -29,10 +28,10 @@ print("Weak coupling (eps = 0.001): correlation-function expansion vs exact")
 spec = ModelSpec(ModelKind.ZZXX, epsilon=1e-3)
 print(f"{'N':>4s} {'expansion':>12s} {'exact':>12s} {'rel.dev':>9s}  (eps*N)")
 for n in (1, 10, 50, 100):
-    pt = pt1_qfi_x(spec, n, DEFAULT_ANGLES)
+    pt = pt1_qfi(spec, n, DEFAULT_ANGLES, Param.X)
     exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X).value
     print(f"{n:4d} {pt.value:12.5e} {exact:12.5e} "
-          f"{abs(pt.value - exact) / exact:9.1e}  ({pt.eps_times_n:.2f})")
+          f"{abs(pt.value - exact) / exact:9.1e}  ({spec.epsilon * n:.2f})")
 print("  -> accurate while eps*N stays small; the N^2 term signals the")
 print(f"     Heisenberg component: condition integral = "
       f"{hl_condition(spec, DEFAULT_ANGLES):.4f} (nonzero)\n")
@@ -47,13 +46,12 @@ for n in (1, 10, 50):
 print()
 
 print("Residual scaling: |I_exact - I_expansion| vs the small parameter")
-for label, sel, field, fn in (("eps", Param.X, "epsilon", pt1_qfi_x),
-                              ("delta", Param.OMEGA1, "delta", pt1_qfi_omega1)):
+for label, sel, field in (("eps", Param.X, "epsilon"), ("delta", Param.OMEGA1, "delta")):
     grid = np.logspace(-3, -1, 7)
     residuals = []
     for v in grid:
         s = ModelSpec(ModelKind.ZZXX, **{field: float(v)})
         exact = global_qfi_fd(s, 4, DEFAULT_ANGLES, sel).value
-        residuals.append(abs(exact - fn(s, 4, DEFAULT_ANGLES).value))
+        residuals.append(abs(exact - pt1_qfi(s, 4, DEFAULT_ANGLES, sel).value))
     slope = np.polyfit(np.log(grid), np.log(residuals), 1)[0]
     print(f"  {label:5s} direction: log-log slope {slope:.2f} (cubic residual)")

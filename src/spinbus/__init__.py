@@ -8,7 +8,7 @@ the exactly solvable dephasing model, and N-scaling sweep drivers.
 
 from .dynamics import ModelKind, ModelSpec, Param
 from .fisher import first_moment_uncertainty, global_qfi_fd, local_qfi_fd, qcr_bound
-from .perturb import hl_condition, pt1_qfi_omega1, pt1_qfi_x, pt2_qfi_zeroth
+from .perturb import hl_condition, pt1_qfi, pt2_qfi_zeroth
 from .states import (
     DEFAULT_ANGLES,
     FAVORABLE_ANGLES,

@@ -58,13 +58,13 @@ def _bloch_vector(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class QfiResult:
     """QFI from the exact state derivative.  `relative_discrepancy` bounds
-    the relative error of `value` from the solve's certificate; above 1e-3
-    the result is flagged `ill_conditioned` (a QFI that is a small remainder
-    of a large derivative, or an inaccurate solve)."""
+    the relative error of `value` from the solve's certificate, and `flag` is
+    "" or, above 1e-3, "ill_conditioned" (a QFI that is a small remainder of a
+    large derivative, or an inaccurate solve)."""
 
     value: float
     relative_discrepancy: float
-    ill_conditioned: bool = False
+    flag: str = ""
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _relative(error: float, value: float) -> float:
 
 def _qfi_result(value: float, error: float) -> QfiResult:
     bound = _relative(error, value)
-    return QfiResult(value, bound, bound > RELATIVE_ERROR_TOL)
+    return QfiResult(value, bound, "ill_conditioned" if bound > RELATIVE_ERROR_TOL else "")
 
 
 @dataclass(frozen=True)

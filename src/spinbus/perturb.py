@@ -16,8 +16,7 @@ of a local bus observable (single- and double-time-ordered integrals).
 
 All time integrals use tensor-product Gauss-Legendre quadrature; the
 trigonometric integrands are analytic, so convergence is spectral.  Results
-carry regime metadata (eps*N, delta*N, N*lambda_max*t*delta) but are never
-suppressed out of regime: probing the breakdown is a supported use.
+are never suppressed out of regime: probing the breakdown is a supported use.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ QUADRATURE_ORDER = 64
 
 @dataclass(frozen=True)
 class PtResult:
-    """Perturbative QFI with its per-N decomposition and regime metadata.
+    """Perturbative QFI with its per-N decomposition.
 
     value = linear_coefficient * N + quadratic_coefficient * N^2 for every
     expansion; the coefficients include the square of the expansion's
@@ -56,9 +55,6 @@ class PtResult:
     value: float
     linear_coefficient: float
     quadratic_coefficient: float
-    eps_times_n: float
-    delta_times_n: float
-    free_norm_t: float
 
 
 @lru_cache(maxsize=32)
@@ -92,18 +88,18 @@ def _sandwich(vec: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("p,...pq,q->...", vec.conj(), ops, vec)
 
 
-def _regime(spec: ModelSpec, n: int) -> dict:
-    return dict(
-        eps_times_n=abs(spec.epsilon) * n,
-        delta_times_n=abs(spec.delta) * n,
-        free_norm_t=n * 0.5 * abs(spec.omega1) * spec.t * abs(spec.delta),
-    )
+def _coupling(spec: ModelSpec, sel: Param) -> float:
+    """theta's coupling in H = delta H_free + eps x H_int: eps for x, delta
+    for omega1.  No expansion is provided for omega0."""
+    if sel is Param.OMEGA0:
+        raise ValueError("the expansions target x or omega1, not omega0")
+    return spec.epsilon if sel is Param.X else spec.delta
 
 
-def _expansion(spec: ModelSpec, n: int, scale: float, integrals: tuple) -> PtResult:
+def _expansion(n: int, scale: float, integrals: tuple) -> PtResult:
     """a N + b N^2 with (a, b) = scale * (linear, quadratic integral)."""
     a, b = (scale * part for part in integrals)
-    return PtResult(a * n + b * n ** 2, a, b, **_regime(spec, n))
+    return PtResult(a * n + b * n ** 2, a, b)
 
 
 def _connected_integrals(m_ops: np.ndarray, weights: np.ndarray,
@@ -147,17 +143,26 @@ def _pt1_integrals(spec: ModelSpec, angles: StateAngles, sel: Param, order: int)
     return _connected_integrals(m_ops, weights, angles)
 
 
-def pt1_qfi_x(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
-    """Lowest-order QFI for the coupling x in the weak-interaction expansion:
+def pt1_qfi(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> PtResult:
+    """Lowest-order QFI with the estimated parameter in the perturbation.
+
+    For the coupling x, the weak-interaction expansion:
 
         I_x = 4 eps^2 integral[ N K_probe(S'(t1), S'(t2)) <R(t1) R(t2)>
                                + N^2 <S'(t1)><S'(t2)> K_bus(R(t1), R(t2)) ]
 
     the connected correlations of S'(tau) (x) R(tau), with the double
     integral over [0, t]^2 by Gauss-Legendre quadrature.
+
+    For the probe splitting omega1, the strong-interaction expansion, with
+    4 delta^2 in place of 4 eps^2: the interaction-picture derivative of a
+    single probe term, Z_i/2 conjugated with exp(i eps t H_int), closes in the
+    (probe_i x bus) algebra, as the factors for the other probes commute
+    through because their bus parts match the transformed operator's bus
+    dependence.
     """
-    return _expansion(spec, n, 4.0 * spec.epsilon ** 2,
-                      _pt1_integrals(spec, angles, Param.X, QUADRATURE_ORDER))
+    return _expansion(n, 4.0 * _coupling(spec, sel) ** 2,
+                      _pt1_integrals(spec, angles, sel, QUADRATURE_ORDER))
 
 
 def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
@@ -171,29 +176,13 @@ def hl_condition(spec: ModelSpec, angles: StateAngles) -> float:
     return _pt1_integrals(spec, angles, Param.X, QUADRATURE_ORDER)[1]
 
 
-def pt1_qfi_omega1(spec: ModelSpec, n: int, angles: StateAngles) -> PtResult:
-    """Lowest-order QFI for the probe splitting omega1 in the
-    strong-interaction expansion.
-
-    The interaction-picture derivative of a single probe term, Z_i/2
-    conjugated with exp(i eps t H_int), closes in the (probe_i x bus)
-    algebra: the factors for the other probes commute through because their
-    bus parts match the transformed operator's bus dependence.
-    """
-    return _expansion(spec, n, 4.0 * spec.delta ** 2,
-                      _pt1_integrals(spec, angles, Param.OMEGA1, QUADRATURE_ORDER))
-
-
 def pt2_qfi_zeroth(spec: ModelSpec, n: int, angles: StateAngles,
                    sel: Param) -> PtResult:
     """Zeroth-order QFI when the estimated parameter sits in the dominant
     Hamiltonian: I = 4 t^2 Var_psi0(d_theta H_dominant), where d_theta H sums
     eps (P/2 x R) (for x) or delta (Z/2 x I) (for omega1) over the probes:
     `_connected_integrals` at a single time."""
-    if sel is Param.OMEGA0:
-        raise ValueError("no zeroth-order expansion is provided for omega0")
-    scale = spec.epsilon if sel is Param.X else spec.delta
-    return _expansion(spec, n, 4.0 * (scale * spec.t) ** 2,
+    return _expansion(n, 4.0 * (_coupling(spec, sel) * spec.t) ** 2,
                       _pt2_integrals(spec.kind, angles, sel))
 
 
@@ -301,8 +290,7 @@ def appendix_local_uncertainty(spec: ModelSpec, n: int, angles: StateAngles,
     are cached per (spec, angles, observable, sel, order) and each call
     evaluates the two quadratics in N.
     """
-    if sel is Param.OMEGA0:
-        raise ValueError("the expansion targets x or omega1, not omega0")
+    _coupling(spec, sel)  # refuses omega0
     key = tuple(paulis.check_hermitian_2x2(observable).ravel().tolist())
     var0, c1, c2, d1, d2 = _appendix_coefficients(spec, angles, key, sel,
                                                   QUADRATURE_ORDER)

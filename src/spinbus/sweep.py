@@ -153,7 +153,7 @@ class _Point:
 
 
 def _qfi(result) -> tuple:
-    return result.value, "ill_conditioned" if result.ill_conditioned else ""
+    return result.value, result.flag
 
 
 def _first_moment(r) -> tuple:
@@ -170,8 +170,7 @@ _READERS = {
     "local_qfi": (_ALL, lambda p: _qfi(fisher.read_local_qfi(p.evolved()))),
     "first_moment": (_ALL, lambda p: _first_moment(fisher.read_first_moment(
         p.evolved(), p.observable, p.config.m_measurements))),
-    "pt1": (_X_OMEGA1, lambda p: ((perturb.pt1_qfi_x if p.sel is Param.X
-                                   else perturb.pt1_qfi_omega1)(p.spec, p.n, p.angles).value, "")),
+    "pt1": (_X_OMEGA1, lambda p: (perturb.pt1_qfi(p.spec, p.n, p.angles, p.sel).value, "")),
     "pt2": (_X_OMEGA1, lambda p: (perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel).value, "")),
     "closed_form": (_ALL, lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel),
                                      "")),

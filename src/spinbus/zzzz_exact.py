@@ -40,7 +40,7 @@ class XReadoutVariant(Enum):
 class ClosedFormUncertainty:
     delta: float
     inv_squared: float
-    flag: str | None = None
+    flag: str = ""
 
 
 def _require_zzzz(spec: ModelSpec, n: int):
@@ -199,7 +199,7 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
         numer = n ** 2 * t ** 2 * eps ** 2 * (sin_a / cos_a) ** 2
         if log_growth > 700.0:
             inv_sq = numer * math.exp(-log_growth)  # underflows gracefully
-            flag = "underflow" if inv_sq == 0.0 else None
+            flag = "underflow" if inv_sq == 0.0 else ""
             return _uncertainty_from_inv_sq(m_measurements * inv_sq, flag=flag)
         denom = math.expm1(log_growth)
         if denom <= 0.0:
@@ -219,7 +219,7 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
     return _uncertainty_from_inv_sq(m_measurements * dmean ** 2 / variance)
 
 
-def _uncertainty_from_inv_sq(inv_sq: float, flag: str | None = None) -> ClosedFormUncertainty:
+def _uncertainty_from_inv_sq(inv_sq: float, flag: str = "") -> ClosedFormUncertainty:
     if inv_sq <= 0.0:
         return ClosedFormUncertainty(math.inf, 0.0, flag=flag or "underflow")
     return ClosedFormUncertainty(1.0 / math.sqrt(inv_sq), inv_sq, flag=flag)

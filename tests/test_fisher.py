@@ -29,6 +29,7 @@ from spinbus.states import (
     build_product_state,
     m_values,
 )
+from spinbus.sweep import Regime, SweepConfig, run_sweep
 from spinbus.validate import _discrepancy, _fd_global_qfi
 from spinbus.zzzz_exact import global_qfi_closed
 
@@ -38,7 +39,7 @@ ZZZZ = ModelSpec(ModelKind.ZZZZ)
 def test_global_qfi_favorable_state():
     res = global_qfi_fd(ZZZZ, 5, FAVORABLE_ANGLES, Param.X)
     assert res.value == pytest.approx(25.0, rel=1e-6)
-    assert not res.ill_conditioned
+    assert res.flag == ""
 
 
 def test_global_qfi_zero_at_t0():
@@ -240,7 +241,7 @@ def test_two_step_protocol_recorded():
     assert assemble(ZZZZ, 8, wrt=Param.X).norm_bound == 4.0
     assert step == 1e-6 / math.sqrt(4.0)
     assert _discrepancy(res.value, check) < 1e-3
-    assert not res.ill_conditioned
+    assert res.flag == ""
 
 
 def test_check_step_scales_with_the_generator():
@@ -250,7 +251,7 @@ def test_check_step_scales_with_the_generator():
     res, check, _ = _fd_global_qfi(ModelSpec(ModelKind.ZZXX, delta=100.0), 500,
                                    DEFAULT_ANGLES, Param.OMEGA1)
     assert _discrepancy(res.value, check) < 1e-6
-    assert not res.ill_conditioned
+    assert res.flag == ""
 
 
 def test_closed_form_agreement_spot_check():
@@ -462,8 +463,8 @@ def test_certificate_covers_a_corrupted_eigenvector(monkeypatch, n, sel):
     corrupted = evolve_point(spec, n, DEFAULT_ANGLES, sel)
     assert np.max(np.abs(corrupted.dpsi - clean.dpsi)) > 0.0
     _assert_bound_covers(corrupted, clean)
-    assert not fisher.read_global_qfi(corrupted).ill_conditioned
-    assert not fisher.read_local_qfi(corrupted).ill_conditioned
+    assert fisher.read_global_qfi(corrupted).flag == ""
+    assert fisher.read_local_qfi(corrupted).flag == ""
 
 
 def test_certificate_flags_a_first_moment_inside_a_few_percent(monkeypatch):
@@ -474,7 +475,7 @@ def test_certificate_flags_a_first_moment_inside_a_few_percent(monkeypatch):
     _tilt_eigenvector(monkeypatch, 1e-5)
     corrupted = evolve_point(spec, 10, DEFAULT_ANGLES, Param.X)
     _assert_bound_covers(corrupted, clean)
-    assert not fisher.read_global_qfi(corrupted).ill_conditioned
+    assert fisher.read_global_qfi(corrupted).flag == ""
     assert fisher.read_first_moment(corrupted, paulis.XZ_HALF).flag == "ill_conditioned"
     assert fisher.read_first_moment(clean, paulis.XZ_HALF).flag == ""
 
@@ -484,8 +485,13 @@ def test_certificate_and_suite_b_flag_a_badly_corrupted_eigenvector(monkeypatch,
     spec = ModelSpec(ModelKind.ZZXX)
     _tilt_eigenvector(monkeypatch, 1e-2)
     point = evolve_point(spec, n, DEFAULT_ANGLES, sel)
-    assert fisher.read_global_qfi(point).ill_conditioned
-    assert fisher.read_local_qfi(point).ill_conditioned
+    flags = {"global_qfi": fisher.read_global_qfi(point).flag,
+             "local_qfi": fisher.read_local_qfi(point).flag}
+    assert set(flags.values()) == {"ill_conditioned"}
+    # a sweep row carries its reader's flag through unchanged
+    config = SweepConfig(kind=spec.kind, param=sel, regimes=(Regime("default"),),
+                         n_list=(n,), quantities=tuple(flags))
+    assert {row.quantity: row.flag for row in run_sweep(config).rows} == flags
     res, check, _ = _fd_global_qfi(spec, n, DEFAULT_ANGLES, sel)
-    assert res.ill_conditioned
+    assert res.flag == "ill_conditioned"
     assert _discrepancy(res.value, check) > 1e-3

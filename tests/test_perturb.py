@@ -10,8 +10,7 @@ from spinbus.fisher import Param, first_moment_uncertainty, global_qfi_fd
 from spinbus.perturb import (
     appendix_local_uncertainty,
     hl_condition,
-    pt1_qfi_omega1,
-    pt1_qfi_x,
+    pt1_qfi,
     pt2_qfi_zeroth,
 )
 from spinbus.states import (
@@ -31,7 +30,7 @@ def test_pt1_x_exact_for_commuting_model():
                          epsilon=rng.uniform(0.2, 2), t=rng.uniform(0.3, 2))
         angles = StateAngles(*rng.uniform(0, math.pi, 4))
         n = int(rng.integers(1, 40))
-        got = pt1_qfi_x(spec, n, angles).value
+        got = pt1_qfi(spec, n, angles, Param.X).value
         assert got == pytest.approx(global_qfi_closed(spec, n, angles, Param.X),
                                     rel=1e-12, abs=1e-12)
 
@@ -39,44 +38,45 @@ def test_pt1_x_exact_for_commuting_model():
 def test_pt1_x_quadratic_in_coupling_prefactor():
     spec = ModelSpec(ModelKind.ZZXX, epsilon=0.02)
     half = replace(spec, epsilon=0.01)
-    assert pt1_qfi_x(half, 6, DEFAULT_ANGLES).value * 4.0 == pytest.approx(
-        pt1_qfi_x(spec, 6, DEFAULT_ANGLES).value, rel=1e-12)
+    assert pt1_qfi(half, 6, DEFAULT_ANGLES, Param.X).value * 4.0 == pytest.approx(
+        pt1_qfi(spec, 6, DEFAULT_ANGLES, Param.X).value, rel=1e-12)
 
 
 def test_pt1_x_tracks_exact_solver_weak_coupling():
     spec = ModelSpec(ModelKind.ZZXX, epsilon=1e-3)
     for n in (1, 5, 20, 50):
         exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X).value
-        assert pt1_qfi_x(spec, n, DEFAULT_ANGLES).value == pytest.approx(exact, rel=1e-3)
+        assert pt1_qfi(spec, n, DEFAULT_ANGLES, Param.X).value == pytest.approx(exact, rel=1e-3)
     # deviations grow with eps*N; at N=100 (eps*N = 0.1) they reach a few 1e-3
     exact = global_qfi_fd(spec, 100, DEFAULT_ANGLES, Param.X).value
-    assert pt1_qfi_x(spec, 100, DEFAULT_ANGLES).value == pytest.approx(exact, rel=5e-3)
+    assert pt1_qfi(spec, 100, DEFAULT_ANGLES, Param.X).value == pytest.approx(exact, rel=5e-3)
 
 
 def test_pt1_omega1_tracks_exact_solver_strong_coupling():
     spec = ModelSpec(ModelKind.ZZXX, delta=1e-3)
     for n in (1, 5, 20, 50, 100):
         exact = global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.OMEGA1).value
-        assert pt1_qfi_omega1(spec, n, DEFAULT_ANGLES).value == pytest.approx(exact, rel=1e-3)
+        got = pt1_qfi(spec, n, DEFAULT_ANGLES, Param.OMEGA1).value
+        assert got == pytest.approx(exact, rel=1e-3)
 
 
 def test_pt1_omega1_quadratic_term_vanishes_when_probe_term_commutes():
     # Z-probe coupling commutes with the probe splitting, so the transformed
     # operator is trivial on the bus and only linear-in-N scaling survives
-    res = pt1_qfi_omega1(ModelSpec(ModelKind.ZZZX), 5, DEFAULT_ANGLES)
+    res = pt1_qfi(ModelSpec(ModelKind.ZZZX), 5, DEFAULT_ANGLES, Param.OMEGA1)
     assert abs(res.quadratic_coefficient) < 1e-12
     assert res.linear_coefficient > 0.0
 
 
 def test_pt1_omega1_exact_for_commuting_model():
-    res = pt1_qfi_omega1(ModelSpec(ModelKind.ZZZZ), 7, DEFAULT_ANGLES)
+    res = pt1_qfi(ModelSpec(ModelKind.ZZZZ), 7, DEFAULT_ANGLES, Param.OMEGA1)
     assert res.value == pytest.approx(
         global_qfi_closed(ModelSpec(ModelKind.ZZZZ), 7, DEFAULT_ANGLES, Param.OMEGA1),
         rel=1e-12)
 
 
 def test_pt1_omega1_x0_reduces_to_free_evolution():
-    res = pt1_qfi_omega1(ModelSpec(ModelKind.ZZXX, x=0.0), 6, DEFAULT_ANGLES)
+    res = pt1_qfi(ModelSpec(ModelKind.ZZXX, x=0.0), 6, DEFAULT_ANGLES, Param.OMEGA1)
     assert res.value == pytest.approx(6 * math.sin(2 * DEFAULT_ANGLES.alpha) ** 2,
                                       rel=1e-12)
 
@@ -111,9 +111,15 @@ def test_pt2_equals_closed_form_for_dephasing_model():
                                     rel=1e-10, abs=1e-12)
 
 
-def test_pt2_omega0_unsupported():
-    with pytest.raises(ValueError):
-        pt2_qfi_zeroth(ModelSpec(ModelKind.ZZXX), 4, DEFAULT_ANGLES, Param.OMEGA0)
+@pytest.mark.parametrize("expansion", [
+    pt1_qfi,
+    pt2_qfi_zeroth,
+    lambda spec, n, angles, sel: appendix_local_uncertainty(spec, n, angles,
+                                                            paulis.XZ_HALF, sel),
+], ids=["pt1", "pt2", "appendix"])
+def test_pt2_omega0_unsupported(expansion):
+    with pytest.raises(ValueError, match="omega0"):
+        expansion(ModelSpec(ModelKind.ZZXX), 4, DEFAULT_ANGLES, Param.OMEGA0)
 
 
 def test_pt2_omega1_equals_closed_form_at_large_n():
@@ -192,7 +198,7 @@ def test_connected_kernel_matches_the_direct_derivations():
         linear, quadratic = _pt1_x_integrals_2x2(spec, angles, perturb.QUADRATURE_ORDER)
         assert hl_condition(spec, angles) == pytest.approx(quadratic, rel=1e-12,
                                                            abs=1e-12 * t ** 2)
-        assert pt1_qfi_x(spec, n, angles).value == pytest.approx(
+        assert pt1_qfi(spec, n, angles, Param.X).value == pytest.approx(
             4.0 * epsilon ** 2 * (linear * n + quadratic * n ** 2),
             rel=1e-12, abs=1e-12 * epsilon ** 2 * size)
         for sel, c in ((Param.X, epsilon), (Param.OMEGA1, delta)):
@@ -216,7 +222,7 @@ def test_hl_condition_matches_quadratic_coefficient():
     spec = ModelSpec(ModelKind.ZZZZ)  # eps = 1
     hl = hl_condition(spec, FAVORABLE_ANGLES)
     assert hl != 0.0
-    values = [pt1_qfi_x(spec, n, FAVORABLE_ANGLES).value for n in range(1, 11)]
+    values = [pt1_qfi(spec, n, FAVORABLE_ANGLES, Param.X).value for n in range(1, 11)]
     coeffs = np.polyfit(np.arange(1, 11), values, 2)
     assert coeffs[0] == pytest.approx(4.0 * hl, rel=1e-10)
 
@@ -224,11 +230,11 @@ def test_hl_condition_matches_quadratic_coefficient():
 def test_pt1_x_is_exactly_quadratic_in_n():
     spec = ModelSpec(ModelKind.ZZXX, epsilon=0.3)
     ns = np.arange(1, 11)
-    values = [pt1_qfi_x(spec, int(n), DEFAULT_ANGLES).value for n in ns]
+    values = [pt1_qfi(spec, int(n), DEFAULT_ANGLES, Param.X).value for n in ns]
     coeffs = np.polyfit(ns, values, 2)
     for n in (20, 50):
         predicted = np.polyval(coeffs, n)
-        assert pt1_qfi_x(spec, n, DEFAULT_ANGLES).value == pytest.approx(
+        assert pt1_qfi(spec, n, DEFAULT_ANGLES, Param.X).value == pytest.approx(
             predicted, rel=1e-10)
 
 
@@ -236,7 +242,7 @@ def test_quadrature_order_converged(monkeypatch):
     spec = ModelSpec(ModelKind.ZZXX, epsilon=0.5)
 
     def evaluate():
-        return ([fn(spec, 10, DEFAULT_ANGLES).value for fn in (pt1_qfi_x, pt1_qfi_omega1)],
+        return ([pt1_qfi(spec, 10, DEFAULT_ANGLES, sel).value for sel in (Param.X, Param.OMEGA1)],
                 [appendix_local_uncertainty(spec, 10, DEFAULT_ANGLES, paulis.XZ_HALF, sel)
                  for sel in (Param.X, Param.OMEGA1)])
 
@@ -256,8 +262,8 @@ def test_quadrature_order_is_part_of_the_cache_key(monkeypatch):
     spec = ModelSpec(ModelKind.ZZXX, delta=100.0)
 
     def evaluate():
-        return (pt1_qfi_x(spec, 10, DEFAULT_ANGLES).value,
-                pt1_qfi_omega1(spec, 10, DEFAULT_ANGLES).value,
+        return (pt1_qfi(spec, 10, DEFAULT_ANGLES, Param.X).value,
+                pt1_qfi(spec, 10, DEFAULT_ANGLES, Param.OMEGA1).value,
                 hl_condition(spec, DEFAULT_ANGLES))
 
     base = evaluate()
@@ -375,10 +381,3 @@ def test_appendix_omega1_direction_runs():
                                      paulis.XZ_HALF)
     assert got.inv_squared == pytest.approx(exact.inv_squared, rel=5e-2)
 
-
-def test_regime_metadata_attached():
-    res = pt1_qfi_x(ModelSpec(ModelKind.ZZXX, epsilon=0.01, delta=2.0), 30,
-                    DEFAULT_ANGLES)
-    assert res.eps_times_n == pytest.approx(0.3)
-    assert res.delta_times_n == pytest.approx(60.0)
-    assert res.free_norm_t == pytest.approx(30 * 0.5 * 1.0 * 1.0 * 2.0)
