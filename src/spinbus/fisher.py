@@ -5,10 +5,11 @@ d|psi>/d theta and their certified error bounds, all from one
 eigendecomposition.  From that record `read_global_qfi` gives the QFI of the
 pure evolved state, `read_local_qfi` the QFI of the reduced bus qubit via its
 Bloch vector, and `read_first_moment` the uncertainty of estimating a
-parameter from the sample mean of a fixed bus observable.  Each result carries
-the relative-error bound the certificate implies, so that ill-conditioned
-configurations are flagged instead of silently reported.  Also the
-Cramer-Rao bound.
+parameter from the sample mean of a fixed bus observable.  Each returns a
+`Reading`, the one type every sweep quantity is read into: its value, the
+relative-error bound the certificate implies and a flag, so that
+ill-conditioned configurations are flagged instead of silently reported.
+Also the Cramer-Rao bound.
 """
 
 from __future__ import annotations
@@ -56,30 +57,32 @@ def _bloch_vector(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QfiResult:
-    """QFI from the exact state derivative.  `relative_discrepancy` bounds
-    the relative error of `value` from the solve's certificate, and `flag` is
-    "" or, above 1e-3, "ill_conditioned" (a QFI that is a small remainder of a
-    large derivative, or an inaccurate solve)."""
+class Reading:
+    """One value of a sweep quantity.  `relative_discrepancy` bounds the
+    relative error of `value`, nan where nothing is certified; `flag` is "" or
+    why the value cannot be trusted: "ill_conditioned" where a certified bound
+    exceeds 1e-3 or comes out nan (a small remainder of a large derivative, or
+    an inaccurate solve)."""
 
     value: float
-    relative_discrepancy: float
+    relative_discrepancy: float = math.nan
     flag: str = ""
 
 
-@dataclass(frozen=True)
-class FirstMomentResult:
-    """Uncertainty of theta estimated from the sample mean of a bus observable;
-    `relative_discrepancy` bounds the relative error of `mean_derivative`, and
-    `flag` is "" or the reason the value cannot be trusted (see
-    `first_moment_result`)."""
+@dataclass(frozen=True, kw_only=True)
+class FirstMomentResult(Reading):
+    """Uncertainty of theta estimated from the sample mean of a bus observable:
+    `value` is 1/delta^2, `relative_discrepancy` bounds the relative error of
+    `mean_derivative`, and `flag` is "" or the reason the value cannot be
+    trusted (see `first_moment_result`)."""
 
     delta: float
-    inv_squared: float
     variance: float
     mean_derivative: float
-    relative_discrepancy: float
-    flag: str = ""
+
+    @property
+    def inv_squared(self) -> float:
+        return self.value
 
 
 def _relative(error: float, value: float) -> float:
@@ -89,9 +92,9 @@ def _relative(error: float, value: float) -> float:
     return math.inf if value == 0.0 else error / abs(value)
 
 
-def _qfi_result(value: float, error: float) -> QfiResult:
+def _qfi_result(value: float, error: float) -> Reading:
     bound = _relative(error, value)
-    return QfiResult(value, bound, "ill_conditioned" if bound > RELATIVE_ERROR_TOL else "")
+    return Reading(value, bound, "" if bound <= RELATIVE_ERROR_TOL else "ill_conditioned")
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def _pure_qfi(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
 
 
-def read_global_qfi(point: EvolvedPoint) -> QfiResult:
+def read_global_qfi(point: EvolvedPoint) -> Reading:
     """QFI of the evolved pure state, I = 4(<d psi|d psi> - |<psi|d psi>|^2)
     = 4 ||y||^2 with y = (1 - |psi><psi|) |d psi>, from the exact |d psi>.
     ||delta y|| <= e = dpsi_error + 2 ||d psi|| psi_error (first order), so
@@ -145,7 +148,7 @@ def read_global_qfi(point: EvolvedPoint) -> QfiResult:
     return _qfi_result(value, 4.0 * e * (math.sqrt(value) + e))
 
 
-def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
+def global_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> Reading:
     """`read_global_qfi` of `evolve_point(spec, n, angles, sel)`."""
     return read_global_qfi(evolve_point(spec, n, angles, sel))
 
@@ -182,7 +185,7 @@ def _bloch_qfi(r: np.ndarray, dr: np.ndarray, radial_error: float) -> float:
         f"(|r.dr| = {abs(radial)} > {radial_error}): QFI is singular here")
 
 
-def read_local_qfi(point: EvolvedPoint) -> QfiResult:
+def read_local_qfi(point: EvolvedPoint) -> Reading:
     """QFI of the reduced bus state from its Bloch vector and the exact
     derivative d rho = Tr_probes(|d psi><psi| + |psi><d psi|).
 
@@ -205,7 +208,7 @@ def read_local_qfi(point: EvolvedPoint) -> QfiResult:
     return _qfi_result(value, (grad + e_dr / scale) * e_dr + abs(radial) * grad * e_r)
 
 
-def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> QfiResult:
+def local_qfi_fd(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> Reading:
     """`read_local_qfi` of `evolve_point(spec, n, angles, sel)`."""
     return read_local_qfi(evolve_point(spec, n, angles, sel))
 
@@ -239,14 +242,15 @@ def first_moment_result(variance: float, mean_derivative: float, error: float,
         raise ValueError("M must be a positive integer")
     deriv = mean_derivative
     disc = _relative(error, deriv)
+    moments = {"variance": variance, "mean_derivative": deriv}
     if abs(deriv) <= max(INSENSITIVE_TOL * math.sqrt(max(variance, 0.0)), error):
-        return FirstMomentResult(math.inf, 0.0, variance, deriv, disc, "insensitive")
+        return FirstMomentResult(0.0, disc, "insensitive", delta=math.inf, **moments)
     inv_sq = m_measurements * deriv ** 2 / variance if variance != 0.0 else math.inf
     if variance <= 0.0:
-        return FirstMomentResult(math.nan, inv_sq, variance, deriv, disc,
-                                 "nonpositive_variance")
-    return FirstMomentResult(1.0 / math.sqrt(inv_sq), inv_sq, variance, deriv, disc,
-                             "ill_conditioned" if disc > RELATIVE_ERROR_TOL else "")
+        return FirstMomentResult(inv_sq, disc, "nonpositive_variance", delta=math.nan,
+                                 **moments)
+    return FirstMomentResult(inv_sq, disc, "" if disc <= RELATIVE_ERROR_TOL else "ill_conditioned",
+                             delta=1.0 / math.sqrt(inv_sq), **moments)
 
 
 def read_first_moment(point: EvolvedPoint, observable: np.ndarray,

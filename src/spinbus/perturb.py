@@ -29,7 +29,7 @@ import numpy as np
 
 from . import paulis
 from .dynamics import ModelKind, ModelSpec, Param
-from .fisher import FirstMomentResult, first_moment_result
+from .fisher import FirstMomentResult, Reading, first_moment_result
 from .states import StateAngles
 
 # (probe operator P with S = x/2 P, bus operator R) per model
@@ -43,16 +43,16 @@ _COUPLING = {
 QUADRATURE_ORDER = 64
 
 
-@dataclass(frozen=True)
-class PtResult:
-    """Perturbative QFI with its per-N decomposition.
+@dataclass(frozen=True, kw_only=True)
+class PtResult(Reading):
+    """Perturbative QFI with its per-N decomposition; nothing is certified
+    (`relative_discrepancy` is nan).
 
     value = linear_coefficient * N + quadratic_coefficient * N^2 for every
     expansion; the coefficients include the square of the expansion's
     parameter (and t^2 at zeroth order).
     """
 
-    value: float
     linear_coefficient: float
     quadratic_coefficient: float
 
@@ -99,7 +99,7 @@ def _coupling(spec: ModelSpec, sel: Param) -> float:
 def _expansion(n: int, scale: float, integrals: tuple) -> PtResult:
     """a N + b N^2 with (a, b) = scale * (linear, quadratic integral)."""
     a, b = (scale * part for part in integrals)
-    return PtResult(a * n + b * n ** 2, a, b)
+    return PtResult(a * n + b * n ** 2, linear_coefficient=a, quadratic_coefficient=b)
 
 
 def _connected_integrals(m_ops: np.ndarray, weights: np.ndarray,

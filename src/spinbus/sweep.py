@@ -145,40 +145,34 @@ class _Point:
         for quantity in self.config.quantities:
             params, reader = _READERS[quantity]
             try:
-                value, flag = reader(self) if self.sel in params else (math.nan, "unsupported")
+                reading = (reader(self) if self.sel in params
+                           else fisher.Reading(math.nan, flag="unsupported"))
             except Exception as err:  # per-point failures are data, not crashes
-                value, flag = math.nan, f"error:{type(err).__name__}"
-            rows.append(Row(self.n, quantity, self.regime.name, value, flag))
+                reading = fisher.Reading(math.nan, flag=f"error:{type(err).__name__}")
+            rows.append(Row(self.n, quantity, self.regime.name, reading.value, reading.flag))
         return rows
 
 
-def _qfi(result) -> tuple:
-    return result.value, result.flag
-
-
-def _first_moment(r) -> tuple:
-    return r.inv_squared, r.flag
-
-
-# quantity -> (the parameters it is defined for, reader of a point returning
-# (value, flag)).  Outside its parameters a quantity's row reads nan,
-# "unsupported", and its reader is not called.  Readers look up what they call
-# at call time, so wrapping a module function also wraps its use here.
+# quantity -> (the parameters it is defined for, reader of a point returning a
+# `fisher.Reading`; the closed forms and `hl_condition` return floats, wrapped
+# here).  Outside its parameters a quantity's row reads nan, "unsupported", and
+# its reader is not called.  Readers look up what they call at call time, so
+# wrapping a module function also wraps its use here.
 _ALL, _X_OMEGA1, _X = tuple(Param), (Param.X, Param.OMEGA1), (Param.X,)
 _READERS = {
-    "global_qfi": (_ALL, lambda p: _qfi(fisher.read_global_qfi(p.evolved()))),
-    "local_qfi": (_ALL, lambda p: _qfi(fisher.read_local_qfi(p.evolved()))),
-    "first_moment": (_ALL, lambda p: _first_moment(fisher.read_first_moment(
-        p.evolved(), p.observable, p.config.m_measurements))),
-    "pt1": (_X_OMEGA1, lambda p: (perturb.pt1_qfi(p.spec, p.n, p.angles, p.sel).value, "")),
-    "pt2": (_X_OMEGA1, lambda p: (perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel).value, "")),
-    "closed_form": (_ALL, lambda p: (zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel),
-                                     "")),
-    "hl_condition": (_X, lambda p: (perturb.hl_condition(p.spec, p.angles), "")),
-    "appendix_fm": (_X_OMEGA1, lambda p: _first_moment(perturb.appendix_local_uncertainty(
-        p.spec, p.n, p.angles, p.observable, p.sel, p.config.m_measurements))),
-    "local_qfi_closed": (_X, lambda p: (zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles),
-                                        "")),
+    "global_qfi": (_ALL, lambda p: fisher.read_global_qfi(p.evolved())),
+    "local_qfi": (_ALL, lambda p: fisher.read_local_qfi(p.evolved())),
+    "first_moment": (_ALL, lambda p: fisher.read_first_moment(
+        p.evolved(), p.observable, p.config.m_measurements)),
+    "pt1": (_X_OMEGA1, lambda p: perturb.pt1_qfi(p.spec, p.n, p.angles, p.sel)),
+    "pt2": (_X_OMEGA1, lambda p: perturb.pt2_qfi_zeroth(p.spec, p.n, p.angles, p.sel)),
+    "closed_form": (_ALL, lambda p: fisher.Reading(
+        zzzz_exact.global_qfi_closed(p.spec, p.n, p.angles, p.sel))),
+    "hl_condition": (_X, lambda p: fisher.Reading(perturb.hl_condition(p.spec, p.angles))),
+    "appendix_fm": (_X_OMEGA1, lambda p: perturb.appendix_local_uncertainty(
+        p.spec, p.n, p.angles, p.observable, p.sel, p.config.m_measurements)),
+    "local_qfi_closed": (_X, lambda p: fisher.Reading(
+        zzzz_exact.local_qfi_x_closed(p.spec, p.n, p.angles))),
 }
 
 KNOWN_QUANTITIES = tuple(_READERS)

@@ -67,7 +67,7 @@ def _discrepancy(a: float, b: float) -> float:
 
 
 def _fd_global_qfi(spec: ModelSpec, n: int, angles: StateAngles, sel: Param) -> tuple:
-    """(exact `QfiResult`, central-difference QFI, step h) at one point.
+    """(exact global-QFI `Reading`, central-difference QFI, step h) at one point.
 
     The states at theta +- h are each their own eigensolve, and the QFI of
     their difference is the oracle's `fullspace.pure_qfi`, so the check is

@@ -14,13 +14,13 @@ overflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from enum import Enum
 
 import numpy as np
 
 from .dynamics import ModelKind, ModelSpec, Param
-from .fisher import BusDensity
+from .fisher import BusDensity, FirstMomentResult, first_moment_result
 from .states import (UNFAVORABLE_ANGLES, StateAngles, ThermalProbeSpec, _log_binomial,
                      m_values, thermal_equivalent_alpha)
 
@@ -34,13 +34,6 @@ class XReadoutVariant(Enum):
     EXACT_WORST = "exact_worst"      # exact result at the worst product state
     PT_WORST = "pt_worst"            # lowest-order result at the worst state
     PT_GENERAL = "pt_general"        # exact binomial sums for any angles
-
-
-@dataclass(frozen=True)
-class ClosedFormUncertainty:
-    delta: float
-    inv_squared: float
-    flag: str = ""
 
 
 def _require_zzzz(spec: ModelSpec, n: int):
@@ -161,7 +154,7 @@ def _binomial_weights(n: int, p: float) -> np.ndarray:
 
 def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
                       variant: XReadoutVariant,
-                      m_measurements: int = 1) -> ClosedFormUncertainty:
+                      m_measurements: int = 1) -> FirstMomentResult:
     """Uncertainty of x estimated from the bus X readout, per the selected
     closed form.  The worst-state variants require angles (pi/4, 0, pi/4, 0).
 
@@ -171,7 +164,8 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
         d<X>  = -2 eps t sin(2b) sum_m C(...) m (...) sin(Phi_m)
 
     with Phi_m = delta w0 t + varphi + 2 eps x t m, and returns
-    sqrt((1 - <X>^2)) / (sqrt(M) |d<X>|).
+    `fisher.first_moment_result` of Var X = 1 - <X>^2 and the exact d<X>
+    (error 0), delta = sqrt(1 - <X>^2) / (sqrt(M) |d<X>|), with its flags.
     """
     _require_zzzz(spec, n)
     if m_measurements < 1:
@@ -193,7 +187,7 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
         arg = eps * t * x
         cos_a, sin_a = math.cos(arg), math.sin(arg)
         if cos_a == 0.0 or math.cos(dw0t) == 0.0:
-            return ClosedFormUncertainty(math.inf, 0.0, flag="insensitive")
+            return _uncertainty_from_inv_sq(0.0, flag="insensitive")
         # denominator cos^{-2N} cos(d w0 t)^{-2} - 1 in log space
         log_growth = -2.0 * n * math.log(abs(cos_a)) - 2.0 * math.log(abs(math.cos(dw0t)))
         numer = n ** 2 * t ** 2 * eps ** 2 * (sin_a / cos_a) ** 2
@@ -203,7 +197,7 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
             return _uncertainty_from_inv_sq(m_measurements * inv_sq, flag=flag)
         denom = math.expm1(log_growth)
         if denom <= 0.0:
-            return ClosedFormUncertainty(math.inf, 0.0, flag="insensitive")
+            return _uncertainty_from_inv_sq(0.0, flag="insensitive")
         return _uncertainty_from_inv_sq(m_measurements * numer / denom)
 
     # general binomial-sum formula; the binomial index is read as C(N, m+N/2)
@@ -213,16 +207,17 @@ def delta_x_x_readout(spec: ModelSpec, n: int, angles: StateAngles,
     sin2b = math.sin(2 * angles.beta)
     mean_x = sin2b * float(weights @ np.cos(phis))
     dmean = -2.0 * eps * t * sin2b * float(weights @ (m * np.sin(phis)))
-    variance = 1.0 - mean_x ** 2
-    if abs(dmean) < 1e-14 * math.sqrt(max(variance, 0.0)) or variance <= 0.0:
-        return ClosedFormUncertainty(math.inf, 0.0, flag="insensitive")
-    return _uncertainty_from_inv_sq(m_measurements * dmean ** 2 / variance)
+    return first_moment_result(1.0 - mean_x ** 2, dmean, 0.0, m_measurements)
 
 
-def _uncertainty_from_inv_sq(inv_sq: float, flag: str = "") -> ClosedFormUncertainty:
+def _uncertainty_from_inv_sq(inv_sq: float, flag: str = "") -> FirstMomentResult:
+    """A worst-state closed form gives 1/delta^2 only: `variance` and
+    `mean_derivative` are nan, and nothing is certified."""
     if inv_sq <= 0.0:
-        return ClosedFormUncertainty(math.inf, 0.0, flag=flag or "underflow")
-    return ClosedFormUncertainty(1.0 / math.sqrt(inv_sq), inv_sq, flag=flag)
+        inv_sq, flag = 0.0, flag or "underflow"
+    return FirstMomentResult(inv_sq, flag=flag,
+                             delta=1.0 / math.sqrt(inv_sq) if inv_sq else math.inf,
+                             variance=math.nan, mean_derivative=math.nan)
 
 
 def thermal_global_qfi(spec: ModelSpec, n: int, beta_th: float,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinbus import dynamics, fisher, fullspace, paulis
+from spinbus import dynamics, fisher, fullspace, paulis, zzzz_exact
 from spinbus.dynamics import ModelKind, ModelSpec, assemble, eigensystem, propagate
 from spinbus.fisher import (
     Param,
@@ -177,6 +177,7 @@ def test_first_moment_within_its_certificate_is_insensitive(spec, angles):
 @pytest.mark.parametrize("variance, deriv, error, flag, inv_squared", [
     (0.5, 1.0, 1e-3, "", 2.0),
     (0.5, 1.0, 2e-3, "ill_conditioned", 2.0),
+    (0.5, 1.0, math.nan, "ill_conditioned", 2.0),  # a nan bound certifies nothing
     (0.5, 1e-3, 1e-3, "insensitive", 0.0),
     (0.0, 1.0, 0.0, "nonpositive_variance", math.inf),
     (-0.5, 1.0, 0.0, "nonpositive_variance", -2.0),
@@ -421,7 +422,11 @@ _READERS = (("global", fisher.read_global_qfi), ("local", fisher.read_local_qfi)
 
 
 def _reading(result) -> float:
-    return getattr(result, "value", getattr(result, "mean_derivative", None))
+    """What the result's `relative_discrepancy` bounds: a first moment's
+    bounds d<A>/d theta, not its `value` 1/delta^2."""
+    if isinstance(result, fisher.FirstMomentResult):
+        return result.mean_derivative
+    return result.value
 
 
 def _assert_bound_covers(point, reference_point):
@@ -495,3 +500,23 @@ def test_certificate_and_suite_b_flag_a_badly_corrupted_eigenvector(monkeypatch,
     res, check, _ = _fd_global_qfi(spec, n, DEFAULT_ANGLES, sel)
     assert res.flag == "ill_conditioned"
     assert _discrepancy(res.value, check) > 1e-3
+
+
+def test_the_names_perfbench_reads():
+    # perfbench/workloads.py (criterion 1's checks) and perfbench/make_reference.py
+    # read these, and `pytest perfbench` runs neither
+    spec, n = ModelSpec(ModelKind.ZZZZ, x=0.3), 4
+    for result in (global_qfi_fd(spec, n, DEFAULT_ANGLES, Param.X),
+                   local_qfi_fd(spec, n, UNFAVORABLE_ANGLES, Param.X),
+                   first_moment_uncertainty(spec, n, UNFAVORABLE_ANGLES, Param.X, paulis.X)):
+        assert isinstance(result, fisher.Reading)
+        assert math.isfinite(result.value) and result.relative_discrepancy < 1e-9
+    for result in (first_moment_uncertainty(spec, n, UNFAVORABLE_ANGLES, Param.X, paulis.X),
+                   zzzz_exact.delta_x_x_readout(spec, n, UNFAVORABLE_ANGLES,
+                                                zzzz_exact.XReadoutVariant.EXACT_WORST)):
+        assert result.inv_squared == result.value > 0.0
+    for rho in (reduce_to_bus(propagate(spec, n, DEFAULT_ANGLES)).rho,
+                zzzz_exact.reduced_rho_closed(spec, n, DEFAULT_ANGLES).rho):
+        assert rho.shape == (2, 2)
+    assert type(global_qfi_closed(spec, n, DEFAULT_ANGLES, Param.X)) is float
+    assert type(zzzz_exact.local_qfi_x_closed(spec, n, UNFAVORABLE_ANGLES)) is float

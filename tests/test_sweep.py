@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinbus
-from spinbus import dynamics, fisher, perturb, states, zzzz_exact
+from spinbus import dynamics, fisher, perturb, states, sweep, zzzz_exact
 from spinbus.cli import main
 from spinbus.dynamics import ModelKind, ModelSpec
 from spinbus.fisher import Param, global_qfi_fd
@@ -243,6 +244,55 @@ def test_quantities_answer_only_for_their_parameters(monkeypatch, param):
             assert r.flag != "unsupported", r
         else:
             assert math.isnan(r.value) and r.flag == "unsupported", r
+
+
+def test_every_row_is_its_readers_reading():
+    # each reader returns a fisher.Reading, and a row holds its value (bit for
+    # bit, nan for nan) and flag; ZZXX's closed forms raise, and ZZZZ answers
+    # every quantity under x
+    read = set()
+    for kind, param in [*((ModelKind.ZZXX, param) for param in Param), (ModelKind.ZZZZ, Param.X)]:
+        config = SweepConfig(kind=kind, param=param, regimes=(Regime("r", 1.0, 0.5),),
+                             n_list=(3,), quantities=KNOWN_QUANTITIES)
+        rows = {row.quantity: row for row in run_sweep(config).rows}
+        point = sweep._Point(config, 3, *sweep._settings(config)[0])
+        for quantity, (params, reader) in sweep._READERS.items():
+            row = rows[quantity]
+            if param not in params:
+                assert math.isnan(row.value) and row.flag == "unsupported", row
+                continue
+            try:
+                reading = reader(point)
+            except Exception as err:
+                assert kind is ModelKind.ZZXX, (row, err)  # the closed forms are ZZZZ's
+                assert quantity in ("closed_form", "local_qfi_closed"), (row, err)
+                assert math.isnan(row.value) and row.flag == f"error:{type(err).__name__}"
+                continue
+            assert isinstance(reading, fisher.Reading), quantity
+            assert (row.value == reading.value
+                    or math.isnan(row.value) and math.isnan(reading.value)), (row, reading)
+            assert row.flag == reading.flag, (row, reading)
+            read.add(quantity)
+    assert read == set(KNOWN_QUANTITIES)
+
+
+def test_no_nonfinite_row_goes_unflagged():
+    # at this subnormal-small t the derivative kernel overflows, so the
+    # certified bounds come out nan; a nan bound flags its row
+    config = parse_config("""
+        model = zzxx
+        param = x
+        x = 0
+        omega0 = 1.0962624999496122e-35
+        omega1 = 0
+        t = 1.4254921772595017e-278
+        nlist = 2 3 4
+        quantities = global_qfi local_qfi first_moment
+    """)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run_sweep(config).rows
+    assert len(rows) == 9
+    assert all(math.isfinite(row.value) or row.flag for row in rows), rows
 
 
 def test_fisher_quantities_share_one_solve_per_point(monkeypatch):

@@ -168,6 +168,26 @@ def test_delta_x_general_arbitrary_angles_matches_pipeline():
             assert got.inv_squared == pytest.approx(ref.inv_squared, rel=1e-9 + 3.0 * bound)
 
 
+@pytest.mark.parametrize("spec, n, angles", [
+    (ZZZZ, 1, DEFAULT_ANGLES), (ZZZZ, 5, DEFAULT_ANGLES), (ZZZZ, 3, UNFAVORABLE_ANGLES),
+    (replace(ZZZZ, epsilon=0.3, x=1.7), 12, StateAngles(0.4, 2.0, 0.9, -1.1)),
+    (ZZZZ, 30, StateAngles(1.1, 0.5, 0.3, 2.5)),
+])
+def test_delta_x_general_moments_match_the_pipeline(spec, n, angles):
+    """The general variant's exact d<X>/dx lies within the pipeline's
+    certified error of the pipeline's, sign included; the variance, which the
+    pipeline does not certify, agrees to round-off."""
+    got = delta_x_x_readout(spec, n, angles, XReadoutVariant.PT_GENERAL)
+    ref = first_moment_uncertainty(spec, n, angles, Param.X, paulis.X)
+    assert got.flag == ref.flag == "" and got.relative_discrepancy == 0.0
+    error = ref.relative_discrepancy * abs(ref.mean_derivative)
+    assert abs(got.mean_derivative - ref.mean_derivative) <= error
+    assert got.variance == pytest.approx(ref.variance, rel=1e-12, abs=0.0)
+    for variant in (XReadoutVariant.EXACT_WORST, XReadoutVariant.PT_WORST):
+        worst = delta_x_x_readout(spec, n, UNFAVORABLE_ANGLES, variant)
+        assert math.isnan(worst.variance) and math.isnan(worst.mean_derivative)
+
+
 def test_delta_x_worst_variants_require_worst_angles():
     with pytest.raises(ValueError):
         delta_x_x_readout(ZZZZ, 3, DEFAULT_ANGLES, XReadoutVariant.EXACT_WORST)
